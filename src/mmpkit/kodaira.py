@@ -10,10 +10,10 @@ dimension when one is supplied.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import log
 
 from .errors import (
     CoefficientOutOfRangeError,
@@ -99,7 +99,12 @@ def _validate_samples(samples) -> list[tuple[int, int]]:
 
 
 def estimate_kappa(samples, max_dim: int | None = None) -> KappaEstimate:
-    """Estimate the growth exponent of a finite plurigenus sequence."""
+    """Estimate the growth exponent of a finite plurigenus sequence.
+
+    The slope log(p2/p1) / log(m2/m1) is rounded exactly, half to even
+    (slope 3/2 gives 2 and slope 5/2 gives 2), by integer comparisons, so
+    any sample size works.
+    """
     pts = _validate_samples(samples)
     if all(p == 0 for _, p in pts):
         return KappaEstimate(None, "all sampled plurigenera vanish")
@@ -118,8 +123,17 @@ def estimate_kappa(samples, max_dim: int | None = None) -> KappaEstimate:
             f"plurigenus constant at {top_values[0]} from m = {top[0][0]} on",
         )
     (m1, p1), (m2, p2) = positive[-2], positive[-1]
-    slope = log(p2 / p1) / log(m2 / m1)
-    value = max(1, round(slope))
+
+    def rounds_above(k):
+        # slope > k + 1/2 iff p2^2 m1^(2k+1) > p1^2 m2^(2k+1); equality is a tie
+        lhs, rhs = p2 * p2 * m1 ** (2 * k + 1), p1 * p1 * m2 ** (2 * k + 1)
+        return lhs > rhs or (lhs == rhs and k % 2 == 1)
+
+    # max(1, rounded slope) by bisection below max_dim or a doubled bound
+    hi = 2 if max_dim is None else max(1, max_dim)
+    while max_dim is None and rounds_above(hi):
+        hi *= 2
+    value = 1 + bisect_left(range(1, hi), True, key=lambda k: not rounds_above(k))
     note = f"rounded log({p2}/{p1}) / log({m2}/{m1}) over window m = {m1}..{m2}"
     if max_dim is not None:
         value = min(value, max_dim)

@@ -4,17 +4,18 @@ Everything here runs over Python's arbitrary-precision ``int`` and
 ``fractions.Fraction``; no floating point is used anywhere.  Vectors are
 tuples of ints (or Fractions), matrices are tuples of row tuples.
 
-The routines cover what the geometric layers need: exact solving,
-determinants by fraction-free (Bareiss) elimination, Sylvester-style
-negative-definiteness via leading principal minors, Smith normal form,
-integer kernels in a canonical (column Hermite form) basis, and the
-inertia of a symmetric form.
+The routines cover what the geometric layers need.  One fraction-free
+(Bareiss) row echelon pass serves exact solving, rank, determinants and
+the Sylvester negative-definiteness test, whose leading principal minors
+are its pivots when no row swap is needed.  Beside it sit the Smith
+normal form, integer kernels in a canonical (column Hermite form) basis,
+and the inertia of a symmetric form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import NotSymmetricError, SingularMatrixError, ZeroVectorError
 
@@ -81,6 +82,54 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _echelon(rows):
+    """Fraction-free (Bareiss) row echelon form: (m, pivots, swaps).
+
+    m is the reduced rows as int lists, pivots the column of each pivot row
+    and swaps the number of row swaps.  A row with Fraction entries is first
+    scaled by the lcm of its denominators, which changes neither the rank
+    nor the solution set.  By Sylvester's identity each division is exact,
+    and pivot k is the minor of the swapped, scaled matrix on rows 0..k and
+    columns pivots[0..k].
+    """
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    pivots: list[int] = []
+    swaps, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            swaps += 1
+        top, pv = m[r], m[r][col]
+        for i in range(r + 1, len(m)):
+            row, f = m[i], m[i][col]
+            row[col:] = [(pv * x - f * y) // prev for x, y in zip(row[col:], top[col:])]
+        prev = pv
+        pivots.append(col)
+        if r + 1 == len(m):
+            break
+    return m, pivots, swaps
+
+
+def _solve(a, b, cols):
+    """(x, unique) for A x = b with the free variables 0, or None when the
+    echelon form of [A | b] has a pivot in the column of b."""
+    m, pivots, _ = _echelon([list(row) + [y] for row, y in zip(a, b)])
+    if pivots and pivots[-1] == cols:
+        return None
+    x = [Fraction(0)] * cols
+    for k in reversed(range(len(pivots))):
+        row, c = m[k], pivots[k]
+        x[c] = Fraction(row[cols] - sum(row[j] * x[j] for j in pivots[k + 1:]), row[c])
+    return tuple(x), len(pivots) == cols
+
+
 def solve_exact(a, b) -> RatVector:
     """Solve A x = b exactly over the rationals.
 
@@ -92,18 +141,10 @@ def solve_exact(a, b) -> RatVector:
         raise ValueError("matrix is not square")
     if len(b) != n:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(m[i][n] / m[i][i] for i in range(n))
+    sol = _solve(a, b, n)
+    if sol is None or not sol[1]:
+        raise SingularMatrixError("matrix is singular")
+    return sol[0]
 
 
 def solve_possibly_singular(a, b):
@@ -112,93 +153,48 @@ def solve_possibly_singular(a, b):
     Returns (solution, unique) where free variables are set to 0, or None
     when the system is inconsistent.
     """
-    rows, cols = len(a), (len(a[0]) if a else 0)
+    cols = len(a[0]) if a else 0
     if any(len(row) != cols for row in a):
         raise ValueError("matrix rows have unequal lengths")
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        for i in range(rows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for row, col in pivots:
-        x[col] = m[row][cols] / m[row][col]
-    return tuple(x), len(pivots) == cols
+    return _solve(a, b, cols)
 
 
 def matrix_rank(a) -> int:
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
-    m = [[Fraction(x) for x in row] for row in a]
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, rows):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(_echelon(a)[1])
 
 
 def det_bareiss(a) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
+    """Exact determinant: (-1)^swaps times the last Bareiss pivot, divided
+    by the row scaling of Fraction entries, or 0 when the rank is below n.
+    An int matrix gives an int."""
     n = len(a)
     if n == 0:
         return 1
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    m = [list(row) for row in a]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def leading_principal_minors(a) -> list[int]:
-    return [det_bareiss([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
+    m, pivots, swaps = _echelon(a)
+    if len(pivots) < n:
+        return 0
+    scale = prod(lcm(*(x.denominator for x in row)) for row in a)
+    det = Fraction((-1) ** swaps * m[-1][-1], scale)
+    return det.numerator if det.denominator == 1 else det
 
 
 def is_negative_definite(a) -> bool:
-    """Sylvester test: (-1)^k * (k-th leading principal minor) > 0 for all k."""
+    """Sylvester test: (-1)^k * (k-th leading principal minor) > 0 for all k.
+
+    With no row swap, Bareiss pivot k is the (k+1)-th leading principal
+    minor (row scaling by positive lcms keeps its sign); a swap or a skipped
+    column means a leading minor vanished.
+    """
     if not is_symmetric(a):
         raise NotSymmetricError("negative-definiteness test needs a symmetric matrix")
-    for k, minor in enumerate(leading_principal_minors(a), start=1):
-        if (-1) ** k * minor <= 0:
-            return False
-    return True
+    m, pivots, swaps = _echelon(a)
+    return (
+        swaps == 0
+        and pivots == list(range(len(a)))
+        and all((-1) ** (k + 1) * m[k][k] > 0 for k in pivots)
+    )
 
 
 def smith_normal_form(a) -> list[int]:
@@ -328,34 +324,16 @@ def column_hermite_form(columns) -> list[IntVector]:
 
 
 def integer_kernel(a) -> list[IntVector]:
-    """Basis of { x in Z^n : A x = 0 }, in canonical column Hermite form."""
+    """Basis of { x in Z^n : A x = 0 }, in canonical column Hermite form.
+
+    The Hermite form of the columns of A stacked over the identity is
+    [A; I] U with U unimodular; the bottom blocks of its columns with a
+    zero top block are a kernel basis, already in Hermite form.
+    """
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    work = [[a[i][j] for i in range(nr)] for j in range(nc)]  # columns of A
-    trans = [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
-    r = 0
-    for row in range(nr):
-        nz = [j for j in range(r, nc) if work[j][row] != 0]
-        if not nz:
-            continue
-        j0 = nz[0]
-        for j in nz[1:]:
-            aj0, aj = work[j0][row], work[j][row]
-            g, x, y = xgcd(aj0, aj)
-            u, v = aj0 // g, aj // g
-            w0, w1 = work[j0], work[j]
-            t0, t1 = trans[j0], trans[j]
-            for k in range(nr):
-                w0[k], w1[k] = x * w0[k] + y * w1[k], -v * w0[k] + u * w1[k]
-            for k in range(nc):
-                t0[k], t1[k] = x * t0[k] + y * t1[k], -v * t0[k] + u * t1[k]
-        work[r], work[j0] = work[j0], work[r]
-        trans[r], trans[j0] = trans[j0], trans[r]
-        r += 1
-        if r == nc:
-            break
-    kernel = [tuple(trans[j]) for j in range(r, nc)]
-    return column_hermite_form(kernel)
+    stacked = [[row[j] for row in a] + [int(k == j) for k in range(nc)] for j in range(nc)]
+    return [col[nr:] for col in column_hermite_form(stacked) if not any(col[:nr])]
 
 
 def coordinates_in_basis(columns, v) -> IntVector:

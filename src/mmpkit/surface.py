@@ -88,11 +88,6 @@ class SurfaceLattice:
         return tuple(notes)
 
 
-def _pair(gram, x, y) -> int:
-    n = len(gram)
-    return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
-
-
 def make_blowup_p2(r: int) -> SurfaceLattice:
     """Blow-up of the plane at r points: basis (H, E_1, ..., E_r)."""
     if r < 0:
@@ -186,7 +181,7 @@ def _definite_complement_box(s: SurfaceLattice) -> list[int]:
     k2 = s.pair(s.K, s.K)
     gk = tuple(sum(s.gram[i][j] * s.K[j] for j in range(s.rank)) for i in range(s.rank))
     basis = linalg.integer_kernel((gk,))
-    q = [[-_pair(s.gram, bi, bj) for bj in basis] for bi in basis]
+    q = [[-s.pair(bi, bj) for bj in basis] for bi in basis]
     radius = Fraction(k2 + 1, k2)
     box = []
     for i in range(s.rank):
@@ -279,9 +274,7 @@ def castelnuovo_contract(s: SurfaceLattice, c) -> SurfaceLattice:
     c = tuple(int(v) for v in c)
     _check_minus_one(s, c)
     basis = _contraction_basis(s, c)
-    new_gram = tuple(
-        tuple(_pair(s.gram, bi, bj) for bj in basis) for bi in basis
-    )
+    new_gram = tuple(tuple(s.pair(bi, bj) for bj in basis) for bi in basis)
     k_upstairs = tuple(k - ci for k, ci in zip(s.K, c))
     new_k = linalg.coordinates_in_basis(basis, k_upstairs)
     new_curves = []

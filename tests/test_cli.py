@@ -253,6 +253,15 @@ class TestPreconditionErrors:
 
 
 class TestDeterminismAndRoundTrip:
+    def test_machine_reports_match_pinned_bytes(self):
+        # tests/golden/machine/NN-<subcommand>.out holds the exact stdout
+        # of GOLDEN_RUNS[NN], so a refactor that changes a report fails here
+        for i, argv in enumerate(GOLDEN_RUNS):
+            expected = (GOLDEN / "machine" / f"{i:02d}-{argv[0]}.out").read_bytes()
+            code, out = run_machine(list(argv))
+            assert code == 0, argv
+            assert out.encode("utf-8") == expected, argv
+
     def test_byte_identical_reruns(self):
         for argv in GOLDEN_RUNS:
             code1, out1 = run_machine(list(argv))

@@ -96,6 +96,18 @@ class TestEstimateKappa:
         with pytest.raises(InsufficientSamplesError):
             estimate_kappa([(1, 3), (2, 0)])
 
+    def test_ties_round_half_to_even(self):
+        assert estimate_kappa([(1, 1), (4, 8)]).value == 2  # slope 3/2
+        assert estimate_kappa([(1, 1), (4, 32)]).value == 2  # slope 5/2
+        assert estimate_kappa([(1, 1), (4, 128)]).value == 4  # slope 7/2
+
+    def test_huge_plurigenus_is_exact(self):
+        estimate = estimate_kappa([(1, 1), (2, 10**400)], max_dim=2)
+        assert estimate.value == 2
+        assert estimate.note == "rounded log(" + str(10**400) + "/1) / log(2/1) over window m = 1..2"
+        # the unclamped slope is 400 log 10 / log 2 = 1328.77...
+        assert estimate_kappa([(1, 1), (2, 10**400)]).value == 1329
+
     def test_unclamped_note_without_max_dim(self):
         estimate = estimate_kappa([(2, 5), (4, 17), (8, 65)])
         assert "unclamped" in estimate.note
