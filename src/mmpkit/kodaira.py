@@ -10,10 +10,11 @@ dimension when one is supplied.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     CoefficientOutOfRangeError,
@@ -98,12 +99,53 @@ def _validate_samples(samples) -> list[tuple[int, int]]:
     return sorted(pts)
 
 
+def _log_ratio(x: int, y: int) -> Decimal:
+    """log(x / y) at the current precision of p digits, within 3p units in
+    its last digit.  Near x = y it sums 2 atanh((x - y) / (x + y)), as
+    log(x) - log(y) would lose digits there."""
+    if x < y:
+        return -_log_ratio(y, x)
+    if x >= 2 * y:
+        return (Decimal(x) / y).ln()
+    t = Decimal(x - y) / (x + y)
+    term, total, j = t, Decimal(0), 1
+    while total + term / j != total:
+        total += term / j
+        term *= t * t
+        j += 2
+    return 2 * total
+
+
+def _rounded_slope(m1: int, p1: int, m2: int, p2: int) -> int:
+    """max(1, round(log(p2/p1) / log(m2/m1))), half to even, decided exactly.
+
+    The logarithms get more digits until the slope s is clear of k + 1/2,
+    k = floor(s).  Inside the error bound, with a, b = m1, m2 over their gcd,
+    s > k + 1/2 iff p2^2 a^(2k+1) > p1^2 b^(2k+1).  A tie needs b^(2k+1) to
+    divide p2^2, so that test runs only while b^(2k+1) is no longer than p2^2.
+    """
+    g = gcd(m1, m2)
+    a, b = m1 // g, m2 // g
+    digits = 30
+    while True:
+        with localcontext(prec=digits):
+            s = _log_ratio(p2, p1) / _log_ratio(b, a)
+            es = abs(s) * 10 * digits * Decimal(10) ** (1 - digits)
+            k = max(1, int(s))
+            gap = s - k - Decimal("0.5")
+            if abs(gap) > es:
+                return k + (gap > 0)
+            if es < Decimal("0.25") and (2 * k + 1) * (b.bit_length() - 1) <= 2 * p2.bit_length():
+                lhs, rhs = p2 * p2 * a ** (2 * k + 1), p1 * p1 * b ** (2 * k + 1)
+                return k + (lhs > rhs or (lhs == rhs and k % 2 == 1))
+            # carry 30 digits past the point next time
+            digits = 2 * max(digits, s.adjusted() // 2 + 15)
+
+
 def estimate_kappa(samples, max_dim: int | None = None) -> KappaEstimate:
     """Estimate the growth exponent of a finite plurigenus sequence.
 
-    The slope log(p2/p1) / log(m2/m1) is rounded exactly, half to even
-    (slope 3/2 gives 2 and slope 5/2 gives 2), by integer comparisons, so
-    any sample size works.
+    The slope is rounded exactly, half to even: 3/2 and 5/2 both give 2.
     """
     pts = _validate_samples(samples)
     if all(p == 0 for _, p in pts):
@@ -123,17 +165,7 @@ def estimate_kappa(samples, max_dim: int | None = None) -> KappaEstimate:
             f"plurigenus constant at {top_values[0]} from m = {top[0][0]} on",
         )
     (m1, p1), (m2, p2) = positive[-2], positive[-1]
-
-    def rounds_above(k):
-        # slope > k + 1/2 iff p2^2 m1^(2k+1) > p1^2 m2^(2k+1); equality is a tie
-        lhs, rhs = p2 * p2 * m1 ** (2 * k + 1), p1 * p1 * m2 ** (2 * k + 1)
-        return lhs > rhs or (lhs == rhs and k % 2 == 1)
-
-    # max(1, rounded slope) by bisection below max_dim or a doubled bound
-    hi = 2 if max_dim is None else max(1, max_dim)
-    while max_dim is None and rounds_above(hi):
-        hi *= 2
-    value = 1 + bisect_left(range(1, hi), True, key=lambda k: not rounds_above(k))
+    value = _rounded_slope(m1, p1, m2, p2)
     note = f"rounded log({p2}/{p1}) / log({m2}/{m1}) over window m = {m1}..{m2}"
     if max_dim is not None:
         value = min(value, max_dim)

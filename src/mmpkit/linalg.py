@@ -15,7 +15,7 @@ and the inertia of a symmetric form.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import NotSymmetricError, SingularMatrixError, ZeroVectorError
 
@@ -164,9 +164,7 @@ def matrix_rank(a) -> int:
 
 
 def det_bareiss(a) -> int:
-    """Exact determinant: (-1)^swaps times the last Bareiss pivot, divided
-    by the row scaling of Fraction entries, or 0 when the rank is below n.
-    An int matrix gives an int."""
+    """Exact determinant of an integer matrix from its Bareiss pivots."""
     n = len(a)
     if n == 0:
         return 1
@@ -175,9 +173,7 @@ def det_bareiss(a) -> int:
     m, pivots, swaps = _echelon(a)
     if len(pivots) < n:
         return 0
-    scale = prod(lcm(*(x.denominator for x in row)) for row in a)
-    det = Fraction((-1) ** swaps * m[-1][-1], scale)
-    return det.numerator if det.denominator == 1 else det
+    return (-1) ** swaps * m[-1][-1]
 
 
 def is_negative_definite(a) -> bool:

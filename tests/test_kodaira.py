@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -100,6 +102,10 @@ class TestEstimateKappa:
         assert estimate_kappa([(1, 1), (4, 8)]).value == 2  # slope 3/2
         assert estimate_kappa([(1, 1), (4, 32)]).value == 2  # slope 5/2
         assert estimate_kappa([(1, 1), (4, 128)]).value == 4  # slope 7/2
+        assert estimate_kappa([(1, 1), (4, 2**2001)]).value == 1000  # slope 1000.5
+        assert estimate_kappa([(1, 1), (4, 2**2003)]).value == 1002  # slope 1001.5
+        # m2/m1 = 8/2 = 4: the tie shows only once the common factor is gone
+        assert estimate_kappa([(2, 1), (8, 2**2001)]).value == 1000
 
     def test_huge_plurigenus_is_exact(self):
         estimate = estimate_kappa([(1, 1), (2, 10**400)], max_dim=2)
@@ -107,6 +113,35 @@ class TestEstimateKappa:
         assert estimate.note == "rounded log(" + str(10**400) + "/1) / log(2/1) over window m = 1..2"
         # the unclamped slope is 400 log 10 / log 2 = 1328.77...
         assert estimate_kappa([(1, 1), (2, 10**400)]).value == 1329
+
+    def test_falling_plurigenera_give_one(self):
+        # slope log(1/100) / log 2 = -6.6, clamped below by 1
+        assert estimate_kappa([(1, 100), (2, 1)]).value == 1
+        assert estimate_kappa([(10**50, 100), (10**50 + 1, 1)]).value == 1
+
+    def test_near_ties_are_settled_in_integers(self):
+        # p2^2 = 1000 * 1001^(2k+1) would be a tie; it is not a square, so
+        # its integer square root lies just below the tie and one more just above
+        k = 1000
+        p1 = 1000 ** (k + 1)
+        root = isqrt(1000 * 1001 ** (2 * k + 1))
+        start = time.perf_counter()
+        assert estimate_kappa([(1000, p1), (1001, root)]).value == k
+        assert estimate_kappa([(1000, p1), (1001, root + 1)]).value == k + 1
+        assert time.perf_counter() - start < 2
+
+    def test_large_slopes_and_max_dims_are_quick(self):
+        start = time.perf_counter()
+        assert estimate_kappa([(1, 1), (2, 3)], max_dim=10**18).value == 2
+        assert estimate_kappa([(2, 1), (3, 10**1000)], max_dim=10**18).value == 5679
+        assert estimate_kappa([(2, 1), (3, 10**1000)], max_dim=4).value == 4
+        # 300 log 10 / log(1001/1000) = 691120.858...
+        assert estimate_kappa([(1000, 1), (1001, 10**300)]).value == 691121
+        # close sample indices: the slope 2302...8457.097 has 103 digits
+        value = estimate_kappa([(10**100, 1), (10**100 + 1, 10**100)]).value
+        assert str(value).startswith("2302585092994045684") and str(value).endswith("8457")
+        assert len(str(value)) == 103
+        assert time.perf_counter() - start < 2
 
     def test_unclamped_note_without_max_dim(self):
         estimate = estimate_kappa([(2, 5), (4, 17), (8, 65)])
