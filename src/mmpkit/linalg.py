@@ -123,11 +123,14 @@ def _solve(a, b, cols):
     m, pivots, _ = _echelon([list(row) + [y] for row, y in zip(a, b)])
     if pivots and pivots[-1] == cols:
         return None
-    x = [Fraction(0)] * cols
+    # by Cramer's rule den * x is integral, den the last pivot (the minor
+    # on the pivot rows and columns), so back-substitution stays in ints
+    den = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * cols
     for k in reversed(range(len(pivots))):
         row, c = m[k], pivots[k]
-        x[c] = Fraction(row[cols] - sum(row[j] * x[j] for j in pivots[k + 1:]), row[c])
-    return tuple(x), len(pivots) == cols
+        y[c] = (den * row[cols] - sum(row[j] * y[j] for j in pivots[k + 1:])) // row[c]
+    return tuple(Fraction(v, den) for v in y), len(pivots) == cols
 
 
 def solve_exact(a, b) -> RatVector:
@@ -356,14 +359,21 @@ def coordinates_in_basis(columns, v) -> IntVector:
 def inertia(a) -> tuple[int, int, int]:
     """Signature (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Computed by exact symmetric congruence reduction over the rationals.
+    Symmetric fraction-free elimination with diagonal pivots, after scaling
+    by the lcm of the denominators.  As in Bareiss, the remaining block is
+    prev times the Schur complement, prev the last pivot (a principal
+    minor), so the sign of pivot / prev is the sign of a Gaussian pivot.
+    With no nonzero diagonal left, the congruence adding row/column j to
+    row/column i makes m[i][i] = 2 m[i][j].
     """
     if not is_symmetric(a):
         raise NotSymmetricError("inertia needs a symmetric matrix")
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
+    den = lcm(*(x.denominator for row in a for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     remaining = list(range(n))
-    pos = neg = zero = 0
+    pos = neg = 0
+    prev = 1
     while remaining:
         piv = next((i for i in remaining if m[i][i] != 0), None)
         if piv is None:
@@ -372,31 +382,26 @@ def inertia(a) -> tuple[int, int, int]:
                 None,
             )
             if pair is None:
-                zero += len(remaining)
                 break
             i, j = pair
-            # congruence: add row/col j to row/col i, making m[i][i] = 2 m[i][j]
-            for k in range(n):
+            for k in remaining:
                 m[i][k] += m[j][k]
-            for k in range(n):
+            for k in remaining:
                 m[k][i] += m[k][j]
             piv = i
         d = m[piv][piv]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        others = [k for k in remaining if k != piv]
-        for i in others:
-            f = m[i][piv] / d
-            if f:
-                for j in others:
-                    m[i][j] -= f * m[piv][j]
-                m[i][piv] = Fraction(0)
-        for j in others:
-            m[piv][j] = Fraction(0)
         remaining.remove(piv)
-    return pos, neg, zero
+        top = m[piv]
+        for i in remaining:
+            row, f = m[i], m[i][piv]
+            for j in remaining:
+                row[j] = (d * row[j] - f * top[j]) // prev
+        prev = d
+    return pos, neg, n - pos - neg
 
 
 def cross_normal(rows, dim) -> IntVector:
@@ -408,15 +413,3 @@ def cross_normal(rows, dim) -> IntVector:
         minor = [[row[j] for j in range(dim) if j != i] for row in rows]
         normal.append((-1) ** i * det_bareiss(minor))
     return tuple(normal)
-
-
-def ceil_sqrt(value: Fraction) -> int:
-    """Smallest nonnegative integer n with n*n >= value."""
-    if value <= 0:
-        return 0
-    from math import isqrt
-
-    n = isqrt(value.numerator // value.denominator)
-    while n * n < value:
-        n += 1
-    return n

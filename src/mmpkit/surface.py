@@ -9,12 +9,12 @@ lattice is the orthogonal complement of the contracted class in a
 canonical integer basis (column Hermite form), so repeated runs produce
 identical traces.
 
-(-1)-class enumeration is complete in two regimes: blow-ups of the plane
-in at most 8 points (degree bound from Cauchy-Schwarz), and lattices of
-signature (1, rank-1) with K^2 > 0 (bounding box derived from the
-negative-definite complement of K).  Anything else needs an explicit
-search bound; lattices with 9 or more base points have infinitely many
-(-1)-classes.
+Without a search bound, (-1)-class enumeration is complete on lattices
+of signature (1, rank-1) with K^2 > 0, in any basis: there the classes
+are the integer points of one positive-definite ellipsoid, enumerated
+exactly (Fincke-Pohst).  Anything else needs an explicit coordinate
+bound; blow-ups of the plane in 9 or more points have K^2 <= 0 and
+infinitely many (-1)-classes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -37,8 +38,6 @@ from .errors import (
     UndeterminedOutcomeError,
 )
 from .linalg import IntMatrix, IntVector
-
-_BOX_CELL_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,7 @@ class SurfaceLattice:
                 )
 
     def pair(self, x, y) -> int:
-        return sum(
-            x[i] * self.gram[i][j] * y[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, self.gram) if xi)
 
     def warnings(self) -> tuple[str, ...]:
         notes = []
@@ -131,77 +126,93 @@ def adjunction_genus(s: SurfaceLattice, c) -> int:
     return 1 + total // 2
 
 
-def _is_standard_blowup(s: SurfaceLattice) -> bool:
-    r = s.rank - 1
-    if s.K != tuple([-3] + [1] * r):
-        return False
-    for i in range(s.rank):
-        for j in range(s.rank):
-            expected = (1 if i == 0 else -1) if i == j else 0
-            if s.gram[i][j] != expected:
-                return False
-    return True
+def _gram_times(s: SurfaceLattice, v) -> IntVector:
+    """G v, the coefficients of the functional x -> x.v."""
+    return tuple(sum(map(mul, row, v)) for row in s.gram)
 
 
-def _standard_minus_one_classes(r: int) -> list[IntVector]:
-    # x = a H + sum b_i E_i with sum b = 1 - 3a and sum b^2 = a^2 + 1
+def _ellipsoid_classes(s: SurfaceLattice) -> list[IntVector]:
+    """Fincke-Pohst enumeration of C^2 = K.C = -1 when K^2 > 0 and the
+    form has signature (1, rank-1).
+
+    K.x = -1 is x = x0 + B w with B a basis of the K-orthogonal part, so
+    x^2 = -1 becomes (w - m)^T A (w - m) = R with A = -B^T G B positive
+    definite.  The Bareiss rows of A give Q(y) = sum_k (row_k . y)^2 /
+    (D_k D_{k+1}) with D_k its leading principal minors; row_k . m is an
+    integer, so the depth-first bounds on w_{d-1}, ..., w_0 are integer
+    tests after scaling by N = lcm of the D_k D_{k+1}, a multiple of
+    D_d = det(A).
+    """
+    n = s.rank
+    cols = [[g] + [0] * n for g in _gram_times(s, s.K)]
+    for j, col in enumerate(cols):
+        col[j + 1] = 1
+    cols = linalg.column_hermite_form(cols)
+    if cols[0][0] != 1:
+        return []
+    x0 = [-v for v in cols[0][1:]]
+    basis = [c[1:] for c in cols[1:]]
+    gb = [_gram_times(s, v) for v in basis]
+    a = [[-sum(map(mul, u, gv)) for u in basis] for gv in gb]
+    beta = [sum(map(mul, x0, gv)) for gv in gb]
+    rows, _, _ = linalg._echelon(a)
+    d = len(basis)
+    minors = [1] + [rows[k][k] for k in range(d)]
+    # det(A) m is integral (Cramer), and so are row_k . m and det(A) R
+    det = minors[d]
+    det_m = [c.numerator * (det // c.denominator) for c in linalg.solve_exact(a, beta)]
+    shifts = [sum(map(mul, rows[k][k:], det_m[k:])) // det for k in range(d)]
+    det_radius = det * (s.pair(x0, x0) + 1) + sum(map(mul, beta, det_m))
+    scale = lcm(*(minors[k] * minors[k + 1] for k in range(d)))
+    weights = [scale // (minors[k] * minors[k + 1]) for k in range(d)]
+    w = [0] * d
+    # x = x0 + B w, updated in place; Hermite columns are mostly zero
+    support = [[(i, v) for i, v in enumerate(col) if v] for col in basis]
+    x = list(x0)
     out: list[IntVector] = []
 
-    def descend(k, target_sum, target_sq, prefix):
+    def descend(k, budget, c):
+        # c = row_k . (w - m) without the w_k term
+        piv, weight, nz = minors[k + 1], weights[k], support[k]
+        h = isqrt(budget // weight)
         if k == 0:
-            if target_sum == 0 and target_sq == 0:
-                out.append(prefix)
+            # the last coordinate must use up the budget exactly
+            if weight * h * h == budget:
+                for t in (h, -h) if h else (0,):
+                    wk, off = divmod(t - c, piv)
+                    if off == 0:
+                        y = x[:]
+                        for i, v in nz:
+                            y[i] += wk * v
+                        out.append(tuple(y))
             return
-        bound = isqrt(target_sq)
-        for b in range(-bound, bound + 1):
-            rest_sq = target_sq - b * b
-            if rest_sq < 0:
-                continue
-            rest_sum = target_sum - b
-            if rest_sum * rest_sum > (k - 1) * rest_sq:
-                continue
-            descend(k - 1, rest_sum, rest_sq, prefix + (b,))
+        lo, hi = -((h + c) // piv), (h - c) // piv
+        row = rows[k - 1]
+        cc = sum(map(mul, row[k + 1:], w[k + 1:])) - shifts[k - 1] + lo * row[k]
+        for i, v in nz:
+            x[i] += lo * v
+        for wk in range(lo, hi + 1):
+            t = piv * wk + c
+            w[k] = wk
+            descend(k - 1, budget - weight * t * t, cc)
+            cc += row[k]
+            for i, v in nz:
+                x[i] += v
+        for i, v in nz:
+            x[i] -= (hi + 1) * v
 
-    for a in range(-8, 9):
-        if (3 * a - 1) ** 2 > r * (a * a + 1):
-            continue
-        descend(r, 1 - 3 * a, a * a + 1, (a,))
+    if d:
+        descend(d - 1, det_radius * (scale // det), -shifts[d - 1])
     return sorted(out)
-
-
-def _definite_complement_box(s: SurfaceLattice) -> list[int]:
-    """Per-coordinate bounds covering every solution of C^2 = K.C = -1.
-
-    Valid when the form has signature (1, rank-1) and K^2 > 0: writing
-    C = -K/K^2 + w with w in the K-orthogonal (negative definite) part,
-    w lies on the ellipsoid w^T Q w = 1 + 1/K^2 with Q the restricted
-    form negated, so |w_i| <= sqrt(R * (B Q^{-1} B^T)_{ii}) for a kernel
-    basis B (Cauchy-Schwarz in the Q-inner product).
-    """
-    k2 = s.pair(s.K, s.K)
-    gk = tuple(sum(s.gram[i][j] * s.K[j] for j in range(s.rank)) for i in range(s.rank))
-    basis = linalg.integer_kernel((gk,))
-    q = [[-s.pair(bi, bj) for bj in basis] for bi in basis]
-    radius = Fraction(k2 + 1, k2)
-    box = []
-    for i in range(s.rank):
-        row = [Fraction(b[i]) for b in basis]
-        if any(row):
-            y = linalg.solve_exact(q, row)
-            gauge = sum(r * v for r, v in zip(row, y))
-            wmax = linalg.ceil_sqrt(radius * gauge)
-        else:
-            wmax = 0
-        box.append(int(Fraction(abs(s.K[i]), k2) + wmax))
-    return box
 
 
 def enumerate_minus_one_classes(s: SurfaceLattice, bound: int | None = None) -> list[IntVector]:
     """All classes C with C^2 = -1 and K.C = -1, lexicographically sorted.
 
-    Complete without a bound for standard blow-up lattices with r <= 8 and
-    for signature-(1, rank-1) lattices with K^2 > 0; otherwise an explicit
-    coordinate bound is required.
+    With an explicit bound, every coordinate box cell is tested.  Without
+    one, the search is complete on lattices of signature (1, rank-1) with
+    K^2 > 0, where the classes are the integer points of one ellipsoid;
+    any other lattice needs a bound.
     """
     if bound is not None:
         if bound < 0:
@@ -212,29 +223,8 @@ def enumerate_minus_one_classes(s: SurfaceLattice, bound: int | None = None) -> 
             for x in product(*ranges)
             if s.pair(x, x) == -1 and s.pair(s.K, x) == -1
         ]
-    if _is_standard_blowup(s):
-        r = s.rank - 1
-        if r <= 8:
-            return _standard_minus_one_classes(r)
-        raise UnboundedSearchError(
-            "blow-up lattices in 9 or more points have infinitely many (-1)-classes;"
-            " pass an explicit search bound"
-        )
-    k2 = s.pair(s.K, s.K)
-    if k2 > 0 and linalg.inertia(s.gram) == (1, s.rank - 1, 0):
-        box = _definite_complement_box(s)
-        cells = 1
-        for b in box:
-            cells *= 2 * b + 1
-        if cells > _BOX_CELL_LIMIT:
-            raise UnboundedSearchError(
-                "derived search region is too large; pass an explicit bound"
-            )
-        return [
-            x
-            for x in product(*(range(-b, b + 1) for b in box))
-            if s.pair(x, x) == -1 and s.pair(s.K, x) == -1
-        ]
+    if s.pair(s.K, s.K) > 0 and linalg.inertia(s.gram) == (1, s.rank - 1, 0):
+        return _ellipsoid_classes(s)
     raise UnboundedSearchError(
         "cannot certify a finite (-1)-class search on this lattice;"
         " pass an explicit bound"
@@ -242,8 +232,7 @@ def enumerate_minus_one_classes(s: SurfaceLattice, bound: int | None = None) -> 
 
 
 def _contraction_basis(s: SurfaceLattice, c: IntVector) -> list[IntVector]:
-    gc = tuple(sum(s.gram[i][j] * c[j] for j in range(s.rank)) for i in range(s.rank))
-    return linalg.integer_kernel((gc,))
+    return linalg.integer_kernel((_gram_times(s, c),))
 
 
 def _check_minus_one(s: SurfaceLattice, c: IntVector):
@@ -274,7 +263,8 @@ def castelnuovo_contract(s: SurfaceLattice, c) -> SurfaceLattice:
     c = tuple(int(v) for v in c)
     _check_minus_one(s, c)
     basis = _contraction_basis(s, c)
-    new_gram = tuple(tuple(s.pair(bi, bj) for bj in basis) for bi in basis)
+    gb = [_gram_times(s, b) for b in basis]
+    new_gram = tuple(tuple(sum(map(mul, bi, gv)) for gv in gb) for bi in basis)
     k_upstairs = tuple(k - ci for k, ci in zip(s.K, c))
     new_k = linalg.coordinates_in_basis(basis, k_upstairs)
     new_curves = []
@@ -319,8 +309,10 @@ def run_classical_mmp(s: SurfaceLattice, bound: int | None = None) -> MmpTrace:
     """Contract the lex-smallest (-1)-class until none remain, then classify.
 
     Outcomes: a ruled fibre space when a known class has f^2 = 0 and
-    K.f < 0; a plane-like fibre space at rank 1 with K negative on the
-    generator; a minimal model when K is nonnegative on every known class.
+    K.f < 0; a plane-like fibre space at rank 1 when a known curve has
+    C^2 > 0 and K.C < 0 (with no nonzero known curve: when K is negative
+    on the basis vector); a minimal model when K is nonnegative on every
+    known class.
     """
     steps = []
     cur = s
@@ -348,8 +340,12 @@ def run_classical_mmp(s: SurfaceLattice, bound: int | None = None) -> MmpTrace:
             final=cur,
             notes=tuple(notes),
         )
-    generator = tuple(1 if i == 0 else 0 for i in range(cur.rank))
-    if cur.rank == 1 and cur.pair(cur.K, generator) < 0:
+    known = [c for c in cur.curves if any(c)]
+    if cur.rank == 1 and (
+        any(cur.pair(c, c) > 0 and cur.pair(cur.K, c) < 0 for c in known)
+        if known
+        else cur.pair(cur.K, (1,)) < 0
+    ):
         return MmpTrace(
             steps=tuple(steps),
             outcome=MmpOutcome.MORI_FIBRE_P2LIKE,

@@ -134,3 +134,50 @@ def multiset_minus_one_count(r) -> int:
         acc: list[int] = []
         descend(r, 1 - 3 * a, a * a + 1, isqrt(a * a + 1))
     return total
+
+
+def disguise(s, rng, moves=4):
+    """A random unimodular change of basis of a SurfaceLattice.
+
+    The new basis vectors are the columns of P, built from random
+    transvections and sign flips; the inverse is tracked alongside, so no
+    library solver is involved.  K and the curves are carried over.
+    Returns (lattice, to_new), where to_new maps old coordinates to new.
+    """
+    from mmpkit.surface import SurfaceLattice
+
+    n = s.rank
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in p]
+    for _ in range(moves if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        f = rng.randint(-2, 2)
+        for row in p:
+            row[i] += f * row[j]
+        inv[j] = [a - f * b for a, b in zip(inv[j], inv[i])]
+    for i in range(n):
+        if rng.random() < 0.5:
+            for row in p:
+                row[i] = -row[i]
+            inv[i] = [-a for a in inv[i]]
+
+    def to_new(v):
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in inv)
+
+    gram = tuple(
+        tuple(
+            sum(p[a][i] * s.gram[a][b] * p[b][j] for a in range(n) for b in range(n))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return (
+        SurfaceLattice(
+            rank=n,
+            gram=gram,
+            K=to_new(s.K),
+            curves=tuple(to_new(c) for c in s.curves),
+            label="disguised",
+        ),
+        to_new,
+    )

@@ -40,6 +40,9 @@ GOLDEN_RUNS = [
     ["kappa-estimate", "--input", str(GOLDEN / "samples_g2.json")],
     ["kappa-estimate", "--input", str(GOLDEN / "samples_zero.json")],
     ["pair-classify", "--input", str(GOLDEN / "pair_klt.json")],
+    ["delpezzo-lines", "--r", "8"],
+    ["delpezzo-lines", "--input", str(GOLDEN / "surface_disguised5.json")],
+    ["mmp-run", "--input", str(GOLDEN / "surface_disguised5.json")],
 ]
 
 

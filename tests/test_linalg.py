@@ -6,7 +6,6 @@ import pytest
 from helpers import box_negdef_oracle
 from mmpkit.errors import NotSymmetricError, SingularMatrixError, ZeroVectorError
 from mmpkit.linalg import (
-    ceil_sqrt,
     column_hermite_form,
     coordinates_in_basis,
     cross_normal,
@@ -245,9 +244,3 @@ class TestSmallHelpers:
     def test_solve_possibly_singular_underdetermined(self):
         sol = solve_possibly_singular([[1, 1]], [2])
         assert sol is not None and sol[1] is False
-
-    def test_ceil_sqrt(self):
-        assert ceil_sqrt(Fraction(9, 16)) == 1
-        assert ceil_sqrt(Fraction(0)) == 0
-        assert ceil_sqrt(Fraction(17)) == 5
-        assert ceil_sqrt(Fraction(16)) == 4

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import multiset_minus_one_count, naive_minus_one_classes
+from helpers import disguise, multiset_minus_one_count, naive_minus_one_classes
 from mmpkit.errors import (
     DegenerateConeError,
     EmptyCurveListError,
@@ -146,45 +146,81 @@ class TestMinusOneEnumeration:
             assert enumerate_minus_one_classes(shuffled) == base
 
     def test_derived_box_is_complete(self):
-        # a random unimodular change of basis hides the standard form and
-        # forces the orthogonal-complement search; the class count must
-        # survive, and enlarging the box must not reveal further classes
-        from mmpkit.linalg import solve_exact
-        from mmpkit.surface import _definite_complement_box
-
+        # a random unimodular change of basis hides the standard form; the
+        # classes must be the standard ones mapped through it, and a box 2
+        # wider than the largest coordinate found must reveal nothing new
         rng = random.Random(73)
         for _ in range(60):
-            r = rng.randint(1, 3)
+            r = rng.randint(1, 4)
             base = make_blowup_p2(r)
-            n = base.rank
-            p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            for _ in range(4):
-                i, j = rng.sample(range(n), 2)
-                f = rng.randint(-2, 2)
-                for k in range(n):
-                    p[k][i] += f * p[k][j]
-            gram = tuple(
-                tuple(
-                    sum(
-                        p[a][i] * base.gram[a][b] * p[b][j]
-                        for a in range(n)
-                        for b in range(n)
-                    )
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-            k_coords = solve_exact(p, base.K)
-            assert all(v.denominator == 1 for v in k_coords)
-            k_new = tuple(int(v) for v in k_coords)
-            s = SurfaceLattice(rank=n, gram=gram, K=k_new, label="transformed")
+            s, to_new = disguise(base, rng)
             assert s.pair(s.K, s.K) == 9 - r
             assert s.warnings() == ()
             found = enumerate_minus_one_classes(s)
             assert len(found) == len(enumerate_minus_one_classes(base))
-            box = _definite_complement_box(s)
-            wider = enumerate_minus_one_classes(s, bound=max(box) + 2)
-            assert set(wider) == set(found)
+            assert set(found) == {to_new(c) for c in naive_minus_one_classes(r)}
+            if r <= 3:
+                widest = max(abs(v) for c in found for v in c)
+                wider = enumerate_minus_one_classes(s, bound=widest + 2)
+                assert set(wider) == set(found)
+        for r in (7, 8):
+            base = make_blowup_p2(r)
+            s, to_new = disguise(base, rng)
+            found = enumerate_minus_one_classes(s)
+            assert len(found) == multiset_minus_one_count(r) == EXPECTED_COUNTS[r]
+            assert set(found) == {to_new(c) for c in enumerate_minus_one_classes(base)}
+
+    def test_disguised_r7_r8_under_two_seconds(self):
+        rng = random.Random(78)
+        for r in (7, 8):
+            s, _ = disguise(make_blowup_p2(r), rng)
+            start = time.monotonic()
+            classes = enumerate_minus_one_classes(s)
+            assert len(classes) == EXPECTED_COUNTS[r]
+            assert time.monotonic() - start < 2.0
+
+    def test_no_class_when_k_pairs_evenly(self):
+        # G.K is (4, 2) and (-6, -2): K.x is even, so K.x = -1 has no
+        # solution, although E^2 = -1 on the second lattice
+        even = SurfaceLattice(rank=2, gram=((2, 1), (1, -2)), K=(2, 0))
+        doubled = SurfaceLattice(rank=2, gram=((1, 0), (0, -1)), K=(-6, 2))
+        for s in (even, doubled):
+            assert s.pair(s.K, s.K) > 0 and s.warnings() == ()
+            assert enumerate_minus_one_classes(s) == []
+            assert enumerate_minus_one_classes(s, bound=6) == []
+
+    def test_points_inside_the_ellipsoid_are_not_classes(self):
+        # K is not characteristic here: (1, 1) and (1, -1) have K.x = -1 and
+        # x^2 = 0, so they lie inside the ellipsoid, not on it
+        s = SurfaceLattice(rank=2, gram=((1, 0), (0, -1)), K=(-1, 0))
+        assert enumerate_minus_one_classes(s) == []
+        assert enumerate_minus_one_classes(s, bound=4) == []
+
+    def test_matches_box_scan_on_random_lattices(self):
+        # any K, not only canonical classes: inside the box, the search
+        # must find exactly what the explicit-bound scan finds
+        rng = random.Random(7)
+        tested = 0
+        while tested < 200:
+            n = rng.randint(2, 3)
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+            K = [rng.randint(-4, 4) for _ in range(n)]
+            s = SurfaceLattice(rank=n, gram=gram, K=K)
+            if s.pair(s.K, s.K) <= 0 or s.warnings():
+                continue
+            tested += 1
+            found = enumerate_minus_one_classes(s)
+            assert all(s.pair(x, x) == -1 and s.pair(s.K, x) == -1 for x in found)
+            box = enumerate_minus_one_classes(s, bound=5)
+            assert set(box) == {x for x in found if max(map(abs, x)) <= 5}
+
+    def test_unit_rank_has_none(self):
+        # signature (1, 0) is positive definite, so no class squares to -1
+        s = SurfaceLattice(rank=1, gram=((1,),), K=(-1,))
+        assert enumerate_minus_one_classes(s) == []
 
 
 class TestCastelnuovoContract:
@@ -294,6 +330,43 @@ class TestClassicalMmp:
         )
         with pytest.raises(UndeterminedOutcomeError):
             run_classical_mmp(s)
+
+    def test_plane_like_verdict_follows_a_known_curve(self):
+        # a disguised plane blown up in one point whose contraction basis
+        # ends as -H; the verdict must not depend on that orientation
+        s = SurfaceLattice(
+            rank=2, gram=((-5, 1), (1, 0)), K=(4, 11), curves=((1, 2), (-1, -3))
+        )
+        trace = run_classical_mmp(s)
+        assert trace.outcome is MmpOutcome.MORI_FIBRE_P2LIKE
+        assert trace.final.pair(trace.final.K, trace.final.K) == 9
+
+    def test_plane_like_rule_at_rank_one(self):
+        # no nonzero known curve: K negative on the basis vector
+        s = SurfaceLattice(rank=1, gram=((1,),), K=(-3,), curves=())
+        assert run_classical_mmp(s).outcome is MmpOutcome.MORI_FIBRE_P2LIKE
+        # the plane with its basis vector negated: -e_0 is the known line
+        flipped =SurfaceLattice(rank=1, gram=((1,),), K=(3,), curves=((-1,),))
+        assert run_classical_mmp(flipped).outcome is MmpOutcome.MORI_FIBRE_P2LIKE
+        # a zero class (the image of a multiple of a contracted class) is no curve
+        zero = SurfaceLattice(rank=1, gram=((1,),), K=(-3,), curves=((0,),))
+        assert run_classical_mmp(zero).outcome is MmpOutcome.MORI_FIBRE_P2LIKE
+
+    def test_rank_one_end_is_plane_like_in_any_basis(self):
+        rng = random.Random(2026)
+        ended_at_rank_one = 0
+        for r in range(1, 9):
+            for _ in range(6):
+                s, _ = disguise(make_blowup_p2(r), rng)
+                cur = s
+                while classes := enumerate_minus_one_classes(cur):
+                    cur = castelnuovo_contract(cur, classes[0])
+                if cur.rank == 1:
+                    ended_at_rank_one += 1
+                    trace = run_classical_mmp(s)
+                    assert trace.outcome is MmpOutcome.MORI_FIBRE_P2LIKE
+                    assert len(trace.steps) == r
+        assert ended_at_rank_one >= 40
 
     def test_ruled_above_rank_two_is_flagged_heuristic(self):
         # quadric-like fibre inside a rank-3 lattice
