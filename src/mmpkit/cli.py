@@ -1,10 +1,18 @@
 """Command-line front end.
 
-One JSON document per object, one subcommand per invocation.  Machine
-output (--format machine) is canonical JSON: sorted keys, no whitespace,
-rationals as exact "p/q" strings; identical inputs give byte-identical
-reports.  Exit codes: 0 success, 2 input validation failure (with the
-offending field named), 3 mathematical precondition failure.
+One JSON document per object, one subcommand per invocation.  Each
+handler returns one report dict, and ``emit`` renders it: canonical JSON
+for --format machine (sorted keys, no whitespace, rationals as exact
+"p/q" strings; identical inputs give byte-identical reports), or one
+"key: value" line per top-level field for --format text.
+
+The parsers here check only that the JSON has the fields and types the
+library needs; every domain rule is checked by the library, which names
+the offending field relative to the object or function that checked it.
+The parsers put the document path in front (``vertices[0].genus``), and
+``--`` for a flag (``--point``).  Exit codes: 0 success; 2 for an error
+that names a field (input validation) and for a stray ValueError; 3 for
+an error without a field (a mathematical precondition failed).
 """
 
 from __future__ import annotations
@@ -12,11 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import dualgraph, kodaira, surface, toric
-from .errors import ToolkitError
-from .linalg import vector_gcd
+from .errors import InvalidInputError, ToolkitError
 from .serialize import canonical_json, fraction_to_str, parse_fraction
 
 RULES = {
@@ -63,34 +71,38 @@ RULES = {
 }
 
 
-class InputError(Exception):
-    """Validation failure pointing at the offending field."""
-
-    def __init__(self, code: str, field: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.field = field
-
-
 def _expect(condition: bool, code: str, field: str, message: str):
     if not condition:
-        raise InputError(code, field, message)
+        raise InvalidInputError(message, code, field)
 
 
-def _get(doc, key, field_prefix=""):
-    field = f"{field_prefix}{key}"
-    _expect(isinstance(doc, dict), "not_object", field_prefix or ".", "expected a JSON object")
-    _expect(key in doc, "missing_field", field, f"missing required field '{key}'")
+@contextmanager
+def _inside(prefix: str):
+    """Put prefix in front of the field of an input error raised inside:
+    'vertices[0].' for a nested object, '--' for a flag.  An empty field
+    is the nested object itself."""
+    try:
+        yield
+    except ToolkitError as exc:
+        if exc.field is not None:
+            exc.field = prefix + exc.field if exc.field else prefix.rstrip(".")
+        raise
+
+
+def _get(doc, key):
+    _expect(isinstance(doc, dict), "not_object", "", "expected a JSON object")
+    _expect(key in doc, "missing_field", key, f"missing required field '{key}'")
     return doc[key]
 
 
 def _as_int(value, field) -> int:
-    _expect(
-        isinstance(value, int) and not isinstance(value, bool),
-        "wrong_type",
-        field,
-        f"expected an integer, got {value!r}",
-    )
+    # JSON integers only: the library coerces with int(), which takes True and 2.5
+    _expect(type(value) is int, "wrong_type", field, f"expected an integer, got {value!r}")
+    return value
+
+
+def _as_list(value, field, code="wrong_type") -> list:
+    _expect(isinstance(value, list), code, field, "expected a list")
     return value
 
 
@@ -99,194 +111,107 @@ def _as_int_list(value, field) -> list[int]:
     return [_as_int(x, f"{field}[{k}]") for k, x in enumerate(value)]
 
 
-# -- schema parsers ------------------------------------------------------------
+def _as_fraction(value, field) -> Fraction:
+    try:
+        return parse_fraction(value)
+    except ValueError as exc:
+        raise InvalidInputError(str(exc), "coeff_bad", field) from exc
+
+
+# -- schema parsers: JSON presence and types; the library checks the rest -----
 
 
 def parse_cone(doc) -> toric.Cone:
     rank = _as_int(_get(doc, "rank"), "rank")
-    _expect(rank >= 1, "rank_out_of_range", "rank", "rank must be positive")
-    rays_doc = _get(doc, "rays")
-    _expect(isinstance(rays_doc, list) and rays_doc, "wrong_type", "rays", "expected a nonempty list of rays")
-    rays = []
-    for k, ray in enumerate(rays_doc):
-        vec = _as_int_list(ray, f"rays[{k}]")
-        _expect(len(vec) == rank, "rank_mismatch", f"rays[{k}]", f"ray must have length {rank}")
-        _expect(any(x != 0 for x in vec), "ray_zero", f"rays[{k}]", "zero ray")
-        _expect(
-            vector_gcd(vec) == 1,
-            "ray_not_primitive",
-            f"rays[{k}]",
-            f"ray {vec} is not primitive",
-        )
-        rays.append(tuple(vec))
-    _expect(len(set(rays)) == len(rays), "duplicate_ray", "rays", "duplicate ray generators")
-    return toric.Cone(rank=rank, rays=tuple(rays))
+    rays = _as_list(_get(doc, "rays"), "rays")
+    return toric.Cone(rank=rank, rays=tuple(_as_int_list(r, f"rays[{k}]") for k, r in enumerate(rays)))
 
 
 def parse_graph(doc) -> tuple[dualgraph.DualGraph, dualgraph.Boundary]:
-    verts_doc = _get(doc, "vertices")
-    _expect(
-        isinstance(verts_doc, list) and verts_doc,
-        "wrong_type",
-        "vertices",
-        "expected a nonempty list of vertices",
-    )
     vertices = []
-    for k, v in enumerate(verts_doc):
-        genus = _as_int(_get(v, "genus", f"vertices[{k}]."), f"vertices[{k}].genus")
-        self_int = _as_int(_get(v, "self_int", f"vertices[{k}]."), f"vertices[{k}].self_int")
-        _expect(genus >= 0, "genus_negative", f"vertices[{k}].genus", "genus must be nonnegative")
-        vertices.append(dualgraph.Vertex(genus=genus, self_int=self_int))
-    edges_doc = doc.get("edges", [])
-    _expect(isinstance(edges_doc, list), "wrong_type", "edges", "expected a list of edges")
-    edges = []
-    n = len(vertices)
-    for k, e in enumerate(edges_doc):
-        trip = _as_int_list(e, f"edges[{k}]")
-        _expect(len(trip) == 3, "edge_malformed", f"edges[{k}]", "edge must be [i, j, mult]")
-        i, j, mult = trip
-        _expect(0 <= i < n and 0 <= j < n, "edge_bad_index", f"edges[{k}]", "edge endpoint out of range")
-        _expect(i != j, "edge_loop", f"edges[{k}]", "loops are not allowed")
-        _expect(mult >= 1, "edge_bad_mult", f"edges[{k}]", "multiplicity must be positive")
-        edges.append((i, j, mult))
+    for k, v in enumerate(_as_list(_get(doc, "vertices"), "vertices")):
+        with _inside(f"vertices[{k}]."):
+            genus = _as_int(_get(v, "genus"), "genus")
+            self_int = _as_int(_get(v, "self_int"), "self_int")
+            vertices.append(dualgraph.Vertex(genus=genus, self_int=self_int))
+    edges = _as_list(doc.get("edges", []), "edges")
+    graph = dualgraph.DualGraph(
+        vertices=tuple(vertices), edges=tuple(_as_int_list(e, f"edges[{k}]") for k, e in enumerate(edges))
+    )
     comps = []
-    for k, b in enumerate(doc.get("boundary", []) or []):
-        field = f"boundary[{k}]"
-        raw_coeff = _get(b, "coeff", field + ".")
-        try:
-            coeff = parse_fraction(raw_coeff)
-        except ValueError as exc:
-            raise InputError("coeff_bad", f"{field}.coeff", str(exc)) from exc
-        _expect(
-            0 <= coeff <= 1,
-            "coeff_out_of_range",
-            f"{field}.coeff",
-            f"boundary coefficient {fraction_to_str(coeff)} is outside [0, 1]",
-        )
-        meets = []
-        meets_doc = b.get("meets", [])
-        _expect(isinstance(meets_doc, list), "wrong_type", f"{field}.meets", "expected a list")
-        for mk, pair in enumerate(meets_doc):
-            mv = _as_int_list(pair, f"{field}.meets[{mk}]")
-            _expect(len(mv) == 2, "meets_malformed", f"{field}.meets[{mk}]", "expected [vertex, mult]")
-            _expect(
-                0 <= mv[0] < n,
-                "meets_bad_index",
-                f"{field}.meets[{mk}]",
-                "vertex index out of range",
-            )
-            _expect(mv[1] >= 1, "meets_bad_mult", f"{field}.meets[{mk}]", "multiplicity must be positive")
-            meets.append((mv[0], mv[1]))
-        comps.append(dualgraph.BoundaryComponent(coeff=coeff, meets=tuple(meets)))
-    graph = dualgraph.DualGraph(vertices=tuple(vertices), edges=tuple(edges))
+    for k, b in enumerate(_as_list(doc.get("boundary") or [], "boundary")):
+        with _inside(f"boundary[{k}]."):
+            coeff = _as_fraction(_get(b, "coeff"), "coeff")
+            meets = _as_list(b.get("meets", []), "meets")
+            meets = tuple(_as_int_list(m, f"meets[{i}]") for i, m in enumerate(meets))
+            comps.append(dualgraph.BoundaryComponent(coeff=coeff, meets=meets))
     return graph, dualgraph.Boundary(tuple(comps))
 
 
 def parse_surface(doc) -> surface.SurfaceLattice:
     rank = _as_int(_get(doc, "rank"), "rank")
-    _expect(rank >= 1, "rank_out_of_range", "rank", "rank must be positive")
-    gram_doc = _get(doc, "gram")
-    _expect(isinstance(gram_doc, list) and len(gram_doc) == rank, "gram_not_square", "gram", f"expected {rank} rows")
-    gram = []
-    for k, row in enumerate(gram_doc):
-        vec = _as_int_list(row, f"gram[{k}]")
-        _expect(len(vec) == rank, "gram_not_square", f"gram[{k}]", f"expected {rank} entries")
-        gram.append(tuple(vec))
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            _expect(
-                gram[i][j] == gram[j][i],
-                "gram_not_symmetric",
-                f"gram[{i}][{j}]",
-                f"gram[{i}][{j}] = {gram[i][j]} differs from gram[{j}][{i}] = {gram[j][i]}",
-            )
+    # a gram that is not a list has always been reported as not square
+    gram = _as_list(_get(doc, "gram"), "gram", code="gram_not_square")
     k_vec = _as_int_list(_get(doc, "K"), "K")
-    _expect(len(k_vec) == rank, "k_length", "K", f"K must have length {rank}")
-    curves_doc = doc.get("curves", [])
-    _expect(isinstance(curves_doc, list), "wrong_type", "curves", "expected a list")
-    curves = []
-    for k, c in enumerate(curves_doc):
-        vec = _as_int_list(c, f"curves[{k}]")
-        _expect(len(vec) == rank, "curve_length", f"curves[{k}]", f"curve must have length {rank}")
-        curves.append(tuple(vec))
+    curves = _as_list(doc.get("curves", []), "curves")
     label = doc.get("label", "")
     _expect(isinstance(label, str), "wrong_type", "label", "label must be a string")
-    try:
-        return surface.SurfaceLattice(
-            rank=rank, gram=tuple(gram), K=tuple(k_vec), curves=tuple(curves), label=label
-        )
-    except ToolkitError as exc:
-        raise InputError("curve_parity", "curves", str(exc)) from exc
-
-
-def parse_samples(doc) -> tuple[list[tuple[int, int]], int | None]:
-    samples_doc = _get(doc, "samples")
-    _expect(
-        isinstance(samples_doc, list) and samples_doc,
-        "samples_empty",
-        "samples",
-        "expected a nonempty list of [m, P] pairs",
+    return surface.SurfaceLattice(
+        rank=rank,
+        gram=tuple(_as_int_list(row, f"gram[{k}]") for k, row in enumerate(gram)),
+        K=tuple(k_vec),
+        curves=tuple(_as_int_list(c, f"curves[{k}]") for k, c in enumerate(curves)),
+        label=label,
     )
-    samples = []
-    seen = set()
-    for k, pair in enumerate(samples_doc):
-        vec = _as_int_list(pair, f"samples[{k}]")
-        _expect(len(vec) == 2, "sample_malformed", f"samples[{k}]", "expected [m, P]")
-        m, p = vec
-        _expect(m >= 1, "sample_bad_m", f"samples[{k}]", "m must be positive")
-        _expect(p >= 0, "sample_bad_p", f"samples[{k}]", "P must be nonnegative")
-        _expect(m not in seen, "sample_duplicate_m", f"samples[{k}]", f"duplicate m = {m}")
-        seen.add(m)
-        samples.append((m, p))
+
+
+def parse_samples(doc) -> tuple[list[list[int]], int | None]:
+    # samples that are not a list have always been reported as empty
+    samples = _as_list(_get(doc, "samples"), "samples", code="samples_empty")
     max_dim = doc.get("max_dim")
-    if max_dim is not None:
-        max_dim = _as_int(max_dim, "max_dim")
-        _expect(max_dim >= 0, "max_dim_bad", "max_dim", "max_dim must be nonnegative")
-    return samples, max_dim
+    return (
+        [_as_int_list(pair, f"samples[{k}]") for k, pair in enumerate(samples)],
+        None if max_dim is None else _as_int(max_dim, "max_dim"),
+    )
 
 
 def parse_coeffs(doc) -> list[Fraction]:
-    coeffs_doc = _get(doc, "coeffs")
-    _expect(isinstance(coeffs_doc, list), "wrong_type", "coeffs", "expected a list")
-    out = []
-    for k, c in enumerate(coeffs_doc):
-        try:
-            out.append(parse_fraction(c))
-        except ValueError as exc:
-            raise InputError("coeff_bad", f"coeffs[{k}]", str(exc)) from exc
-    return out
+    coeffs = _as_list(_get(doc, "coeffs"), "coeffs")
+    return [_as_fraction(c, f"coeffs[{k}]") for k, c in enumerate(coeffs)]
 
 
 # -- input loading -------------------------------------------------------------
 
 
+def _load_json(text, field):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"invalid JSON: {exc}", "bad_json", field) from exc
+    except RecursionError as exc:
+        raise InvalidInputError("invalid JSON: nested too deeply", "bad_json", field) from exc
+
+
 def load_document(args) -> dict:
-    if getattr(args, "inline", None) is not None:
+    if args.inline is not None:
         text = args.inline
         source = "--inline"
-    elif getattr(args, "input", None) is not None:
+    elif args.input is not None:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise InputError("unreadable_input", "--input", str(exc)) from exc
+            raise InvalidInputError(str(exc), "unreadable_input", "--input") from exc
         source = args.input
     else:
-        raise InputError("missing_input", "--input", "supply --input PATH or --inline JSON")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError("bad_json", source, f"invalid JSON: {exc}") from exc
+        raise InvalidInputError("supply --input PATH or --inline JSON", "missing_input", "--input")
+    doc = _load_json(text, source)
     _expect(isinstance(doc, dict), "not_object", source, "top-level JSON value must be an object")
     return doc
 
 
 def parse_vector_flag(text, field) -> tuple[int, ...]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError("bad_json", field, f"invalid JSON: {exc}") from exc
-    return tuple(_as_int_list(doc, field))
+    return tuple(_as_int_list(_load_json(text, field), field))
 
 
 # -- report rendering ----------------------------------------------------------
@@ -313,12 +238,14 @@ def _surface_to_doc(s: surface.SurfaceLattice) -> dict:
     }
 
 
-def emit(report: dict, fmt: str, text_lines) -> None:
+def emit(report: dict, fmt: str) -> None:
+    """Canonical JSON for machine; for text, one 'key: value' line per
+    top-level field, strings as they are and other values as JSON."""
     if fmt == "machine":
         sys.stdout.write(canonical_json(report) + "\n")
-    else:
-        for line in text_lines:
-            sys.stdout.write(line + "\n")
+        return
+    for key, value in report.items():
+        sys.stdout.write(f"{key}: {value if isinstance(value, str) else canonical_json(value)}\n")
 
 
 def emit_error(kind: str, code: str, message: str, fmt: str, field: str | None = None) -> None:
@@ -332,7 +259,7 @@ def emit_error(kind: str, code: str, message: str, fmt: str, field: str | None =
         sys.stdout.write(f"error [{code}]{where}: {message}\n")
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: each returns its report ------------------------------
 
 
 def cmd_toric_classify(args):
@@ -344,7 +271,7 @@ def cmd_toric_classify(args):
         for p in result.points_at_or_below_one:
             value = sum((Fraction(c) * x for c, x in zip(m, p)), Fraction(0))
             points.append({"point": list(p), "discrepancy": fraction_to_str(value - 1)})
-    report = {
+    return {
         "command": "toric-classify",
         "class": result.kind.value,
         "q_factorial": result.q_factorial,
@@ -357,40 +284,25 @@ def cmd_toric_classify(args):
         "points": points,
         "rule": RULES["toric-classify"],
     }
-    lines = [
-        f"class: {result.kind.value}",
-        f"q-factorial: {result.q_factorial}",
-        f"gorenstein index: {result.gorenstein_index}",
-    ]
-    if result.support_functional is not None:
-        lines.append(
-            "support functional: ("
-            + ", ".join(fraction_to_str(x) for x in result.support_functional)
-            + ")"
-        )
-        for entry in points:
-            lines.append(f"  point {entry['point']} -> discrepancy {entry['discrepancy']}")
-    return report, lines
 
 
 def cmd_toric_discrepancy(args):
     cone = parse_cone(load_document(args))
     point = parse_vector_flag(args.point, "--point")
-    _expect(len(point) == cone.rank, "point_length", "--point", f"point must have length {cone.rank}")
-    value = toric.toric_discrepancy(cone, point)
-    report = {
+    with _inside("--"):
+        value = toric.toric_discrepancy(cone, point)
+    return {
         "command": "toric-discrepancy",
         "point": list(point),
         "discrepancy": fraction_to_str(value),
         "rule": RULES["toric-discrepancy"],
     }
-    return report, [f"discrepancy at {list(point)}: {fraction_to_str(value)}"]
 
 
 def cmd_graph_discrepancies(args):
     graph, boundary = parse_graph(load_document(args))
     result = dualgraph.discrepancies(graph, boundary)
-    report = {
+    return {
         "command": "graph-discrepancies",
         "contractible": True,
         "discrepancies": [fraction_to_str(d) for d in result.discrepancies],
@@ -399,13 +311,6 @@ def cmd_graph_discrepancies(args):
         "minimal_resolution": result.minimal_resolution,
         "rule": RULES["graph-discrepancies"],
     }
-    lines = [
-        "discrepancies: " + ", ".join(fraction_to_str(d) for d in result.discrepancies),
-        f"class: {result.singularity_class.value}",
-        f"du val type: {result.du_val or 'none'}",
-        f"minimal resolution: {result.minimal_resolution}",
-    ]
-    return report, lines
 
 
 def _parse_site(args) -> dualgraph.BlowupSite:
@@ -431,22 +336,18 @@ def cmd_graph_blowup(args):
         site_doc = {"vertex": site.vertex, "boundary": site.component}
     else:
         site_doc = {"vertex": site.vertex}
-    report = {
+    return {
         "command": "graph-blowup",
         "site": site_doc,
         "graph": _graph_to_doc(new_graph, new_boundary),
         "rule": RULES["graph-blowup"],
     }
-    lines = [f"blown-up graph: {json.dumps(_graph_to_doc(new_graph, new_boundary))}"]
-    return report, lines
 
 
 def cmd_mmp_run(args):
     s = parse_surface(load_document(args))
     trace = surface.run_classical_mmp(s, bound=args.bound)
-    outcome = {"kind": trace.outcome.value}
-    outcome["fibre"] = list(trace.fibre) if trace.fibre is not None else None
-    report = {
+    return {
         "command": "mmp-run",
         "steps": [
             {
@@ -456,27 +357,17 @@ def cmd_mmp_run(args):
             }
             for step in trace.steps
         ],
-        "outcome": outcome,
+        "outcome": {"kind": trace.outcome.value, "fibre": None if trace.fibre is None else list(trace.fibre)},
         "final": _surface_to_doc(trace.final),
         "notes": list(trace.notes) + list(s.warnings()),
         "rule": RULES["mmp-run"],
     }
-    lines = [f"{len(trace.steps)} contraction(s)"]
-    for step in trace.steps:
-        lines.append(
-            f"  contract {list(step.contracted)}: rank {step.rank_before} -> {step.rank_after}"
-        )
-    lines.append(f"outcome: {trace.outcome.value}")
-    if trace.fibre is not None:
-        lines.append(f"fibre class: {list(trace.fibre)}")
-    lines.append(f"final K: {list(trace.final.K)}")
-    return report, lines
 
 
 def cmd_delpezzo_lines(args):
     if args.r is not None:
-        _expect(args.r >= 0, "r_out_of_range", "--r", "r must be nonnegative")
-        s = surface.make_blowup_p2(args.r)
+        with _inside("--"):
+            s = surface.make_blowup_p2(args.r)
     else:
         _expect(
             args.input is not None or args.inline is not None,
@@ -494,28 +385,26 @@ def cmd_delpezzo_lines(args):
     }
     if args.r is not None:
         report["r"] = args.r
-    lines = [f"count: {len(classes)}"] + [f"  {list(c)}" for c in classes]
-    return report, lines
+    return report
 
 
 def cmd_cone_rays(args):
     s = parse_surface(load_document(args))
     r1, r2 = surface.cone_rays_rank2(s)
-    report = {
+    return {
         "command": "cone-rays",
         "rays": [list(r1), list(r2)],
         "rule": RULES["cone-rays"],
     }
-    return report, [f"rays: {list(r1)}, {list(r2)}"]
 
 
 def cmd_nef_check(args):
     s = parse_surface(load_document(args))
     divisor = parse_vector_flag(args.divisor, "--divisor")
-    _expect(len(divisor) == s.rank, "divisor_length", "--divisor", f"divisor must have length {s.rank}")
-    nef = surface.is_nef(s, divisor)
-    ample = surface.is_ample_kleiman(s, divisor)
-    report = {
+    with _inside("--"):
+        nef = surface.is_nef(s, divisor)
+        ample = surface.is_ample_kleiman(s, divisor)
+    return {
         "command": "nef-check",
         "divisor": list(divisor),
         "nef": nef,
@@ -524,7 +413,6 @@ def cmd_nef_check(args):
         "warnings": list(s.warnings()),
         "rule": RULES["nef-check"],
     }
-    return report, [f"nef: {nef}", f"ample: {ample}"]
 
 
 def cmd_rr(args):
@@ -538,9 +426,9 @@ def cmd_rr(args):
     )
     if curve_mode:
         _expect(args.deg is not None and args.genus is not None, "rr_mode", "--deg", "need both --deg and --genus")
-        _expect(args.genus >= 0, "genus_negative", "--genus", "genus must be nonnegative")
-        chi = kodaira.riemann_roch_curve(args.deg, args.genus)
-        report = {
+        with _inside("--"):
+            chi = kodaira.riemann_roch_curve(args.deg, args.genus)
+        return {
             "command": "rr",
             "mode": "curve",
             "deg": args.deg,
@@ -549,38 +437,31 @@ def cmd_rr(args):
             "integral": True,
             "rule": RULES["rr-curve"],
         }
-        return report, [f"chi = {chi}"]
     _expect(args.divisor is not None and args.chi0 is not None, "rr_mode", "--divisor", "need --divisor and --chi0")
     s = parse_surface(load_document(args))
     divisor = parse_vector_flag(args.divisor, "--divisor")
-    _expect(len(divisor) == s.rank, "divisor_length", "--divisor", f"divisor must have length {s.rank}")
-    chi = surface.riemann_roch_surface(s, divisor, args.chi0)
-    integral = isinstance(chi, int)
-    report = {
+    with _inside("--"):
+        chi = surface.riemann_roch_surface(s, divisor, args.chi0)
+    return {
         "command": "rr",
         "mode": "surface",
         "divisor": list(divisor),
         "chi0": args.chi0,
         "chi": fraction_to_str(chi),
-        "integral": integral,
+        "integral": isinstance(chi, int),
         "rule": RULES["rr-surface"],
     }
-    lines = [f"chi = {fraction_to_str(chi)}"]
-    if not integral:
-        lines.append("warning: non-integral value; the lattice data is inconsistent")
-    return report, lines
 
 
 def cmd_kappa_estimate(args):
     samples, max_dim = parse_samples(load_document(args))
     estimate = kodaira.estimate_kappa(samples, max_dim=max_dim)
-    report = {
+    return {
         "command": "kappa-estimate",
         "kappa": "-inf" if estimate.is_minus_infinity else estimate.value,
         "note": estimate.note,
         "rule": RULES["kappa-estimate"],
     }
-    return report, [f"kappa: {estimate}", f"note: {estimate.note}"]
 
 
 def cmd_pair_classify(args):
@@ -589,32 +470,13 @@ def cmd_pair_classify(args):
     fano = None
     if all(0 <= c <= 1 for c in coeffs):
         fano = kodaira.fano_pair_on_p1_check(coeffs)
-    report = {
+    return {
         "command": "pair-classify",
         "coeffs": [fraction_to_str(c) for c in coeffs],
         "class": cls.value,
         "fano_on_p1": fano,
         "rule": RULES["pair-classify"],
     }
-    lines = [f"class: {cls.value}"]
-    if fano is not None:
-        lines.append(f"fano pair on the line: {fano}")
-    return report, lines
-
-
-HANDLERS = {
-    "toric-classify": cmd_toric_classify,
-    "toric-discrepancy": cmd_toric_discrepancy,
-    "graph-discrepancies": cmd_graph_discrepancies,
-    "graph-blowup": cmd_graph_blowup,
-    "mmp-run": cmd_mmp_run,
-    "delpezzo-lines": cmd_delpezzo_lines,
-    "cone-rays": cmd_cone_rays,
-    "nef-check": cmd_nef_check,
-    "rr": cmd_rr,
-    "kappa-estimate": cmd_kappa_estimate,
-    "pair-classify": cmd_pair_classify,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -628,46 +490,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", help="path to a JSON input document")
-            p.add_argument("--inline", help="inline JSON input document")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--input", help="path to a JSON input document")
+        p.add_argument("--inline", help="inline JSON input document")
         p.add_argument(
             "--format",
             choices=("text", "machine"),
             default="text",
             help="text for humans, machine for canonical JSON",
         )
+        p.set_defaults(handler=handler)
+        return p
 
-    common(sub.add_parser("toric-classify", help="classify a toric cone singularity"))
-    p = sub.add_parser("toric-discrepancy", help="discrepancy at a lattice point of a cone")
-    common(p)
+    command("toric-classify", cmd_toric_classify, "classify a toric cone singularity")
+    p = command("toric-discrepancy", cmd_toric_discrepancy, "discrepancy at a lattice point of a cone")
     p.add_argument("--point", required=True, help="lattice point as a JSON list")
-    common(sub.add_parser("graph-discrepancies", help="discrepancies from a resolution dual graph"))
-    p = sub.add_parser("graph-blowup", help="blow up a point of the resolution surface")
-    common(p)
+    command("graph-discrepancies", cmd_graph_discrepancies, "discrepancies from a resolution dual graph")
+    p = command("graph-blowup", cmd_graph_blowup, "blow up a point of the resolution surface")
     p.add_argument("--vertex", type=int, help="blow up a free point of this vertex")
     p.add_argument("--edge", type=int, nargs=2, metavar=("I", "J"), help="blow up an intersection point")
     p.add_argument("--boundary", type=int, help="boundary component index (with --vertex)")
-    p = sub.add_parser("mmp-run", help="run the classical surface MMP on a lattice")
-    common(p)
+    p = command("mmp-run", cmd_mmp_run, "run the classical surface MMP on a lattice")
     p.add_argument("--bound", type=int, help="explicit coordinate bound for the class search")
-    p = sub.add_parser("delpezzo-lines", help="enumerate (-1)-classes")
-    common(p)
+    p = command("delpezzo-lines", cmd_delpezzo_lines, "enumerate (-1)-classes")
     p.add_argument("--r", type=int, help="use the blow-up of the plane at r points")
     p.add_argument("--bound", type=int, help="explicit coordinate bound for the class search")
-    common(sub.add_parser("cone-rays", help="extremal rays of a rank-2 curve cone"))
-    p = sub.add_parser("nef-check", help="nef and ample tests against the curve list")
-    common(p)
+    command("cone-rays", cmd_cone_rays, "extremal rays of a rank-2 curve cone")
+    p = command("nef-check", cmd_nef_check, "nef and ample tests against the curve list")
     p.add_argument("--divisor", required=True, help="divisor class as a JSON list")
-    p = sub.add_parser("rr", help="Riemann-Roch on a curve or a surface lattice")
-    common(p)
+    p = command("rr", cmd_rr, "Riemann-Roch on a curve or a surface lattice")
     p.add_argument("--deg", type=int, help="degree of the divisor (curve mode)")
     p.add_argument("--genus", type=int, help="genus of the curve (curve mode)")
     p.add_argument("--divisor", help="divisor class as a JSON list (surface mode)")
     p.add_argument("--chi0", type=int, help="chi of the structure sheaf (surface mode)")
-    common(sub.add_parser("kappa-estimate", help="estimate Kodaira dimension from plurigenera"))
-    common(sub.add_parser("pair-classify", help="classify a pair on a curve by coefficients"))
+    command("kappa-estimate", cmd_kappa_estimate, "estimate Kodaira dimension from plurigenera")
+    command("pair-classify", cmd_pair_classify, "classify a pair on a curve by coefficients")
     return parser
 
 
@@ -675,20 +533,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     fmt = args.format
-    handler = HANDLERS[args.command]
     try:
-        report, lines = handler(args)
-    except InputError as exc:
-        emit_error("validation", exc.code, str(exc), fmt, exc.field)
-        return 2
+        report = args.handler(args)
     except ToolkitError as exc:
+        if exc.field is not None:
+            emit_error("validation", exc.code, str(exc), fmt, exc.field)
+            return 2
         emit_error("precondition", exc.code, str(exc), fmt)
         return 3
     except ValueError as exc:
         # safety net: structural problems surface as validation, never a trace
         emit_error("validation", "invalid_value", str(exc), fmt)
         return 2
-    emit(report, fmt, lines)
+    emit(report, fmt)
     return 0
 
 

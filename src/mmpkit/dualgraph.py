@@ -29,6 +29,7 @@ from . import linalg
 from .errors import (
     CoefficientOutOfRangeError,
     DisconnectedError,
+    InvalidInputError,
     InvalidSiteError,
     NotContractibleError,
 )
@@ -44,7 +45,7 @@ class Vertex:
 
     def __post_init__(self):
         if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
+            raise InvalidInputError("genus must be nonnegative", "genus_negative", "genus")
 
 
 @dataclass(frozen=True)
@@ -54,19 +55,20 @@ class DualGraph:
 
     def __post_init__(self):
         if not self.vertices:
-            raise ValueError("graph needs at least one vertex")
+            raise InvalidInputError("expected a nonempty list of vertices", "wrong_type", "vertices")
         n = len(self.vertices)
         merged: dict[tuple[int, int], int] = {}
-        for edge in self.edges:
+        for k, edge in enumerate(self.edges):
+            field = f"edges[{k}]"
             if len(edge) != 3:
-                raise ValueError(f"edge {edge} must be (i, j, mult)")
+                raise InvalidInputError("edge must be [i, j, mult]", "edge_malformed", field)
             i, j, mult = edge
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge {edge} references a missing vertex")
+                raise InvalidInputError("edge endpoint out of range", "edge_bad_index", field)
             if i == j:
-                raise ValueError(f"edge {edge} is a loop")
+                raise InvalidInputError("loops are not allowed", "edge_loop", field)
             if mult < 1:
-                raise ValueError(f"edge {edge} has nonpositive multiplicity")
+                raise InvalidInputError("multiplicity must be positive", "edge_bad_mult", field)
             key = (min(i, j), max(i, j))
             merged[key] = merged.get(key, 0) + mult
         object.__setattr__(
@@ -114,12 +116,15 @@ class BoundaryComponent:
         object.__setattr__(self, "coeff", coeff)
         if not 0 <= coeff <= 1:
             raise CoefficientOutOfRangeError(
-                f"boundary coefficient {coeff} is outside [0, 1]"
+                f"boundary coefficient {coeff} is outside [0, 1]", "coeff_out_of_range", "coeff"
             )
         merged: dict[int, int] = {}
-        for vertex, mult in self.meets:
+        for k, pair in enumerate(self.meets):
+            if len(pair) != 2:
+                raise InvalidInputError("expected [vertex, mult]", "meets_malformed", f"meets[{k}]")
+            vertex, mult = pair
             if mult < 1:
-                raise ValueError("boundary intersection multiplicity must be positive")
+                raise InvalidInputError("multiplicity must be positive", "meets_bad_mult", f"meets[{k}]")
             merged[vertex] = merged.get(vertex, 0) + mult
         object.__setattr__(self, "meets", tuple(sorted(merged.items())))
 
@@ -129,11 +134,15 @@ class Boundary:
     components: tuple[BoundaryComponent, ...] = ()
 
     def validate_against(self, graph: DualGraph):
+        """Every met vertex exists; the field is ``boundary[k].meets[m]``, with
+        m the position in the component's sorted ``meets``."""
         n = len(graph.vertices)
-        for comp in self.components:
-            for vertex, _ in comp.meets:
+        for k, comp in enumerate(self.components):
+            for m, (vertex, _) in enumerate(comp.meets):
                 if not 0 <= vertex < n:
-                    raise ValueError(f"boundary meets missing vertex {vertex}")
+                    raise InvalidInputError(
+                        "vertex index out of range", "meets_bad_index", f"boundary[{k}].meets[{m}]"
+                    )
 
     def intersection_with(self, vertex: int) -> Fraction:
         total = Fraction(0)

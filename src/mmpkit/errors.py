@@ -2,13 +2,37 @@
 
 Every error raised by the library carries a short machine-readable ``code``
 so the command-line layer can report failures without stack traces.
+
+An error about one input value also carries a ``field``: the path of the
+offending value relative to the object or function that checked it, such
+as ``rays[0]`` for a ``Cone``, ``edges[2]`` for a ``DualGraph``, ``coeff``
+for a ``BoundaryComponent`` or ``divisor`` for ``is_nef``.  A caller that
+holds the value inside a larger document puts its own prefix in front.
+An error without a field is a mathematical precondition that failed on
+well-formed input.
 """
 
 
 class ToolkitError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``code`` overrides the class default for this instance; ``field`` names
+    the offending input, or is None when no single input is at fault.
+    """
 
     code = "error"
+
+    def __init__(self, message: str = "", code: str | None = None, field: str | None = None):
+        super().__init__(message)
+        if code is not None:
+            self.code = code
+        self.field = field
+
+
+class InvalidInputError(ToolkitError, ValueError):
+    """An input value breaks a domain rule; always names its field."""
+
+    code = "invalid_input"
 
 
 # -- exact linear algebra -----------------------------------------------------

@@ -19,6 +19,7 @@ from math import gcd
 from .errors import (
     CoefficientOutOfRangeError,
     InsufficientSamplesError,
+    InvalidInputError,
     NegativeCoefficientError,
 )
 
@@ -79,23 +80,32 @@ def curve_plurigenus(g: int, m: int) -> int:
 
 
 def riemann_roch_curve(deg: int, g: int) -> int:
-    """Euler characteristic 1 + deg D - g on a genus-g curve."""
+    """Euler characteristic 1 + deg D - g on a genus-g curve; a negative g
+    is an input error on the field ``genus``."""
+    if g < 0:
+        raise InvalidInputError("genus must be nonnegative", "genus_negative", "genus")
     return 1 + deg - g
 
 
 def _validate_samples(samples) -> list[tuple[int, int]]:
-    pts = [(int(m), int(p)) for m, p in samples]
-    if not pts:
-        raise ValueError("need at least one sample")
+    """The samples sorted by m; faults name ``samples`` or ``samples[k]``."""
+    if not samples:
+        raise InvalidInputError("expected a nonempty list of [m, P] pairs", "samples_empty", "samples")
+    pts = []
     seen = set()
-    for m, p in pts:
+    for k, pair in enumerate(samples):
+        field = f"samples[{k}]"
+        if len(pair) != 2:
+            raise InvalidInputError("expected [m, P]", "sample_malformed", field)
+        m, p = int(pair[0]), int(pair[1])
         if m < 1:
-            raise ValueError(f"sample index m = {m} must be positive")
+            raise InvalidInputError("m must be positive", "sample_bad_m", field)
         if p < 0:
-            raise ValueError(f"plurigenus {p} must be nonnegative")
+            raise InvalidInputError("P must be nonnegative", "sample_bad_p", field)
         if m in seen:
-            raise ValueError(f"duplicate sample index m = {m}")
+            raise InvalidInputError(f"duplicate m = {m}", "sample_duplicate_m", field)
         seen.add(m)
+        pts.append((m, p))
     return sorted(pts)
 
 
@@ -128,7 +138,8 @@ def _rounded_slope(m1: int, p1: int, m2: int, p2: int) -> int:
     a, b = m1 // g, m2 // g
     digits = 30
     while True:
-        with localcontext(prec=digits):
+        with localcontext() as ctx:
+            ctx.prec = digits
             s = _log_ratio(p2, p1) / _log_ratio(b, a)
             es = abs(s) * 10 * digits * Decimal(10) ** (1 - digits)
             k = max(1, int(s))
@@ -146,8 +157,11 @@ def estimate_kappa(samples, max_dim: int | None = None) -> KappaEstimate:
     """Estimate the growth exponent of a finite plurigenus sequence.
 
     The slope is rounded exactly, half to even: 3/2 and 5/2 both give 2.
+    A negative max_dim is an input error on the field ``max_dim``.
     """
     pts = _validate_samples(samples)
+    if max_dim is not None and max_dim < 0:
+        raise InvalidInputError("max_dim must be nonnegative", "max_dim_bad", "max_dim")
     if all(p == 0 for _, p in pts):
         return KappaEstimate(None, "all sampled plurigenera vanish")
     positive = [(m, p) for m, p in pts if p > 0]

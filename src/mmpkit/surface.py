@@ -30,6 +30,7 @@ from . import linalg
 from .errors import (
     DegenerateConeError,
     EmptyCurveListError,
+    InvalidInputError,
     NonIntegralGenusError,
     NotMinusOneClassError,
     NotRank2Error,
@@ -57,20 +58,30 @@ class SurfaceLattice:
         object.__setattr__(
             self, "curves", tuple(tuple(int(x) for x in c) for c in self.curves)
         )
-        if self.rank < 1:
-            raise ValueError("rank must be positive")
-        if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
-            raise ValueError("Gram matrix does not match the rank")
-        if not linalg.is_symmetric(gram):
-            raise NotSymmetricError("intersection form must be symmetric")
-        if len(self.K) != self.rank:
-            raise ValueError("canonical class does not match the rank")
+        rank = self.rank
+        if rank < 1:
+            raise InvalidInputError("rank must be positive", "rank_out_of_range", "rank")
+        if len(gram) != rank:
+            raise InvalidInputError(f"expected {rank} rows", "gram_not_square", "gram")
+        for k, row in enumerate(gram):
+            if len(row) != rank:
+                raise InvalidInputError(f"expected {rank} entries", "gram_not_square", f"gram[{k}]")
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                if gram[i][j] != gram[j][i]:
+                    raise NotSymmetricError(
+                        f"gram[{i}][{j}] = {gram[i][j]} differs from gram[{j}][{i}] = {gram[j][i]}",
+                        "gram_not_symmetric",
+                        f"gram[{i}][{j}]",
+                    )
+        if len(self.K) != rank:
+            raise InvalidInputError(f"K must have length {rank}", "k_length", "K")
         for idx, c in enumerate(self.curves):
-            if len(c) != self.rank:
-                raise ValueError(f"curve {idx} does not match the rank")
+            if len(c) != rank:
+                raise InvalidInputError(f"curve must have length {rank}", "curve_length", f"curves[{idx}]")
             if (self.pair(c, c) + self.pair(c, self.K)) % 2 != 0:
                 raise NonIntegralGenusError(
-                    f"curve {idx} violates adjunction parity: C.(C+K) is odd"
+                    f"curve {idx} violates adjunction parity: C.(C+K) is odd", "curve_parity", "curves"
                 )
 
     def pair(self, x, y) -> int:
@@ -86,7 +97,7 @@ class SurfaceLattice:
 def make_blowup_p2(r: int) -> SurfaceLattice:
     """Blow-up of the plane at r points: basis (H, E_1, ..., E_r)."""
     if r < 0:
-        raise ValueError("number of blown-up points must be nonnegative")
+        raise InvalidInputError("r must be nonnegative", "r_out_of_range", "r")
     rank = r + 1
     gram = tuple(
         tuple((1 if i == 0 else -1) if i == j else 0 for j in range(rank))
@@ -396,25 +407,34 @@ def cone_rays_rank2(s: SurfaceLattice) -> tuple[IntVector, IntVector]:
     return boundary[0], boundary[1]
 
 
+def _divisor(s: SurfaceLattice, d) -> IntVector:
+    """d as a class of s; a length other than the rank is an input error
+    on the field ``divisor``."""
+    d = tuple(int(x) for x in d)
+    if len(d) != s.rank:
+        raise InvalidInputError(f"divisor must have length {s.rank}", "divisor_length", "divisor")
+    return d
+
+
 def is_nef(s: SurfaceLattice, d) -> bool:
     """D.C >= 0 for every supplied curve class (relative verdict)."""
+    d = _divisor(s, d)
     if not s.curves:
         raise EmptyCurveListError("no curve classes supplied")
-    d = tuple(int(x) for x in d)
     return all(s.pair(d, c) >= 0 for c in s.curves)
 
 
 def is_ample_kleiman(s: SurfaceLattice, d) -> bool:
     """D.C > 0 for every supplied curve class and D^2 > 0."""
+    d = _divisor(s, d)
     if not s.curves:
         raise EmptyCurveListError("no curve classes supplied")
-    d = tuple(int(x) for x in d)
     return all(s.pair(d, c) > 0 for c in s.curves) and s.pair(d, d) > 0
 
 
 def riemann_roch_surface(s: SurfaceLattice, d, chi0: int):
     """Euler characteristic D.(D-K)/2 + chi0; int when integral else Fraction."""
-    d = tuple(int(x) for x in d)
+    d = _divisor(s, d)
     value = Fraction(s.pair(d, d) - s.pair(d, s.K), 2) + chi0
     if value.denominator == 1:
         return int(value)

@@ -27,6 +27,7 @@ from math import lcm
 
 from . import linalg
 from .errors import (
+    InvalidInputError,
     NotFullDimensionalError,
     NotInConeError,
     NotPrimitiveError,
@@ -45,19 +46,20 @@ class Cone:
 
     def __post_init__(self):
         if self.rank < 1:
-            raise ValueError("rank must be positive")
+            raise InvalidInputError("rank must be positive", "rank_out_of_range", "rank")
         if not self.rays:
-            raise ValueError("a cone needs at least one ray")
+            raise InvalidInputError("expected a nonempty list of rays", "wrong_type", "rays")
         object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in self.rays))
-        for ray in self.rays:
+        for k, ray in enumerate(self.rays):
+            field = f"rays[{k}]"
             if len(ray) != self.rank:
-                raise ValueError(f"ray {list(ray)} does not have length {self.rank}")
+                raise InvalidInputError(f"ray must have length {self.rank}", "rank_mismatch", field)
             if all(x == 0 for x in ray):
-                raise NotPrimitiveError("zero vector cannot be a ray generator")
+                raise NotPrimitiveError("zero ray", "ray_zero", field)
             if linalg.vector_gcd(ray) != 1:
-                raise NotPrimitiveError(f"ray {list(ray)} is not primitive")
+                raise NotPrimitiveError(f"ray {list(ray)} is not primitive", "ray_not_primitive", field)
         if len(set(self.rays)) != len(self.rays):
-            raise ValueError("duplicate ray generators")
+            raise InvalidInputError("duplicate ray generators", "duplicate_ray", "rays")
 
 
 def cone_from_rays(rays) -> Cone:
@@ -231,10 +233,12 @@ def classify_cone(cone: Cone) -> ToricClassification:
 
 
 def toric_discrepancy(cone: Cone, v) -> Fraction:
-    """Discrepancy m(v) - 1 of the valuation at a primitive point v of the cone."""
+    """Discrepancy m(v) - 1 of the valuation at a primitive point v of the cone.
+
+    A v of the wrong length is an input error on the field ``point``."""
     v = tuple(int(x) for x in v)
     if len(v) != cone.rank:
-        raise ValueError(f"point {list(v)} does not have length {cone.rank}")
+        raise InvalidInputError(f"point must have length {cone.rank}", "point_length", "point")
     if all(x == 0 for x in v):
         raise NotPrimitiveError("the origin is not a valuation site")
     if linalg.vector_gcd(v) != 1:

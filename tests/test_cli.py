@@ -299,6 +299,18 @@ class TestTextMode:
         assert code == 0
         assert "Canonical" in out
 
+    def test_text_shows_every_report_field(self):
+        # one "key: value" line per top-level field of the machine report,
+        # so caveats such as notes and warnings are never dropped
+        for argv in GOLDEN_RUNS:
+            code, text = run_cli(list(argv))
+            report = json.loads(run_machine(list(argv))[1])
+            lines = dict(line.split(": ", 1) for line in text.splitlines())
+            assert code == 0 and sorted(lines) == sorted(report), argv
+            assert all(json.loads(v) == report[k] for k, v in lines.items() if not isinstance(report[k], str))
+        _, text = run_cli(["mmp-run", "--input", str(GOLDEN / "surface_bl2.json")])
+        assert 'notes: ["verdict relative to the supplied curve classes"]' in text.splitlines()
+
     def test_text_error(self):
         code, out = run_cli(["delpezzo-lines", "--r", "9"])
         assert code == 3
@@ -350,3 +362,193 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["chi"] == "1"
+
+
+# -- the error contract ----------------------------------------------------------
+
+CONE = {"rank": 2, "rays": [[0, 1], [3, -1]]}
+VERTEX = {"genus": 0, "self_int": -2}
+QUADRIC = {"rank": 2, "gram": [[0, 1], [1, 0]], "K": [-2, -2], "curves": [[1, 0], [0, 1]], "label": "q"}
+DEEP = "[" * 100000
+
+
+def _doc(base=None, **changes):
+    """An inline document: base with keys replaced (None drops a key)."""
+    doc = dict(base or {})
+    for key, value in changes.items():
+        if value is None:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    return json.dumps(doc)
+
+
+def _cone(**changes):
+    return ["toric-classify", "--inline", _doc(CONE, **changes)]
+
+
+def _graph(command="graph-discrepancies", *flags, **changes):
+    doc = _doc({"vertices": [VERTEX, VERTEX], "edges": [[0, 1, 1]]}, **changes)
+    return [command, "--inline", doc] + list(flags)
+
+
+def _boundary(component):
+    return _graph(boundary=[component])
+
+
+def _surface(command="mmp-run", *flags, **changes):
+    return [command, "--inline", _doc(QUADRIC, **changes)] + list(flags)
+
+
+def _samples(**changes):
+    return ["kappa-estimate", "--inline", _doc({"samples": [[1, 2], [2, 5]]}, **changes)]
+
+
+# (argv, exit code, error code, field); one fault per document, since with
+# several the one reported first is not part of the contract
+ERROR_CONTRACT = [
+    # JSON shape
+    (["toric-classify", "--inline", "[1]"], 2, "not_object", "--inline"),
+    (_cone(rank=None), 2, "missing_field", "rank"),
+    (_cone(rank="2"), 2, "wrong_type", "rank"),
+    (_cone(rank=True), 2, "wrong_type", "rank"),
+    (_cone(rank=2.0), 2, "wrong_type", "rank"),
+    (["toric-classify", "--inline", "{not json"], 2, "bad_json", "--inline"),
+    (["toric-classify", "--inline", DEEP], 2, "bad_json", "--inline"),
+    (["toric-classify", "--input", str(GOLDEN / "no_such_file.json")], 2, "unreadable_input", "--input"),
+    (["toric-classify"], 2, "missing_input", "--input"),
+    # cones
+    (_cone(rank=0), 2, "rank_out_of_range", "rank"),
+    (_cone(rays=5), 2, "wrong_type", "rays"),
+    (_cone(rays=[]), 2, "wrong_type", "rays"),
+    (_cone(rays=[5, [3, -1]]), 2, "wrong_type", "rays[0]"),
+    (_cone(rays=[[0, "1"], [3, -1]]), 2, "wrong_type", "rays[0][1]"),
+    (_cone(rays=[[0, 1], [3, -1, 0]]), 2, "rank_mismatch", "rays[1]"),
+    (_cone(rays=[[0, 0], [3, -1]]), 2, "ray_zero", "rays[0]"),
+    (_cone(rays=[[0, 2], [3, -1]]), 2, "ray_not_primitive", "rays[0]"),
+    (_cone(rays=[[0, 1], [0, 1]]), 2, "duplicate_ray", "rays"),
+    # dual graphs
+    (_graph(vertices=None), 2, "missing_field", "vertices"),
+    (_graph(vertices=5), 2, "wrong_type", "vertices"),
+    (_graph(vertices=[], edges=[]), 2, "wrong_type", "vertices"),
+    (_graph(vertices=[5, VERTEX]), 2, "not_object", "vertices[0]"),
+    (_graph(vertices=[VERTEX, {"genus": 0}]), 2, "missing_field", "vertices[1].self_int"),
+    (_graph(vertices=[VERTEX, {"genus": "0", "self_int": -2}]), 2, "wrong_type", "vertices[1].genus"),
+    (_graph(vertices=[VERTEX, {"genus": -1, "self_int": -2}]), 2, "genus_negative", "vertices[1].genus"),
+    (_graph(edges=5), 2, "wrong_type", "edges"),
+    (_graph(edges=[[0, "1", 1]]), 2, "wrong_type", "edges[0][1]"),
+    (_graph(edges=[[0, 1]]), 2, "edge_malformed", "edges[0]"),
+    (_graph(edges=[[0, 2, 1]]), 2, "edge_bad_index", "edges[0]"),
+    (_graph(edges=[[0, 1, 1], [1, 1, 1]]), 2, "edge_loop", "edges[1]"),
+    (_graph(edges=[[0, 1, 0]]), 2, "edge_bad_mult", "edges[0]"),
+    (_graph("graph-blowup", "--vertex", "0", edges=[[0, 0, 1]]), 2, "edge_loop", "edges[0]"),
+    (_graph(boundary=5), 2, "wrong_type", "boundary"),
+    (_boundary(5), 2, "not_object", "boundary[0]"),
+    (_boundary({"meets": [[0, 1]]}), 2, "missing_field", "boundary[0].coeff"),
+    (_boundary({"coeff": "1/0"}), 2, "coeff_bad", "boundary[0].coeff"),
+    (_boundary({"coeff": 0.5}), 2, "coeff_bad", "boundary[0].coeff"),
+    (_boundary({"coeff": "3/2", "meets": [[0, 1]]}), 2, "coeff_out_of_range", "boundary[0].coeff"),
+    (_boundary({"coeff": "-1/2", "meets": [[0, 1]]}), 2, "coeff_out_of_range", "boundary[0].coeff"),
+    (_boundary({"coeff": "1/2", "meets": 5}), 2, "wrong_type", "boundary[0].meets"),
+    (_boundary({"coeff": "1/2", "meets": [5]}), 2, "wrong_type", "boundary[0].meets[0]"),
+    (_boundary({"coeff": "1/2", "meets": [[0, 1, 1]]}), 2, "meets_malformed", "boundary[0].meets[0]"),
+    (_boundary({"coeff": "1/2", "meets": [[0, 1], [2, 1]]}), 2, "meets_bad_index", "boundary[0].meets[1]"),
+    (_boundary({"coeff": "1/2", "meets": [[-1, 1]]}), 2, "meets_bad_index", "boundary[0].meets[0]"),
+    (_boundary({"coeff": "1/2", "meets": [[0, 0]]}), 2, "meets_bad_mult", "boundary[0].meets[0]"),
+    # surface lattices
+    (_surface(rank=0), 2, "rank_out_of_range", "rank"),
+    (_surface(gram=5), 2, "gram_not_square", "gram"),
+    (_surface(gram=[[0, 1]]), 2, "gram_not_square", "gram"),
+    (_surface(gram=[[0, 1], [1]]), 2, "gram_not_square", "gram[1]"),
+    (_surface(gram=[[0, 1], 5]), 2, "wrong_type", "gram[1]"),
+    (_surface(gram=[[0, 1], [1, False]]), 2, "wrong_type", "gram[1][1]"),
+    (_surface(gram=[[0, 1], [2, 0]]), 2, "gram_not_symmetric", "gram[0][1]"),
+    (_surface(K=None), 2, "missing_field", "K"),
+    (_surface(K=[-2]), 2, "k_length", "K"),
+    (_surface(curves=5), 2, "wrong_type", "curves"),
+    (_surface(curves=[[1, 0], [0, 1, 0]]), 2, "curve_length", "curves[1]"),
+    (_surface(label=5), 2, "wrong_type", "label"),
+    (_surface("nef-check", "--divisor", "[1]", rank=1, gram=[[1]], K=[0], curves=[[1]]), 2, "curve_parity", "curves"),
+    # plurigenus samples and pair coefficients
+    (_samples(samples=5), 2, "samples_empty", "samples"),
+    (_samples(samples=[]), 2, "samples_empty", "samples"),
+    (_samples(samples=[[1, 2], 5]), 2, "wrong_type", "samples[1]"),
+    (_samples(samples=[[1, 2], [2]]), 2, "sample_malformed", "samples[1]"),
+    (_samples(samples=[[0, 2], [2, 5]]), 2, "sample_bad_m", "samples[0]"),
+    (_samples(samples=[[1, 2], [2, -5]]), 2, "sample_bad_p", "samples[1]"),
+    (_samples(samples=[[1, 2], [1, 3]]), 2, "sample_duplicate_m", "samples[1]"),
+    (_samples(max_dim="1"), 2, "wrong_type", "max_dim"),
+    (_samples(max_dim=-1), 2, "max_dim_bad", "max_dim"),
+    (["pair-classify", "--inline", '{"coeffs":5}'], 2, "wrong_type", "coeffs"),
+    (["pair-classify", "--inline", '{"coeffs":["1/2","x"]}'], 2, "coeff_bad", "coeffs[1]"),
+    # flags
+    (["toric-discrepancy", "--inline", _doc(CONE), "--point", "[1,0,0]"], 2, "point_length", "--point"),
+    (["toric-discrepancy", "--inline", _doc(CONE), "--point", "[1,"], 2, "bad_json", "--point"),
+    (["toric-discrepancy", "--inline", _doc(CONE), "--point", DEEP], 2, "bad_json", "--point"),
+    (["toric-discrepancy", "--inline", _doc(CONE), "--point", "5"], 2, "wrong_type", "--point"),
+    (["toric-discrepancy", "--inline", _doc(CONE), "--point", '[1,"0"]'], 2, "wrong_type", "--point[1]"),
+    (_graph("graph-blowup", "--edge", "0", "1", "--vertex", "0"), 2, "site_conflict", "--edge"),
+    (_graph("graph-blowup"), 2, "site_missing", "--vertex"),
+    (["delpezzo-lines", "--r", "-1"], 2, "r_out_of_range", "--r"),
+    (["delpezzo-lines"], 2, "missing_input", "--r"),
+    (["delpezzo-lines", "--r", "3", "--bound", "-1"], 2, "invalid_value", None),
+    (_surface("mmp-run", "--bound", "-1"), 2, "invalid_value", None),
+    (_surface("nef-check", "--divisor", "[1,1,1]"), 2, "divisor_length", "--divisor"),
+    (_surface("nef-check", "--divisor", DEEP), 2, "bad_json", "--divisor"),
+    (_surface("rr", "--divisor", "[1]", "--chi0", "1"), 2, "divisor_length", "--divisor"),
+    (["rr"], 2, "rr_mode", "--deg"),
+    (["rr", "--deg", "1"], 2, "rr_mode", "--deg"),
+    (["rr", "--deg", "1", "--genus", "0", "--chi0", "1"], 2, "rr_mode", "--deg"),
+    (_surface("rr", "--divisor", "[1,1]"), 2, "rr_mode", "--divisor"),
+    (["rr", "--deg", "0", "--genus", "-1"], 2, "genus_negative", "--genus"),
+    # mathematical preconditions
+    (_cone(rays=[[1, 0], [-1, 0]]), 3, "not_strongly_convex", None),
+    (_cone(rays=[[1, 0]]), 3, "not_full_dimensional", None),
+    (["toric-discrepancy", "--inline", _doc(CONE), "--point", "[0,-1]"], 3, "not_in_cone", None),
+    (["toric-discrepancy", "--inline", _doc(CONE), "--point", "[2,0]"], 3, "not_primitive", None),
+    (["toric-discrepancy", "--inline", _doc(CONE), "--point", "[0,0]"], 3, "not_primitive", None),
+    (
+        ["toric-discrepancy", "--input", str(GOLDEN / "cone_not_qgor.json"), "--point", "[1,1,1]"],
+        3,
+        "not_q_gorenstein",
+        None,
+    ),
+    (_graph(edges=[]), 3, "disconnected", None),
+    (_graph(vertices=[{"genus": 0, "self_int": 0}], edges=[]), 3, "not_contractible", None),
+    (_graph("graph-blowup", "--vertex", "5"), 3, "invalid_site", None),
+    (_graph("graph-blowup", "--vertex", "0", "--boundary", "0"), 3, "invalid_site", None),
+    (["delpezzo-lines", "--r", "9"], 3, "unbounded_search", None),
+    (
+        _surface(gram=[[0, -1], [-1, -2]], K=[4, -2], curves=[[-2, 1], [-3, 2], [-3, 1], [-6, 3]]),
+        3,
+        "undetermined_outcome",
+        None,
+    ),
+    (["cone-rays", "--input", str(GOLDEN / "surface_bl2.json")], 3, "not_rank_2", None),
+    (_surface("cone-rays", curves=[]), 3, "empty_curve_list", None),
+    (_surface("cone-rays", curves=[[1, 0], [-1, 0]]), 3, "degenerate_cone", None),
+    (_surface("nef-check", "--divisor", "[1,1]", curves=[]), 3, "empty_curve_list", None),
+    (_samples(samples=[[1, 0], [2, 5]]), 3, "insufficient_samples", None),
+    (["pair-classify", "--inline", '{"coeffs":["-1/2"]}'], 3, "negative_coefficient", None),
+]
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "argv, exit_code, code, field",
+        ERROR_CONTRACT,
+        ids=[f"{k:02d}-{row[2]}" for k, row in enumerate(ERROR_CONTRACT)],
+    )
+    def test_exit_code_error_code_and_field(self, argv, exit_code, code, field):
+        status, out = run_machine(list(argv))
+        err = json.loads(out)["error"]
+        assert (status, err["code"], err.get("field")) == (exit_code, code, field)
+        assert err["kind"] == ("validation" if exit_code == 2 else "precondition")
+
+    def test_input_file_faults(self, tmp_path):
+        for text, code in (("{not json", "bad_json"), (DEEP, "bad_json"), ("[1]", "not_object")):
+            path = tmp_path / "doc.json"
+            path.write_text(text)
+            status, out = run_machine(["toric-classify", "--input", str(path)])
+            err = json.loads(out)["error"]
+            assert (status, err["code"], err["field"]) == (2, code, str(path))

@@ -42,6 +42,28 @@ def blowup_formula_value(report, boundary, site):
     return 1 + d[site.vertex] - comp.coeff
 
 
+class TestInputFaults:
+    def test_faults_carry_code_and_field(self):
+        vertices = (Vertex(genus=0, self_int=-2), Vertex(genus=0, self_int=-2))
+        stray = Boundary((BoundaryComponent(coeff=0, meets=((0, 1), (3, 1))),))
+        cases = [
+            (lambda: Vertex(genus=-1, self_int=-2), "genus_negative", "genus"),
+            (lambda: DualGraph(vertices=(), edges=()), "wrong_type", "vertices"),
+            (lambda: DualGraph(vertices=vertices, edges=((0, 1),)), "edge_malformed", "edges[0]"),
+            (lambda: DualGraph(vertices=vertices, edges=((0, 1, 1), (0, 2, 1))), "edge_bad_index", "edges[1]"),
+            (lambda: DualGraph(vertices=vertices, edges=((1, 1, 1),)), "edge_loop", "edges[0]"),
+            (lambda: DualGraph(vertices=vertices, edges=((0, 1, 0),)), "edge_bad_mult", "edges[0]"),
+            (lambda: BoundaryComponent(coeff=2), "coeff_out_of_range", "coeff"),
+            (lambda: BoundaryComponent(coeff=0, meets=((0, 1), (1,))), "meets_malformed", "meets[1]"),
+            (lambda: BoundaryComponent(coeff=0, meets=((0, 0),)), "meets_bad_mult", "meets[0]"),
+            (lambda: discrepancies(single_vertex(0, -2), stray), "meets_bad_index", "boundary[0].meets[1]"),
+        ]
+        for build, code, field in cases:
+            with pytest.raises((ValueError, CoefficientOutOfRangeError)) as info:
+                build()
+            assert (info.value.code, info.value.field) == (code, field)
+
+
 class TestContractibility:
     def test_examples(self):
         assert check_contractible(single_vertex(0, -2)) is True

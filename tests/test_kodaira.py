@@ -76,6 +76,11 @@ class TestRiemannRochCurve:
         for g in range(0, 15):
             assert riemann_roch_curve(2 * g - 2, g) == g - 1
 
+    def test_negative_genus_rejected(self):
+        with pytest.raises(ValueError) as info:
+            riemann_roch_curve(0, -1)
+        assert (info.value.code, info.value.field) == ("genus_negative", "genus")
+
 
 class TestEstimateKappa:
     def test_all_zero(self):
@@ -93,6 +98,20 @@ class TestEstimateKappa:
     def test_constant_sequence_is_zero(self):
         estimate = estimate_kappa([(1, 1), (2, 1), (4, 1), (8, 1)])
         assert estimate.value == 0
+
+    def test_input_faults_carry_code_and_field(self):
+        cases = [
+            (([(1, 1), (2, 3)],), {"max_dim": -1}, "max_dim_bad", "max_dim"),
+            (([],), {}, "samples_empty", "samples"),
+            (([(1, 1), (2,)],), {}, "sample_malformed", "samples[1]"),
+            (([(0, 1), (2, 3)],), {}, "sample_bad_m", "samples[0]"),
+            (([(1, 1), (2, -3)],), {}, "sample_bad_p", "samples[1]"),
+            (([(1, 1), (1, 3)],), {}, "sample_duplicate_m", "samples[1]"),
+        ]
+        for args, kwargs, code, field in cases:
+            with pytest.raises(ValueError) as info:
+                estimate_kappa(*args, **kwargs)
+            assert (info.value.code, info.value.field) == (code, field)
 
     def test_single_positive_sample_raises(self):
         with pytest.raises(InsufficientSamplesError):

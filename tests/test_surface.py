@@ -65,6 +65,20 @@ class TestConstructions:
         with pytest.raises(NonIntegralGenusError):
             SurfaceLattice(rank=1, gram=((1,),), K=(0,), curves=((1,),))
 
+    def test_faults_carry_code_and_field(self):
+        with pytest.raises(NotSymmetricError) as info:
+            SurfaceLattice(rank=3, gram=((1, 0, 0), (0, -1, 5), (0, 4, -1)), K=(0, 0, 0))
+        assert (info.value.code, info.value.field) == ("gram_not_symmetric", "gram[1][2]")
+        with pytest.raises(NonIntegralGenusError) as info:
+            SurfaceLattice(rank=1, gram=((1,),), K=(0,), curves=((1,),))
+        assert (info.value.code, info.value.field) == ("curve_parity", "curves")
+        with pytest.raises(ValueError) as info:
+            SurfaceLattice(rank=2, gram=((0, 1), (1, 0)), K=(0, 0), curves=((1, 0), (1,)))
+        assert (info.value.code, info.value.field) == ("curve_length", "curves[1]")
+        with pytest.raises(ValueError) as info:
+            make_blowup_p2(-1)
+        assert (info.value.code, info.value.field) == ("r_out_of_range", "r")
+
     def test_signature_warning(self):
         s = SurfaceLattice(rank=2, gram=((-1, 0), (0, -1)), K=(0, 0))
         assert s.warnings()
@@ -445,6 +459,27 @@ class TestNefAndAmple:
             d = tuple(rng.randint(-3, 3) for _ in range(s.rank))
             if is_ample_kleiman(s, d):
                 assert is_nef(s, d)
+
+
+class TestDivisorLength:
+    @pytest.mark.parametrize("divisor", [(1,), (1, 0, 0)])
+    def test_wrong_length_is_rejected_not_truncated(self, divisor):
+        q = make_quadric()
+        checks = (
+            lambda: is_nef(q, divisor),
+            lambda: is_ample_kleiman(q, divisor),
+            lambda: riemann_roch_surface(q, divisor, 1),
+        )
+        for check in checks:
+            with pytest.raises(ValueError) as info:
+                check()
+            assert (info.value.code, info.value.field) == ("divisor_length", "divisor")
+
+    def test_length_is_checked_before_the_curve_list(self):
+        s = SurfaceLattice(rank=2, gram=((0, 1), (1, 0)), K=(-2, -2))
+        with pytest.raises(ValueError) as info:
+            is_nef(s, (1,))
+        assert info.value.code == "divisor_length"
 
 
 class TestRiemannRochSurface:

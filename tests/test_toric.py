@@ -46,6 +46,17 @@ class TestConeValidation:
         with pytest.raises(ValueError):
             cone_from_rays([[1, 0], [1, 0]])
 
+    def test_faults_carry_code_and_field(self):
+        with pytest.raises(NotPrimitiveError) as info:
+            Cone(rank=2, rays=((2, 4), (0, 1)))
+        assert (info.value.code, info.value.field) == ("ray_not_primitive", "rays[0]")
+        with pytest.raises(ValueError) as info:
+            Cone(rank=2, rays=((0, 1), (1, 0, 0)))
+        assert (info.value.code, info.value.field) == ("rank_mismatch", "rays[1]")
+        with pytest.raises(ValueError) as info:
+            toric_discrepancy(quotient_cone(3), (1, 0, 0))
+        assert (info.value.code, info.value.field) == ("point_length", "point")
+
 
 class TestFacets:
     def test_first_quadrant(self):
