@@ -139,7 +139,7 @@ def parse_graph(doc) -> tuple[dualgraph.DualGraph, dualgraph.Boundary]:
         vertices=tuple(vertices), edges=tuple(_as_int_list(e, f"edges[{k}]") for k, e in enumerate(edges))
     )
     comps = []
-    for k, b in enumerate(_as_list(doc.get("boundary") or [], "boundary")):
+    for k, b in enumerate(_as_list(doc.get("boundary", []), "boundary")):
         with _inside(f"boundary[{k}]."):
             coeff = _as_fraction(_get(b, "coeff"), "coeff")
             meets = _as_list(b.get("meets", []), "meets")
@@ -346,7 +346,8 @@ def cmd_graph_blowup(args):
 
 def cmd_mmp_run(args):
     s = parse_surface(load_document(args))
-    trace = surface.run_classical_mmp(s, bound=args.bound)
+    with _inside("--"):
+        trace = surface.run_classical_mmp(s, bound=args.bound)
     return {
         "command": "mmp-run",
         "steps": [
@@ -376,7 +377,8 @@ def cmd_delpezzo_lines(args):
             "supply --r or a surface via --input/--inline",
         )
         s = parse_surface(load_document(args))
-    classes = surface.enumerate_minus_one_classes(s, bound=args.bound)
+    with _inside("--"):
+        classes = surface.enumerate_minus_one_classes(s, bound=args.bound)
     report = {
         "command": "delpezzo-lines",
         "count": len(classes),

@@ -7,9 +7,10 @@ tuples of ints (or Fractions), matrices are tuples of row tuples.
 The routines cover what the geometric layers need.  One fraction-free
 (Bareiss) row echelon pass serves exact solving, rank, determinants and
 the Sylvester negative-definiteness test, whose leading principal minors
-are its pivots when no row swap is needed.  Beside it sit the Smith
-normal form, integer kernels in a canonical (column Hermite form) basis,
-and the inertia of a symmetric form.
+are its pivots when no row swap is needed.  One column Hermite form
+serves integer kernels in a canonical basis and the Smith normal form,
+which alternates it on columns and rows.  Beside them sits the inertia
+of a symmetric form.
 """
 
 from __future__ import annotations
@@ -27,13 +28,6 @@ RatMatrix = tuple[tuple[Fraction, ...], ...]
 
 def as_vector(v) -> IntVector:
     return tuple(int(x) for x in v)
-
-
-def as_matrix(rows) -> IntMatrix:
-    out = tuple(tuple(int(x) for x in row) for row in rows)
-    if out and any(len(row) != len(out[0]) for row in out):
-        raise ValueError("matrix rows have unequal lengths")
-    return out
 
 
 def is_symmetric(a) -> bool:
@@ -200,76 +194,24 @@ def smith_normal_form(a) -> list[int]:
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
 
     Only the nonzero factors are returned, so the zero matrix yields [].
+    Kannan and Bachem (SIAM J. Comput. 8, 1979): take the column Hermite
+    form, drop its zero columns, transpose, and repeat until every column
+    has one nonzero entry.  Hermite pivot rows are distinct, so the matrix
+    is then monomial, and the gcd/lcm chain of its entries gives the
+    factors.  The loop ends: after a round the top pivot g is alone in its
+    row.  If g divides its column, the next round leaves it alone in its
+    row and column too (the Hermite form of a lattice is unique), later
+    rounds keep it so, and the argument repeats on the smaller block.  If
+    not, the next round replaces g by the gcd of its column, a proper
+    divisor.
     """
-    rows = [list(r) for r in a]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    factors: list[int] = []
-    t = 0
-    while t < nr and t < nc:
-        # locate a nonzero entry of smallest magnitude in the trailing block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = rows[i][j]
-                if v != 0 and (best is None or abs(v) < abs(rows[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    cols = list(zip(*a))
+    while True:
+        cols = [c for c in column_hermite_form(cols) if any(c)]
+        if all(sum(x != 0 for x in c) == 1 for c in cols):
             break
-        bi, bj = best
-        rows[t], rows[bi] = rows[bi], rows[t]
-        for row in rows:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            # clear the pivot column with unimodular row operations; plain
-            # subtraction when the pivot divides keeps the pivot row clean,
-            # and the gcd combination otherwise strictly shrinks the pivot
-            for i in range(t + 1, nr):
-                b = rows[i][t]
-                if b == 0:
-                    continue
-                p = rows[t][t]
-                if b % p == 0:
-                    q = b // p
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[t])]
-                else:
-                    g, x, y = xgcd(p, b)
-                    u, v = p // g, b // g
-                    rt, ri = rows[t], rows[i]
-                    for j in range(nc):
-                        rt[j], ri[j] = x * rt[j] + y * ri[j], -v * rt[j] + u * ri[j]
-            # clear the pivot row with unimodular column operations
-            for j in range(t + 1, nc):
-                b = rows[t][j]
-                if b == 0:
-                    continue
-                p = rows[t][t]
-                if b % p == 0:
-                    q = b // p
-                    for row in rows:
-                        row[j] -= q * row[t]
-                else:
-                    g, x, y = xgcd(p, b)
-                    u, v = p // g, b // g
-                    for row in rows:
-                        row[t], row[j] = x * row[t] + y * row[j], -v * row[t] + u * row[j]
-            if all(rows[i][t] == 0 for i in range(t + 1, nr)):
-                # pivot must divide the whole trailing block
-                offender = None
-                piv = rows[t][t]
-                for i in range(t + 1, nr):
-                    for j in range(t + 1, nc):
-                        if rows[i][j] % piv != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                for j in range(nc):
-                    rows[t][j] += rows[offender][j]
-        factors.append(abs(rows[t][t]))
-        t += 1
+        cols = list(zip(*cols))
+    factors = [next(x for x in c if x) for c in cols]
     # enforce the divisibility chain
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
@@ -290,11 +232,12 @@ def _combine_columns(cols, j0, j, row):
 
 
 def column_hermite_form(columns) -> list[IntVector]:
-    """Canonical column Hermite form of an independent set of columns.
+    """Canonical column Hermite form of a set of columns.
 
     Pivot rows strictly increase left to right, pivots are positive, and in
     each pivot row the entries of earlier columns are reduced into
-    [0, pivot).  The result depends only on the lattice the columns span.
+    [0, pivot).  Columns beyond the rank come out zero, at the end.  The
+    result depends only on the lattice the columns span.
     """
     cols = [list(c) for c in columns]
     if not cols:

@@ -227,7 +227,7 @@ def enumerate_minus_one_classes(s: SurfaceLattice, bound: int | None = None) -> 
     """
     if bound is not None:
         if bound < 0:
-            raise ValueError("bound must be nonnegative")
+            raise InvalidInputError("bound must be nonnegative", "bound_negative", "bound")
         ranges = [range(-bound, bound + 1)] * s.rank
         return [
             x
@@ -254,6 +254,11 @@ def _check_minus_one(s: SurfaceLattice, c: IntVector):
         )
 
 
+def _pushforward(s: SurfaceLattice, basis, c: IntVector, x) -> IntVector:
+    xc = s.pair(x, c)
+    return linalg.coordinates_in_basis(basis, tuple(xi + xc * ci for xi, ci in zip(x, c)))
+
+
 def pushforward_class(s: SurfaceLattice, c, x) -> IntVector:
     """Image of x under contracting the (-1)-class c, in the new basis.
 
@@ -263,10 +268,7 @@ def pushforward_class(s: SurfaceLattice, c, x) -> IntVector:
     c = tuple(int(v) for v in c)
     x = tuple(int(v) for v in x)
     _check_minus_one(s, c)
-    basis = _contraction_basis(s, c)
-    xc = s.pair(x, c)
-    image = tuple(xi + xc * ci for xi, ci in zip(x, c))
-    return linalg.coordinates_in_basis(basis, image)
+    return _pushforward(s, _contraction_basis(s, c), c, x)
 
 
 def castelnuovo_contract(s: SurfaceLattice, c) -> SurfaceLattice:
@@ -278,18 +280,11 @@ def castelnuovo_contract(s: SurfaceLattice, c) -> SurfaceLattice:
     new_gram = tuple(tuple(sum(map(mul, bi, gv)) for gv in gb) for bi in basis)
     k_upstairs = tuple(k - ci for k, ci in zip(s.K, c))
     new_k = linalg.coordinates_in_basis(basis, k_upstairs)
-    new_curves = []
-    for x in s.curves:
-        if x == c:
-            continue
-        xc = s.pair(x, c)
-        image = tuple(xi + xc * ci for xi, ci in zip(x, c))
-        new_curves.append(linalg.coordinates_in_basis(basis, image))
     return SurfaceLattice(
         rank=s.rank - 1,
         gram=new_gram,
         K=new_k,
-        curves=tuple(new_curves),
+        curves=tuple(_pushforward(s, basis, c, x) for x in s.curves if x != c),
         label=s.label,
     )
 

@@ -491,8 +491,8 @@ ERROR_CONTRACT = [
     (_graph("graph-blowup"), 2, "site_missing", "--vertex"),
     (["delpezzo-lines", "--r", "-1"], 2, "r_out_of_range", "--r"),
     (["delpezzo-lines"], 2, "missing_input", "--r"),
-    (["delpezzo-lines", "--r", "3", "--bound", "-1"], 2, "invalid_value", None),
-    (_surface("mmp-run", "--bound", "-1"), 2, "invalid_value", None),
+    (["delpezzo-lines", "--r", "3", "--bound", "-1"], 2, "bound_negative", "--bound"),
+    (_surface("mmp-run", "--bound", "-1"), 2, "bound_negative", "--bound"),
     (_surface("nef-check", "--divisor", "[1,1,1]"), 2, "divisor_length", "--divisor"),
     (_surface("nef-check", "--divisor", DEEP), 2, "bad_json", "--divisor"),
     (_surface("rr", "--divisor", "[1]", "--chi0", "1"), 2, "divisor_length", "--divisor"),
@@ -530,6 +530,17 @@ ERROR_CONTRACT = [
     (_surface("nef-check", "--divisor", "[1,1]", curves=[]), 3, "empty_curve_list", None),
     (_samples(samples=[[1, 0], [2, 5]]), 3, "insufficient_samples", None),
     (["pair-classify", "--inline", '{"coeffs":["-1/2"]}'], 3, "negative_coefficient", None),
+    # appended, not grouped above, so that the numbered ids of earlier rows stay
+    (_graph(boundary=0), 2, "wrong_type", "boundary"),
+    (_graph(boundary=False), 2, "wrong_type", "boundary"),
+    (_graph(boundary=""), 2, "wrong_type", "boundary"),
+    (_graph(boundary={}), 2, "wrong_type", "boundary"),
+    (
+        ["graph-discrepancies", "--inline", json.dumps({"vertices": [VERTEX], "boundary": None})],
+        2,
+        "wrong_type",
+        "boundary",
+    ),
 ]
 
 

@@ -88,6 +88,11 @@ class TestSmithNormalForm:
         assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
         assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
         assert smith_normal_form([[0, 0], [0, 0]]) == []
+        assert smith_normal_form([]) == []
+        assert smith_normal_form([[0, 0, 0]]) == []
+        assert smith_normal_form([[0], [6], [4]]) == [2]
+        # five alternating Hermite rounds before the matrix is monomial
+        assert smith_normal_form([[8, -8, 6], [-4, -2, -9], [-1, 4, 1]]) == [1, 1, 60]
 
     def test_known_diagonal(self):
         assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
@@ -133,11 +138,12 @@ class TestSmithNormalForm:
             return out
 
         rng = random.Random(43)
-        for _ in range(150):
-            rows = rng.randint(1, 3)
-            cols = rng.randint(1, 4)
-            a = [[rng.randint(-7, 7) for _ in range(cols)] for _ in range(rows)]
-            assert smith_normal_form(a) == oracle(a)
+        for size, count in ((7, 150), (10**12, 100)):
+            for _ in range(count):
+                rows = rng.randint(1, 3)
+                cols = rng.randint(1, 4)
+                a = [[rng.randint(-size, size) for _ in range(cols)] for _ in range(rows)]
+                assert smith_normal_form(a) == oracle(a)
 
 
 class TestPrimitive:
