@@ -311,6 +311,15 @@ class TestTextMode:
         _, text = run_cli(["mmp-run", "--input", str(GOLDEN / "surface_bl2.json")])
         assert 'notes: ["verdict relative to the supplied curve classes"]' in text.splitlines()
 
+    def test_text_reports_match_pinned_bytes(self):
+        # tests/golden/text/NN-<subcommand>.out holds the exact --format text
+        # stdout of GOLDEN_RUNS[NN], line order included
+        for i, argv in enumerate(GOLDEN_RUNS):
+            expected = (GOLDEN / "text" / f"{i:02d}-{argv[0]}.out").read_bytes()
+            code, out = run_cli(list(argv))
+            assert code == 0, argv
+            assert out.encode("utf-8") == expected, argv
+
     def test_text_error(self):
         code, out = run_cli(["delpezzo-lines", "--r", "9"])
         assert code == 3
