@@ -1,10 +1,14 @@
 """Command-line front end.
 
-One JSON document per object, one subcommand per invocation.  Each
-handler returns one report dict, and ``emit`` renders it: canonical JSON
-for --format machine (sorted keys, no whitespace, rationals as exact
-"p/q" strings; identical inputs give byte-identical reports), or one
-"key: value" line per top-level field for --format text.
+Each subcommand is one row of ``COMMANDS``: its handler, help line, rule
+text and own flags.  ``build_parser`` turns the table into one parser,
+built on the first call and shared by every later call in the process.
+A handler reads its JSON document and flags and returns the report body;
+``main`` puts the row's name first as "command" and its rule last as
+"rule", and ``emit`` renders the report: canonical JSON for --format
+machine (sorted keys, no whitespace, rationals as exact "p/q" strings;
+identical inputs give byte-identical reports), or one "key: value" line
+per top-level field, in order, for --format text.
 
 The parsers here check only that the JSON has the fields and types the
 library needs; every domain rule is checked by the library, which names
@@ -22,54 +26,12 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
+from typing import Callable, NamedTuple
 
 from . import dualgraph, kodaira, surface, toric
 from .errors import InvalidInputError, ToolkitError
 from .serialize import canonical_json, fraction_to_str, parse_fraction
-
-RULES = {
-    "toric-classify": (
-        "smooth iff the ray matrix is unimodular; terminal/canonical/klt read"
-        " off lattice points P with m(P) <= 1 for the support functional m"
-    ),
-    "toric-discrepancy": (
-        "discrepancy of a primitive lattice point P of the cone is m(P) - 1"
-        " for the support functional m"
-    ),
-    "graph-discrepancies": (
-        "solve sum_i d_i (Ei.Ej) = 2 p_a(Ej) - 2 - Ej^2 + (B.Ej) on the"
-        " negative-definite intersection matrix; thresholds on d classify"
-    ),
-    "graph-blowup": (
-        "blow up a point: append a (-1)-vertex, drop incident"
-        " self-intersections by one, pass boundary multiplicity through"
-    ),
-    "mmp-run": (
-        "contract the lexicographically smallest (-1)-class until none"
-        " remain, then classify fibre-space or minimal outcome from the"
-        " known curve classes"
-    ),
-    "delpezzo-lines": (
-        "enumerate classes with C^2 = -1 and K.C = -1 under the"
-        " Cauchy-Schwarz degree bound"
-    ),
-    "cone-rays": "boundary rays of the planar cone spanned by the curve classes",
-    "nef-check": (
-        "nef: D.C >= 0 on every supplied curve; ample: D.C > 0 on every"
-        " supplied curve and D^2 > 0"
-    ),
-    "rr-curve": "chi = 1 + deg D - g",
-    "rr-surface": "chi = D.(D - K)/2 + chi0",
-    "kappa-estimate": (
-        "-inf if all plurigenera vanish; 0 if eventually constant; else the"
-        " rounded log-log slope of the two largest positive samples"
-    ),
-    "pair-classify": (
-        "pair on a curve: B = 0 canonical-or-terminal; all coefficients < 1"
-        " klt; all <= 1 lc; otherwise not lc"
-    ),
-}
-
 
 def _expect(condition: bool, code: str, field: str, message: str):
     if not condition:
@@ -259,7 +221,7 @@ def emit_error(kind: str, code: str, message: str, fmt: str, field: str | None =
         sys.stdout.write(f"error [{code}]{where}: {message}\n")
 
 
-# -- subcommand handlers: each returns its report ------------------------------
+# -- subcommand handlers: each returns its report body ---------------------------
 
 
 def cmd_toric_classify(args):
@@ -272,7 +234,6 @@ def cmd_toric_classify(args):
             value = sum((Fraction(c) * x for c, x in zip(m, p)), Fraction(0))
             points.append({"point": list(p), "discrepancy": fraction_to_str(value - 1)})
     return {
-        "command": "toric-classify",
         "class": result.kind.value,
         "q_factorial": result.q_factorial,
         "gorenstein_index": result.gorenstein_index,
@@ -282,7 +243,6 @@ def cmd_toric_classify(args):
             else [fraction_to_str(x) for x in result.support_functional]
         ),
         "points": points,
-        "rule": RULES["toric-classify"],
     }
 
 
@@ -291,25 +251,18 @@ def cmd_toric_discrepancy(args):
     point = parse_vector_flag(args.point, "--point")
     with _inside("--"):
         value = toric.toric_discrepancy(cone, point)
-    return {
-        "command": "toric-discrepancy",
-        "point": list(point),
-        "discrepancy": fraction_to_str(value),
-        "rule": RULES["toric-discrepancy"],
-    }
+    return {"point": list(point), "discrepancy": fraction_to_str(value)}
 
 
 def cmd_graph_discrepancies(args):
     graph, boundary = parse_graph(load_document(args))
     result = dualgraph.discrepancies(graph, boundary)
     return {
-        "command": "graph-discrepancies",
         "contractible": True,
         "discrepancies": [fraction_to_str(d) for d in result.discrepancies],
         "class": result.singularity_class.value,
         "du_val": result.du_val,
         "minimal_resolution": result.minimal_resolution,
-        "rule": RULES["graph-discrepancies"],
     }
 
 
@@ -336,12 +289,7 @@ def cmd_graph_blowup(args):
         site_doc = {"vertex": site.vertex, "boundary": site.component}
     else:
         site_doc = {"vertex": site.vertex}
-    return {
-        "command": "graph-blowup",
-        "site": site_doc,
-        "graph": _graph_to_doc(new_graph, new_boundary),
-        "rule": RULES["graph-blowup"],
-    }
+    return {"site": site_doc, "graph": _graph_to_doc(new_graph, new_boundary)}
 
 
 def cmd_mmp_run(args):
@@ -349,7 +297,6 @@ def cmd_mmp_run(args):
     with _inside("--"):
         trace = surface.run_classical_mmp(s, bound=args.bound)
     return {
-        "command": "mmp-run",
         "steps": [
             {
                 "contracted": list(step.contracted),
@@ -361,7 +308,6 @@ def cmd_mmp_run(args):
         "outcome": {"kind": trace.outcome.value, "fibre": None if trace.fibre is None else list(trace.fibre)},
         "final": _surface_to_doc(trace.final),
         "notes": list(trace.notes) + list(s.warnings()),
-        "rule": RULES["mmp-run"],
     }
 
 
@@ -379,12 +325,7 @@ def cmd_delpezzo_lines(args):
         s = parse_surface(load_document(args))
     with _inside("--"):
         classes = surface.enumerate_minus_one_classes(s, bound=args.bound)
-    report = {
-        "command": "delpezzo-lines",
-        "count": len(classes),
-        "classes": [list(c) for c in classes],
-        "rule": RULES["delpezzo-lines"],
-    }
+    report = {"count": len(classes), "classes": [list(c) for c in classes]}
     if args.r is not None:
         report["r"] = args.r
     return report
@@ -393,11 +334,7 @@ def cmd_delpezzo_lines(args):
 def cmd_cone_rays(args):
     s = parse_surface(load_document(args))
     r1, r2 = surface.cone_rays_rank2(s)
-    return {
-        "command": "cone-rays",
-        "rays": [list(r1), list(r2)],
-        "rule": RULES["cone-rays"],
-    }
+    return {"rays": [list(r1), list(r2)]}
 
 
 def cmd_nef_check(args):
@@ -407,13 +344,11 @@ def cmd_nef_check(args):
         nef = surface.is_nef(s, divisor)
         ample = surface.is_ample_kleiman(s, divisor)
     return {
-        "command": "nef-check",
         "divisor": list(divisor),
         "nef": nef,
         "ample": ample,
         "note": "relative to the supplied curve classes",
         "warnings": list(s.warnings()),
-        "rule": RULES["nef-check"],
     }
 
 
@@ -430,40 +365,25 @@ def cmd_rr(args):
         _expect(args.deg is not None and args.genus is not None, "rr_mode", "--deg", "need both --deg and --genus")
         with _inside("--"):
             chi = kodaira.riemann_roch_curve(args.deg, args.genus)
-        return {
-            "command": "rr",
-            "mode": "curve",
-            "deg": args.deg,
-            "genus": args.genus,
-            "chi": fraction_to_str(chi),
-            "integral": True,
-            "rule": RULES["rr-curve"],
-        }
+        return {"mode": "curve", "deg": args.deg, "genus": args.genus, "chi": fraction_to_str(chi), "integral": True}
     _expect(args.divisor is not None and args.chi0 is not None, "rr_mode", "--divisor", "need --divisor and --chi0")
     s = parse_surface(load_document(args))
     divisor = parse_vector_flag(args.divisor, "--divisor")
     with _inside("--"):
         chi = surface.riemann_roch_surface(s, divisor, args.chi0)
     return {
-        "command": "rr",
         "mode": "surface",
         "divisor": list(divisor),
         "chi0": args.chi0,
         "chi": fraction_to_str(chi),
         "integral": isinstance(chi, int),
-        "rule": RULES["rr-surface"],
     }
 
 
 def cmd_kappa_estimate(args):
     samples, max_dim = parse_samples(load_document(args))
     estimate = kodaira.estimate_kappa(samples, max_dim=max_dim)
-    return {
-        "command": "kappa-estimate",
-        "kappa": "-inf" if estimate.is_minus_infinity else estimate.value,
-        "note": estimate.note,
-        "rule": RULES["kappa-estimate"],
-    }
+    return {"kappa": "-inf" if estimate.is_minus_infinity else estimate.value, "note": estimate.note}
 
 
 def cmd_pair_classify(args):
@@ -472,16 +392,98 @@ def cmd_pair_classify(args):
     fano = None
     if all(0 <= c <= 1 for c in coeffs):
         fano = kodaira.fano_pair_on_p1_check(coeffs)
-    return {
-        "command": "pair-classify",
-        "coeffs": [fraction_to_str(c) for c in coeffs],
-        "class": cls.value,
-        "fano_on_p1": fano,
-        "rule": RULES["pair-classify"],
-    }
+    return {"coeffs": [fraction_to_str(c) for c in coeffs], "class": cls.value, "fano_on_p1": fano}
 
 
+class Command(NamedTuple):
+    """One subcommand: handler, help line, the rule its report states (one text
+    per value of the report's "mode" if it has modes) and argparse flags."""
+
+    handler: Callable[[argparse.Namespace], dict]
+    help: str
+    rule: str | dict[str, str]
+    flags: dict[str, dict] = {}
+
+
+COMMON_FLAGS = {
+    "--input": dict(help="path to a JSON input document"),
+    "--inline": dict(help="inline JSON input document"),
+    "--format": dict(choices=("text", "machine"), default="text", help="text for humans, machine for canonical JSON"),
+}
+BOUND_FLAG = {"--bound": dict(type=int, help="explicit coordinate bound for the class search")}
+
+COMMANDS = {
+    "toric-classify": Command(
+        cmd_toric_classify, "classify a toric cone singularity",
+        "smooth iff the ray matrix is unimodular; terminal/canonical/klt read off lattice points P with m(P) <= 1"
+        " for the support functional m",
+    ),
+    "toric-discrepancy": Command(
+        cmd_toric_discrepancy, "discrepancy at a lattice point of a cone",
+        "discrepancy of a primitive lattice point P of the cone is m(P) - 1 for the support functional m",
+        {"--point": dict(required=True, help="lattice point as a JSON list")},
+    ),
+    "graph-discrepancies": Command(
+        cmd_graph_discrepancies, "discrepancies from a resolution dual graph",
+        "solve sum_i d_i (Ei.Ej) = 2 p_a(Ej) - 2 - Ej^2 + (B.Ej) on the negative-definite intersection matrix;"
+        " thresholds on d classify",
+    ),
+    "graph-blowup": Command(
+        cmd_graph_blowup, "blow up a point of the resolution surface",
+        "blow up a point: append a (-1)-vertex, drop incident self-intersections by one, pass boundary"
+        " multiplicity through",
+        {
+            "--vertex": dict(type=int, help="blow up a free point of this vertex"),
+            "--edge": dict(type=int, nargs=2, metavar=("I", "J"), help="blow up an intersection point"),
+            "--boundary": dict(type=int, help="boundary component index (with --vertex)"),
+        },
+    ),
+    "mmp-run": Command(
+        cmd_mmp_run, "run the classical surface MMP on a lattice",
+        "contract the lexicographically smallest (-1)-class until none remain, then classify fibre-space or"
+        " minimal outcome from the known curve classes",
+        BOUND_FLAG,
+    ),
+    "delpezzo-lines": Command(
+        cmd_delpezzo_lines, "enumerate (-1)-classes",
+        "enumerate classes with C^2 = -1 and K.C = -1 under the Cauchy-Schwarz degree bound",
+        {"--r": dict(type=int, help="use the blow-up of the plane at r points"), **BOUND_FLAG},
+    ),
+    "cone-rays": Command(
+        cmd_cone_rays, "extremal rays of a rank-2 curve cone",
+        "boundary rays of the planar cone spanned by the curve classes",
+    ),
+    "nef-check": Command(
+        cmd_nef_check, "nef and ample tests against the curve list",
+        "nef: D.C >= 0 on every supplied curve; ample: D.C > 0 on every supplied curve and D^2 > 0",
+        {"--divisor": dict(required=True, help="divisor class as a JSON list")},
+    ),
+    "rr": Command(
+        cmd_rr, "Riemann-Roch on a curve or a surface lattice",
+        {"curve": "chi = 1 + deg D - g", "surface": "chi = D.(D - K)/2 + chi0"},
+        {
+            "--deg": dict(type=int, help="degree of the divisor (curve mode)"),
+            "--genus": dict(type=int, help="genus of the curve (curve mode)"),
+            "--divisor": dict(help="divisor class as a JSON list (surface mode)"),
+            "--chi0": dict(type=int, help="chi of the structure sheaf (surface mode)"),
+        },
+    ),
+    "kappa-estimate": Command(
+        cmd_kappa_estimate, "estimate Kodaira dimension from plurigenera",
+        "-inf if all plurigenera vanish; 0 if eventually constant; else the rounded log-log slope of the two"
+        " largest positive samples",
+    ),
+    "pair-classify": Command(
+        cmd_pair_classify, "classify a pair on a curve by coefficients",
+        "pair on a curve: B = 0 canonical-or-terminal; all coefficients < 1 klt; all <= 1 lc; otherwise not lc",
+    ),
+}
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every row of COMMANDS, built on the first call and
+    shared by every later one; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mmpkit",
         description=(
@@ -491,52 +493,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--input", help="path to a JSON input document")
-        p.add_argument("--inline", help="inline JSON input document")
-        p.add_argument(
-            "--format",
-            choices=("text", "machine"),
-            default="text",
-            help="text for humans, machine for canonical JSON",
-        )
-        p.set_defaults(handler=handler)
-        return p
-
-    command("toric-classify", cmd_toric_classify, "classify a toric cone singularity")
-    p = command("toric-discrepancy", cmd_toric_discrepancy, "discrepancy at a lattice point of a cone")
-    p.add_argument("--point", required=True, help="lattice point as a JSON list")
-    command("graph-discrepancies", cmd_graph_discrepancies, "discrepancies from a resolution dual graph")
-    p = command("graph-blowup", cmd_graph_blowup, "blow up a point of the resolution surface")
-    p.add_argument("--vertex", type=int, help="blow up a free point of this vertex")
-    p.add_argument("--edge", type=int, nargs=2, metavar=("I", "J"), help="blow up an intersection point")
-    p.add_argument("--boundary", type=int, help="boundary component index (with --vertex)")
-    p = command("mmp-run", cmd_mmp_run, "run the classical surface MMP on a lattice")
-    p.add_argument("--bound", type=int, help="explicit coordinate bound for the class search")
-    p = command("delpezzo-lines", cmd_delpezzo_lines, "enumerate (-1)-classes")
-    p.add_argument("--r", type=int, help="use the blow-up of the plane at r points")
-    p.add_argument("--bound", type=int, help="explicit coordinate bound for the class search")
-    command("cone-rays", cmd_cone_rays, "extremal rays of a rank-2 curve cone")
-    p = command("nef-check", cmd_nef_check, "nef and ample tests against the curve list")
-    p.add_argument("--divisor", required=True, help="divisor class as a JSON list")
-    p = command("rr", cmd_rr, "Riemann-Roch on a curve or a surface lattice")
-    p.add_argument("--deg", type=int, help="degree of the divisor (curve mode)")
-    p.add_argument("--genus", type=int, help="genus of the curve (curve mode)")
-    p.add_argument("--divisor", help="divisor class as a JSON list (surface mode)")
-    p.add_argument("--chi0", type=int, help="chi of the structure sheaf (surface mode)")
-    command("kappa-estimate", cmd_kappa_estimate, "estimate Kodaira dimension from plurigenera")
-    command("pair-classify", cmd_pair_classify, "classify a pair on a curve by coefficients")
+    for name, row in COMMANDS.items():
+        p = sub.add_parser(name, help=row.help)
+        for flag, keywords in (COMMON_FLAGS | row.flags).items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    row = COMMANDS[args.command]
     fmt = args.format
     try:
-        report = args.handler(args)
+        body = row.handler(args)
     except ToolkitError as exc:
         if exc.field is not None:
             emit_error("validation", exc.code, str(exc), fmt, exc.field)
@@ -547,7 +516,8 @@ def main(argv=None) -> int:
         # safety net: structural problems surface as validation, never a trace
         emit_error("validation", "invalid_value", str(exc), fmt)
         return 2
-    emit(report, fmt)
+    rule = row.rule if isinstance(row.rule, str) else row.rule[body["mode"]]
+    emit({"command": args.command, **body, "rule": rule}, fmt)
     return 0
 
 

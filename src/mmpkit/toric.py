@@ -65,7 +65,7 @@ class Cone:
 def cone_from_rays(rays) -> Cone:
     rays = [tuple(int(x) for x in r) for r in rays]
     if not rays:
-        raise ValueError("a cone needs at least one ray")
+        raise InvalidInputError("expected a nonempty list of rays", "wrong_type", "rays")
     return Cone(rank=len(rays[0]), rays=tuple(rays))
 
 

@@ -2,12 +2,13 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from mmpkit.cli import main
+from mmpkit.cli import build_parser, main
 from mmpkit.serialize import canonical_json, fraction_to_str, parse_fraction
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -539,7 +540,6 @@ ERROR_CONTRACT = [
     (_surface("nef-check", "--divisor", "[1,1]", curves=[]), 3, "empty_curve_list", None),
     (_samples(samples=[[1, 0], [2, 5]]), 3, "insufficient_samples", None),
     (["pair-classify", "--inline", '{"coeffs":["-1/2"]}'], 3, "negative_coefficient", None),
-    # appended, not grouped above, so that the numbered ids of earlier rows stay
     (_graph(boundary=0), 2, "wrong_type", "boundary"),
     (_graph(boundary=False), 2, "wrong_type", "boundary"),
     (_graph(boundary=""), 2, "wrong_type", "boundary"),
@@ -553,12 +553,19 @@ ERROR_CONTRACT = [
 ]
 
 
+def _contract_ids(rows):
+    """<command>-<code>-<field> for each row, with a -2, -3, ... counter only
+    where that repeats, so that inserting a row renames no other row."""
+    ids, seen = [], Counter()
+    for argv, _, code, field in rows:
+        key = f"{argv[0]}-{code}-{'none' if field is None else field}"
+        seen[key] += 1
+        ids.append(key if seen[key] == 1 else f"{key}-{seen[key]}")
+    return ids
+
+
 class TestErrorContract:
-    @pytest.mark.parametrize(
-        "argv, exit_code, code, field",
-        ERROR_CONTRACT,
-        ids=[f"{k:02d}-{row[2]}" for k, row in enumerate(ERROR_CONTRACT)],
-    )
+    @pytest.mark.parametrize("argv, exit_code, code, field", ERROR_CONTRACT, ids=_contract_ids(ERROR_CONTRACT))
     def test_exit_code_error_code_and_field(self, argv, exit_code, code, field):
         status, out = run_machine(list(argv))
         err = json.loads(out)["error"]
@@ -572,3 +579,26 @@ class TestErrorContract:
             status, out = run_machine(["toric-classify", "--input", str(path)])
             err = json.loads(out)["error"]
             assert (status, err["code"], err["field"]) == (2, code, str(path))
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self):
+        # the parser is built once per process and shared: neither an argv
+        # that argparse rejects nor an error report may change a later call
+        def check_pinned(runs):
+            for i, argv in runs:
+                expected = (GOLDEN / "machine" / f"{i:02d}-{argv[0]}.out").read_bytes()
+                code, out = run_machine(list(argv))
+                assert (code, out.encode("utf-8")) == (0, expected), argv
+
+        runs = list(enumerate(GOLDEN_RUNS))
+        check_pinned(runs)
+        with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as info:
+            main(["mmp-run", "--bound", "x"])
+        assert info.value.code == 2
+        argv, exit_code, code, field = ERROR_CONTRACT[-1]
+        status, out = run_machine(list(argv))
+        err = json.loads(out)["error"]
+        assert (status, err["code"], err.get("field")) == (exit_code, code, field)
+        check_pinned(reversed(runs))
+        assert build_parser() is build_parser()

@@ -56,6 +56,9 @@ class TestConeValidation:
         with pytest.raises(ValueError) as info:
             toric_discrepancy(quotient_cone(3), (1, 0, 0))
         assert (info.value.code, info.value.field) == ("point_length", "point")
+        with pytest.raises(ValueError) as info:
+            cone_from_rays([])
+        assert (info.value.code, info.value.field) == ("wrong_type", "rays")
 
 
 class TestFacets:
