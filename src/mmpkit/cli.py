@@ -3,7 +3,7 @@
 Each subcommand is one row of ``COMMANDS``: its handler, help line, rule
 text and own flags.  ``build_parser`` turns the table into one parser,
 built on the first call and shared by every later call in the process.
-A handler reads its JSON document and flags and returns the report body;
+A handler reads its flags and any JSON document and returns a report body;
 ``main`` puts the row's name first as "command" and its rule last as
 "rule", and ``emit`` renders the report: canonical JSON for --format
 machine (sorted keys, no whitespace, rationals as exact "p/q" strings;
@@ -221,7 +221,7 @@ def emit_error(kind: str, code: str, message: str, fmt: str, field: str | None =
         sys.stdout.write(f"error [{code}]{where}: {message}\n")
 
 
-# -- subcommand handlers: each returns its report body ---------------------------
+# -- subcommand handlers: each returns its report body -------------------------
 
 
 def cmd_toric_classify(args):

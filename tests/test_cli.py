@@ -555,7 +555,8 @@ ERROR_CONTRACT = [
 
 def _contract_ids(rows):
     """<command>-<code>-<field> for each row, with a -2, -3, ... counter only
-    where that repeats, so that inserting a row renames no other row."""
+    where that repeats, so that an inserted row renames only later rows with
+    its own command, code and field."""
     ids, seen = [], Counter()
     for argv, _, code, field in rows:
         key = f"{argv[0]}-{code}-{'none' if field is None else field}"
