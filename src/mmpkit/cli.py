@@ -16,7 +16,8 @@ the offending field relative to the object or function that checked it.
 The parsers put the document path in front (``vertices[0].genus``), and
 ``--`` for a flag (``--point``).  Exit codes: 0 success; 2 for an error
 that names a field (input validation) and for a stray ValueError; 3 for
-an error without a field (a mathematical precondition failed).
+an error without a field (a mathematical precondition failed), and for
+a MemoryError or RecursionError (code ``resource_exhausted``).
 """
 
 from __future__ import annotations
@@ -516,6 +517,10 @@ def main(argv=None) -> int:
         # safety net: structural problems surface as validation, never a trace
         emit_error("validation", "invalid_value", str(exc), fmt)
         return 2
+    except (MemoryError, RecursionError) as exc:
+        # last net: an input too large to compute on ends without a trace
+        emit_error("precondition", "resource_exhausted", f"{type(exc).__name__}: the input is too large", fmt)
+        return 3
     rule = row.rule if isinstance(row.rule, str) else row.rule[body["mode"]]
     emit({"command": args.command, **body, "rule": rule}, fmt)
     return 0

@@ -6,7 +6,9 @@ exists with m(ray) = 1 for every generator, the associated affine toric
 variety is Q-Gorenstein with Gorenstein index the lcm of the denominators
 of m, and the discrepancy of the valuation obtained by star-subdividing at
 a primitive lattice point v of the cone equals m(v) - 1.  Classification
-then reads off the nonzero lattice points P with m(P) <= 1:
+then reads off the nonzero lattice points P with m(P) <= 1, found in the
+simplicial cones on the independent d-subsets S of rays, which cover the
+cone, at the cost of one step per coset of Z^d / S Z^d, or sum |det S|:
 
 * only the ray generators  -> terminal,
 * extra points, all m = 1  -> canonical,
@@ -22,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
-from math import lcm
+from itertools import combinations
+from math import lcm, prod
 
 from . import linalg
 from .errors import (
@@ -176,25 +178,23 @@ def contains(cone: Cone, point) -> bool:
 
 
 def lattice_points_at_or_below_one(cone: Cone, m) -> list[IntVector]:
-    """Nonzero lattice points P of the cone with m(P) <= 1, in lex order.
-
-    The region is the convex hull of 0 and the ray generators, so a scan of
-    its integer bounding box is exhaustive.
-    """
-    hs = facets(cone)
+    """Nonzero lattice points P of the cone with m(P) <= 1, in lex order, for m
+    the support functional.  In the cone on d independent rays S, P is a ray or
+    S frac(S^-1 z) with coordinate sum <= 1, for z in the box 0 <= z_k < h_kk of
+    the Hermite form of S, one per coset; |det S| S^-1 has cross_normal rows."""
+    facets(cone)  # raises for a line or a cone that is not full-dimensional
     d = cone.rank
-    m = tuple(Fraction(x) for x in m)
-    lows = [min(0, min(r[i] for r in cone.rays)) for i in range(d)]
-    highs = [max(0, max(r[i] for r in cone.rays)) for i in range(d)]
-    points = []
-    for p in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        if all(x == 0 for x in p):
-            continue
-        if any(linalg.dot(h, p) < 0 for h in hs):
-            continue
-        if sum(c * x for c, x in zip(m, p)) <= 1:
-            points.append(p)
-    return points
+    points = set(cone.rays)
+    for rays in combinations(cone.rays, d):
+        diagonal = [col[k] for k, col in enumerate(linalg.column_hermite_form(rays))]
+        *strides, det = [prod(diagonal[:k]) for k in range(d + 1)]  # det = 0: no cosets
+        adj = [linalg.cross_normal(rays[:i] + rays[i + 1 :], d) for i in range(d)]
+        adj = [a if linalg.dot(a, s) > 0 else tuple(-x for x in a) for a, s in zip(adj, rays)]
+        for z in ([t // w % h for w, h in zip(strides, diagonal)] for t in range(det)):
+            nums = [linalg.dot(a, z) % det for a in adj]
+            if 0 < sum(nums) <= det:
+                points.add(tuple(sum(n * s[j] for n, s in zip(nums, rays)) // det for j in range(d)))
+    return sorted(points)
 
 
 def classify_cone(cone: Cone) -> ToricClassification:

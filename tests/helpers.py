@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 
 from mmpkit.dualgraph import Boundary, BoundaryComponent, DualGraph, Vertex
-from mmpkit.linalg import is_negative_definite
+from mmpkit.linalg import dot, is_negative_definite, matrix_rank
+from mmpkit.toric import cone_from_rays, facets
 
 
 def chain_graph(self_ints, genera=None) -> DualGraph:
@@ -87,6 +88,47 @@ def box_negdef_oracle(matrix, box=3) -> bool:
         if value >= 0:
             return False
     return True
+
+
+def naive_points_at_or_below_one(cone, m) -> list:
+    """Nonzero lattice points P of the cone with m(P) <= 1, in lex order, by
+    a scan of the integer bounding box of 0 and the rays, which contains the
+    convex hull of 0 and the rays.  Its cost is the volume of the box."""
+    hs = facets(cone)
+    d = cone.rank
+    m = tuple(Fraction(x) for x in m)
+    lows = [min(0, min(r[i] for r in cone.rays)) for i in range(d)]
+    highs = [max(0, max(r[i] for r in cone.rays)) for i in range(d)]
+    points = []
+    for p in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+        if all(x == 0 for x in p):
+            continue
+        if any(dot(h, p) < 0 for h in hs):
+            continue
+        if sum(c * x for c, x in zip(m, p)) <= 1:
+            points.append(p)
+    return points
+
+
+#: coordinate bound of random_q_gorenstein_cone per rank, so that the box
+#: oracle scans at most a few hundred cells
+CONE_BOX = {1: 1, 2: 5, 3: 2, 4: 2}
+
+
+def random_q_gorenstein_cone(rng, rank, extra=0):
+    """A random full-dimensional cone on rank + extra primitive rays, all on
+    one hyperplane w.x = k > 0: strongly convex, Q-Gorenstein with m = w / k,
+    and non-simplicial when extra > 0, often with a ray that is not extremal."""
+    box = range(-CONE_BOX[rank], CONE_BOX[rank] + 1)
+    while True:
+        w = [rng.randint(-2, 2) for _ in range(rank)]
+        k = rng.randint(1, 3)
+        level = [p for p in product(box, repeat=rank) if dot(w, p) == k and gcd(*p) == 1]
+        if len(level) < rank + extra:
+            continue
+        rays = rng.sample(level, rank + extra)
+        if matrix_rank(rays) == rank:
+            return cone_from_rays(rays)
 
 
 def naive_minus_one_classes(r) -> set:

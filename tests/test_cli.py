@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mmpkit.cli import build_parser, main
+from mmpkit.cli import COMMANDS, build_parser, main
 from mmpkit.serialize import canonical_json, fraction_to_str, parse_fraction
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -580,6 +580,26 @@ class TestErrorContract:
             status, out = run_machine(["toric-classify", "--input", str(path)])
             err = json.loads(out)["error"]
             assert (status, err["code"], err["field"]) == (2, code, str(path))
+
+
+class TestLastNet:
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_exhaustion_is_a_precondition_error_without_a_trace(self, monkeypatch, error):
+        # a handler that raises in place of a real exhaustion, which no test may cause
+        def handler(args):
+            raise error()
+
+        monkeypatch.setitem(COMMANDS, "toric-classify", COMMANDS["toric-classify"]._replace(handler=handler))
+        argv = ["toric-classify", "--input", str(GOLDEN / "cone_a3.json")]
+        stderr = io.StringIO()
+        with redirect_stderr(stderr):
+            status, out = run_machine(argv)
+            text_status, text = run_cli(argv + ["--format", "text"])
+        err = json.loads(out)["error"]
+        assert (status, err["kind"], err["code"], "field" in err) == (3, "precondition", "resource_exhausted", False)
+        assert err["message"].startswith(error.__name__)
+        assert text_status == 3 and text.startswith("error [resource_exhausted]: ")
+        assert stderr.getvalue() == ""
 
 
 class TestParserReuse:

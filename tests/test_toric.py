@@ -1,9 +1,13 @@
+import json
 import random
+import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from helpers import naive_points_at_or_below_one, random_q_gorenstein_cone
 from mmpkit.dualgraph import DualGraph, Vertex, discrepancies
 from mmpkit.errors import (
     NotFullDimensionalError,
@@ -12,6 +16,7 @@ from mmpkit.errors import (
     NotQGorensteinError,
     NotStronglyConvexError,
 )
+from mmpkit.linalg import dot, matrix_rank
 from mmpkit.toric import (
     CLASS_CHAIN_ORDER,
     Cone,
@@ -25,6 +30,7 @@ from mmpkit.toric import (
     toric_discrepancy,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 ODP_RAYS = [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]]
 
 
@@ -133,6 +139,53 @@ class TestLatticePoints:
         cone = cone_from_rays(ODP_RAYS)
         points = lattice_points_at_or_below_one(cone, (0, 0, 1))
         assert points == sorted(tuple(r) for r in ODP_RAYS)
+
+    def test_pyramid_with_interior_generator(self):
+        # (1,1,1) is a generator inside the cone on the other four
+        result = classify_cone(cone_from_rays([[0, 0, 1], [2, 0, 1], [0, 2, 1], [2, 2, 1], [1, 1, 1]]))
+        assert result.kind is ConeClass.CANONICAL
+        assert result.points_at_or_below_one == tuple((x, y, 1) for x in range(3) for y in range(3))
+
+    def test_thin_smooth_cone(self):
+        # its bounding box has 2 * 10^6 cells, but it has one coset
+        rays = [(1, 0, 0), (0, 1, 0), (1000, 1000, 1)]
+        start = time.perf_counter()
+        result = classify_cone(cone_from_rays(rays))
+        assert time.perf_counter() - start < 2
+        assert result.kind is ConeClass.SMOOTH
+        assert result.points_at_or_below_one == tuple(sorted(rays))
+
+    def test_line_or_lower_dimension_raises_as_facets_does(self):
+        for rays, error, code in (
+            ([[1, 0], [-1, 0]], NotStronglyConvexError, "not_strongly_convex"),
+            ([[1, 0, 0], [-1, 0, 0]], NotStronglyConvexError, "not_strongly_convex"),
+            ([[1, 0, 0], [0, 1, 0]], NotFullDimensionalError, "not_full_dimensional"),
+        ):
+            with pytest.raises(error) as info:
+                lattice_points_at_or_below_one(cone_from_rays(rays), (1,) * len(rays[0]))
+            assert (info.value.code, info.value.field) == (code, None)
+
+    def test_matches_box_scan(self):
+        # seeded cones of rank 1-4 and every golden cone with a support
+        # functional; the box scan in tests/helpers.py is the oracle
+        rng = random.Random(29)
+        # (rank, rays beyond the rank, count)
+        plan = [(1, 0, 8)] + [(2, e, 50) for e in range(4)] + [(3, e, 40) for e in range(3)]
+        plan += [(4, e, 40) for e in range(2)]
+        cones = [random_q_gorenstein_cone(rng, r, e) for r, e, count in plan for _ in range(count)]
+        cones += [cone_from_rays(json.loads(p.read_text())["rays"]) for p in sorted(GOLDEN.glob("cone_*.json"))]
+        for cone in cones:
+            m = q_gorenstein_functional(cone)
+            if m is not None:
+                assert lattice_points_at_or_below_one(cone, m) == naive_points_at_or_below_one(cone, m), cone.rays
+        non_simplicial = [c for c in cones if len(c.rays) > c.rank]
+        assert len(cones) >= 400 and len(non_simplicial) >= 250
+        # a ray is not extremal when the facets through it span less than a hyperplane
+        inner = 0
+        for cone in non_simplicial:
+            hs = facets(cone)
+            inner += any(matrix_rank([h for h in hs if dot(h, r) == 0]) < cone.rank - 1 for r in cone.rays)
+        assert inner >= 150
 
 
 class TestClassification:
