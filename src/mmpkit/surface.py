@@ -336,42 +336,32 @@ def run_classical_mmp(s: SurfaceLattice, bound: int | None = None) -> MmpTrace:
     fibres = [
         f for f in cur.curves if cur.pair(f, f) == 0 and cur.pair(cur.K, f) < 0
     ]
+    known = [c for c in cur.curves if any(c)]
     if fibres:
+        outcome = MmpOutcome.MORI_FIBRE_RULED
         if cur.rank > 2:
             notes.append("fibre extremality not certified above rank 2; heuristic")
-        return MmpTrace(
-            steps=tuple(steps),
-            outcome=MmpOutcome.MORI_FIBRE_RULED,
-            fibre=fibres[0],
-            final=cur,
-            notes=tuple(notes),
-        )
-    known = [c for c in cur.curves if any(c)]
-    if cur.rank == 1 and (
+    elif cur.rank == 1 and (
         any(cur.pair(c, c) > 0 and cur.pair(cur.K, c) < 0 for c in known)
         if known
         else cur.pair(cur.K, (1,)) < 0
     ):
-        return MmpTrace(
-            steps=tuple(steps),
-            outcome=MmpOutcome.MORI_FIBRE_P2LIKE,
-            fibre=None,
-            final=cur,
-            notes=tuple(notes),
-        )
-    if all(cur.pair(cur.K, c) >= 0 for c in cur.curves):
+        outcome = MmpOutcome.MORI_FIBRE_P2LIKE
+    elif all(cur.pair(cur.K, c) >= 0 for c in cur.curves):
+        outcome = MmpOutcome.MINIMAL_MODEL
         if not cur.curves:
             notes.append("curve list is empty; minimal-model verdict is conditional")
-        return MmpTrace(
-            steps=tuple(steps),
-            outcome=MmpOutcome.MINIMAL_MODEL,
-            fibre=None,
-            final=cur,
-            notes=tuple(notes),
+    else:
+        raise UndeterminedOutcomeError(
+            "no (-1)-classes remain, yet K is negative on a known class that is"
+            " not a fibre; outcome not classifiable in this model"
         )
-    raise UndeterminedOutcomeError(
-        "no (-1)-classes remain, yet K is negative on a known class that is"
-        " not a fibre; outcome not classifiable in this model"
+    return MmpTrace(
+        steps=tuple(steps),
+        outcome=outcome,
+        fibre=fibres[0] if fibres else None,
+        final=cur,
+        notes=tuple(notes),
     )
 
 

@@ -14,6 +14,11 @@ cone, at the cost of one step per coset of Z^d / S Z^d, or sum |det S|:
 * extra points, all m = 1  -> canonical,
 * some point with m < 1    -> klt only (Q-Gorenstein toric is always klt).
 
+Both checks on a cone read its facet normals: a full-dimensional cone has
+no line exactly when they span the space (its dual cone is then full-
+dimensional), and a lower-dimensional one is first completed by a basis of
+the orthogonal complement of its span, which adds no line.
+
 Smoothness means the generators extend to a basis of the lattice, i.e. the
 cone is simplicial and the ray matrix has all Smith invariant factors 1.
 Q-factoriality is simpliciality.  All arithmetic is exact.
@@ -97,61 +102,40 @@ class ToricClassification:
     points_at_or_below_one: tuple[IntVector, ...]
 
 
-def _require_full_dimensional(cone: Cone):
-    if linalg.matrix_rank(cone.rays) != cone.rank:
-        raise NotFullDimensionalError(
-            f"rays span a space of dimension {linalg.matrix_rank(cone.rays)} < {cone.rank}"
-        )
-
-
-def is_strongly_convex(cone: Cone) -> bool:
-    """True when the cone contains no line.
-
-    Equivalent to 0 not lying in the convex hull of the ray generators;
-    by Caratheodory it suffices to test affinely independent subsets of
-    size at most rank + 1.
-    """
-    rays = cone.rays
-    d = cone.rank
-    for size in range(2, min(len(rays), d + 1) + 1):
-        for subset in combinations(rays, size):
-            system = [[Fraction(r[i]) for r in subset] for i in range(d)]
-            system.append([Fraction(1)] * size)
-            rhs = [Fraction(0)] * d + [Fraction(1)]
-            sol = linalg.solve_possibly_singular(system, rhs)
-            if sol is None:
-                continue
-            coeffs, unique = sol
-            if unique and all(c >= 0 for c in coeffs):
-                return False
-    return True
-
-
-def _require_strongly_convex(cone: Cone):
-    if not is_strongly_convex(cone):
-        raise NotStronglyConvexError("cone contains a line")
-
-
-def facets(cone: Cone) -> tuple[IntVector, ...]:
-    """Inward primitive facet normals h_j with cone = { x : h_j(x) >= 0 }."""
-    _require_strongly_convex(cone)
-    _require_full_dimensional(cone)
-    d = cone.rank
-    if d == 1:
-        return ((1,),) if cone.rays[0][0] > 0 else ((-1,),)
+def _normals(rays, d) -> set[IntVector]:
+    """Inward primitive normals of the hyperplanes through d-1 rays with all rays on one side."""
     found = set()
-    for subset in combinations(cone.rays, d - 1):
+    for subset in combinations(rays, d - 1):
         normal = linalg.cross_normal(subset, d)
         if all(x == 0 for x in normal):
             continue
         normal = linalg.primitive(normal)
-        values = [linalg.dot(normal, ray) for ray in cone.rays]
+        values = [linalg.dot(normal, ray) for ray in rays]
         if any(v > 0 for v in values) and any(v < 0 for v in values):
             continue
         if all(v <= 0 for v in values):
             normal = tuple(-x for x in normal)
         found.add(normal)
-    return tuple(sorted(found))
+    return found
+
+
+def is_strongly_convex(cone: Cone) -> bool:
+    """True when the cone has no line, i.e. when the facet normals of its rays plus a basis
+    of the orthogonal complement of their span have rank d: those vectors generate a full-
+    dimensional cone, this one plus a simplicial one, with a line exactly when this has."""
+    rays = cone.rays + tuple(linalg.integer_kernel(cone.rays))
+    return linalg.matrix_rank(list(_normals(rays, cone.rank))) == cone.rank
+
+
+def facets(cone: Cone) -> tuple[IntVector, ...]:
+    """Inward primitive facet normals h_j with cone = { x : h_j(x) >= 0 }.  Raises for
+    a cone with a line, then for one that is not full-dimensional."""
+    if not is_strongly_convex(cone):
+        raise NotStronglyConvexError("cone contains a line")
+    rank = linalg.matrix_rank(cone.rays)
+    if rank != cone.rank:
+        raise NotFullDimensionalError(f"rays span a space of dimension {rank} < {cone.rank}")
+    return tuple(sorted(_normals(cone.rays, cone.rank)))
 
 
 def q_gorenstein_functional(cone: Cone) -> RatVector | None:
@@ -177,7 +161,7 @@ def contains(cone: Cone, point) -> bool:
     return all(linalg.dot(h, point) >= 0 for h in hs)
 
 
-def lattice_points_at_or_below_one(cone: Cone, m) -> list[IntVector]:
+def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
     """Nonzero lattice points P of the cone with m(P) <= 1, in lex order, for m
     the support functional.  In the cone on d independent rays S, P is a ray or
     S frac(S^-1 z) with coordinate sum <= 1, for z in the box 0 <= z_k < h_kk of
@@ -199,11 +183,10 @@ def lattice_points_at_or_below_one(cone: Cone, m) -> list[IntVector]:
 
 def classify_cone(cone: Cone) -> ToricClassification:
     """Classify the affine toric singularity attached to a cone."""
-    _require_strongly_convex(cone)
-    _require_full_dimensional(cone)
     q_factorial = len(cone.rays) == cone.rank
     m = q_gorenstein_functional(cone)
     if m is None:
+        facets(cone)  # a cone with m has no line (m = 1 on every ray); the points call validates it
         return ToricClassification(
             kind=ConeClass.NOT_Q_GORENSTEIN,
             q_factorial=q_factorial,
@@ -211,7 +194,7 @@ def classify_cone(cone: Cone) -> ToricClassification:
             support_functional=None,
             points_at_or_below_one=(),
         )
-    points = tuple(lattice_points_at_or_below_one(cone, m))
+    points = tuple(lattice_points_at_or_below_one(cone))
     ray_set = set(cone.rays)
     extras = [p for p in points if p not in ray_set]
     smooth = q_factorial and linalg.smith_normal_form(cone.rays) == [1] * cone.rank

@@ -1,11 +1,11 @@
 """Shared generators and independent oracles for the test suite."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, isqrt
 
 from mmpkit.dualgraph import Boundary, BoundaryComponent, DualGraph, Vertex
-from mmpkit.linalg import dot, is_negative_definite, matrix_rank
+from mmpkit.linalg import dot, is_negative_definite, matrix_rank, solve_possibly_singular
 from mmpkit.toric import cone_from_rays, facets
 
 
@@ -88,6 +88,44 @@ def box_negdef_oracle(matrix, box=3) -> bool:
         if value >= 0:
             return False
     return True
+
+
+def naive_is_strongly_convex(cone) -> bool:
+    """True when 0 is not in the convex hull of the rays, i.e. the cone has no
+    line; by Caratheodory it suffices to test affinely independent subsets of
+    size at most rank + 1, each by one exact solve."""
+    rays = cone.rays
+    d = cone.rank
+    for size in range(2, min(len(rays), d + 1) + 1):
+        for subset in combinations(rays, size):
+            system = [[Fraction(r[i]) for r in subset] for i in range(d)]
+            system.append([Fraction(1)] * size)
+            rhs = [Fraction(0)] * d + [Fraction(1)]
+            sol = solve_possibly_singular(system, rhs)
+            if sol is None:
+                continue
+            coeffs, unique = sol
+            if unique and all(c >= 0 for c in coeffs):
+                return False
+    return True
+
+
+def random_cone(rng, rank):
+    """A random cone of the given rank on primitive rays in the span of 1 to
+    rank random vectors, so often lower-dimensional, with a ray's negative
+    added a third of the time, so often with a line."""
+    rays = set()
+    while not rays:
+        dim = rng.randint(1, rank)
+        basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(dim)]
+        for _ in range(rng.randint(1, rank + 3)):
+            c = [rng.randint(-2, 2) for _ in range(dim)]
+            v = [sum(x * b[j] for x, b in zip(c, basis)) for j in range(rank)]
+            if any(v):
+                rays.add(tuple(x // gcd(*v) for x in v))
+    if rng.random() < 1 / 3:
+        rays.add(tuple(-x for x in rng.choice(sorted(rays))))
+    return cone_from_rays(sorted(rays))
 
 
 def naive_points_at_or_below_one(cone, m) -> list:

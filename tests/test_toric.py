@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import naive_points_at_or_below_one, random_q_gorenstein_cone
+from helpers import (
+    naive_is_strongly_convex,
+    naive_points_at_or_below_one,
+    random_cone,
+    random_q_gorenstein_cone,
+)
+from mmpkit import toric
 from mmpkit.dualgraph import DualGraph, Vertex, discrepancies
 from mmpkit.errors import (
     NotFullDimensionalError,
@@ -128,16 +134,15 @@ class TestSupportFunctional:
 class TestLatticePoints:
     def test_smooth_cone_only_generators(self):
         cone = cone_from_rays([[1, 0], [0, 1]])
-        assert lattice_points_at_or_below_one(cone, (1, 1)) == [(0, 1), (1, 0)]
+        assert lattice_points_at_or_below_one(cone) == [(0, 1), (1, 0)]
 
     def test_quotient_cone_a3(self):
         cone = quotient_cone(3)
-        m = q_gorenstein_functional(cone)
-        assert lattice_points_at_or_below_one(cone, m) == [(0, 1), (1, 0), (3, -1)]
+        assert lattice_points_at_or_below_one(cone) == [(0, 1), (1, 0), (3, -1)]
 
     def test_odp_only_generators(self):
         cone = cone_from_rays(ODP_RAYS)
-        points = lattice_points_at_or_below_one(cone, (0, 0, 1))
+        points = lattice_points_at_or_below_one(cone)
         assert points == sorted(tuple(r) for r in ODP_RAYS)
 
     def test_pyramid_with_interior_generator(self):
@@ -162,7 +167,7 @@ class TestLatticePoints:
             ([[1, 0, 0], [0, 1, 0]], NotFullDimensionalError, "not_full_dimensional"),
         ):
             with pytest.raises(error) as info:
-                lattice_points_at_or_below_one(cone_from_rays(rays), (1,) * len(rays[0]))
+                lattice_points_at_or_below_one(cone_from_rays(rays))
             assert (info.value.code, info.value.field) == (code, None)
 
     def test_matches_box_scan(self):
@@ -177,7 +182,7 @@ class TestLatticePoints:
         for cone in cones:
             m = q_gorenstein_functional(cone)
             if m is not None:
-                assert lattice_points_at_or_below_one(cone, m) == naive_points_at_or_below_one(cone, m), cone.rays
+                assert lattice_points_at_or_below_one(cone) == naive_points_at_or_below_one(cone, m), cone.rays
         non_simplicial = [c for c in cones if len(c.rays) > c.rank]
         assert len(cones) >= 400 and len(non_simplicial) >= 250
         # a ray is not extremal when the facets through it span less than a hyperplane
@@ -225,6 +230,20 @@ class TestClassification:
                 continue
             if CLASS_CHAIN_ORDER[result.kind] <= 1:
                 assert set(result.points_at_or_below_one) == set(cone.rays)
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+
+        def counted(cone):
+            calls.append(cone)
+            return facets(cone)
+
+        monkeypatch.setattr(toric, "facets", counted)
+        for name, kind in (("cone_odp", ConeClass.TERMINAL), ("cone_not_qgor", ConeClass.NOT_Q_GORENSTEIN)):
+            calls.clear()
+            cone = cone_from_rays(json.loads((GOLDEN / f"{name}.json").read_text())["rays"])
+            assert classify_cone(cone).kind is kind
+            assert calls == [cone]
 
     def test_random_rank2_family(self):
         rng = random.Random(13)
@@ -288,6 +307,28 @@ class TestStrongConvexity:
     def test_strictly_convex(self):
         assert is_strongly_convex(cone_from_rays([[1, 0], [1, 5]]))
 
+    def test_matches_caratheodory_scan(self):
+        # seeded cones of rank 1-4, many lower-dimensional or with a line; the
+        # Caratheodory scan in tests/helpers.py is the oracle, and facets must
+        # raise for a line first, then for a lower dimension
+        rng = random.Random(31)
+        seen = {"line": 0, "lower": 0, "valid": 0, "rank 1": 0}
+        for k in range(480):
+            cone = random_cone(rng, 1 + k % 4)
+            convex = naive_is_strongly_convex(cone)
+            lower = matrix_rank(cone.rays) < cone.rank
+            assert is_strongly_convex(cone) == convex, cone.rays
+            expected = NotStronglyConvexError if not convex else NotFullDimensionalError if lower else None
+            try:
+                facets(cone)
+                raised = None
+            except (NotStronglyConvexError, NotFullDimensionalError) as error:
+                raised = type(error)
+            assert raised is expected, cone.rays
+            seen["line" if not convex else "lower" if lower else "valid"] += 1
+            seen["rank 1"] += cone.rank == 1
+        assert min(seen.values()) >= 60, seen
+
 
 class TestRankOne:
     def test_facets(self):
@@ -298,6 +339,13 @@ class TestRankOne:
         result = classify_cone(cone_from_rays([[1]]))
         assert result.kind is ConeClass.SMOOTH
         assert result.gorenstein_index == 1
+
+    def test_line(self):
+        cone = cone_from_rays([[1], [-1]])
+        with pytest.raises(NotStronglyConvexError):
+            facets(cone)
+        with pytest.raises(NotStronglyConvexError):
+            classify_cone(cone)
 
 
 def continued_fraction_chain(a, q):
