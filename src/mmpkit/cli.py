@@ -447,7 +447,9 @@ COMMANDS = {
     ),
     "delpezzo-lines": Command(
         cmd_delpezzo_lines, "enumerate (-1)-classes",
-        "enumerate classes with C^2 = -1 and K.C = -1 under the Cauchy-Schwarz degree bound",
+        "enumerate classes with C^2 = -1 and K.C = -1: every cell of the --bound box if one is given,"
+        " else the integer points of one ellipsoid (Fincke-Pohst), complete when K^2 > 0 and the form"
+        " has signature (1, rank-1)",
         {"--r": dict(type=int, help="use the blow-up of the plane at r points"), **BOUND_FLAG},
     ),
     "cone-rays": Command(

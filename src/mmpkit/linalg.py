@@ -286,14 +286,17 @@ def coordinates_in_basis(columns, v) -> IntVector:
     work = list(v)
     coeffs = []
     for col in columns:
-        pivot_row = next((i for i, x in enumerate(col) if x != 0), None)
-        if pivot_row is None:
+        # a Hermite column is zero above its pivot, and often below it too
+        support = [(i, x) for i, x in enumerate(col) if x]
+        if not support:
             raise ValueError("zero column in basis")
-        q, rem = divmod(work[pivot_row], col[pivot_row])
+        q, rem = divmod(work[support[0][0]], support[0][1])
         if rem != 0:
             raise ValueError("vector is not in the lattice spanned by the basis")
         coeffs.append(q)
-        work = [w - q * c for w, c in zip(work, col)]
+        if q:
+            for i, x in support:
+                work[i] -= q * x
     if any(w != 0 for w in work):
         raise ValueError("vector is not in the lattice spanned by the basis")
     return tuple(coeffs)

@@ -14,7 +14,9 @@ of signature (1, rank-1) with K^2 > 0, in any basis: there the classes
 are the integer points of one positive-definite ellipsoid, enumerated
 exactly (Fincke-Pohst).  Anything else needs an explicit coordinate
 bound; blow-ups of the plane in 9 or more points have K^2 <= 0 and
-infinitely many (-1)-classes.
+infinitely many (-1)-classes.  The unbounded MMP searches once, as the
+classes orthogonal to a contracted class are all those of the contracted
+lattice; with a bound, each step scans its own box again.
 """
 
 from __future__ import annotations
@@ -319,18 +321,29 @@ def run_classical_mmp(s: SurfaceLattice, bound: int | None = None) -> MmpTrace:
     C^2 > 0 and K.C < 0 (with no nonzero known curve: when K is negative
     on the basis vector); a minimal model when K is nonnegative on every
     known class.
+
+    Without a bound the classes are searched for once.  Contracting c
+    splits the lattice as c^perp + Zc with K = pi^*K' + c, so the next
+    classes are the found ones orthogonal to c, in the contraction basis:
+    a complete list, since c^perp has K'^2 = K^2 + 1 > 0 and signature
+    (1, rank-2).  A bound is a box in each step's own coordinates, so that
+    path searches again at every step.
     """
     steps = []
     cur = s
-    while True:
-        classes = enumerate_minus_one_classes(cur, bound=bound)
-        if not classes:
-            break
+    classes = enumerate_minus_one_classes(cur, bound=bound)
+    while classes:
         chosen = classes[0]
         nxt = castelnuovo_contract(cur, chosen)
         steps.append(
             MmpStep(contracted=chosen, rank_before=cur.rank, rank_after=nxt.rank)
         )
+        if bound is None:
+            # B y is lex-monotone in y on a Hermite basis B: the list stays sorted
+            basis, gc = _contraction_basis(cur, chosen), _gram_times(cur, chosen)
+            classes = [linalg.coordinates_in_basis(basis, e) for e in classes if not sum(map(mul, e, gc))]
+        else:
+            classes = enumerate_minus_one_classes(nxt, bound=bound)
         cur = nxt
     notes = ["verdict relative to the supplied curve classes"]
     fibres = [

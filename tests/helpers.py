@@ -261,3 +261,21 @@ def disguise(s, rng, moves=4):
         ),
         to_new,
     )
+
+
+def naive_mmp_trace(s, bound=None):
+    """run_classical_mmp as a fresh (-1)-class search and a contraction at
+    every step; the classification of the end lattice is the library's, run
+    there with no step left."""
+    from dataclasses import replace
+
+    from mmpkit.surface import MmpStep, castelnuovo_contract, enumerate_minus_one_classes, run_classical_mmp
+
+    steps, cur = [], s
+    while classes := enumerate_minus_one_classes(cur, bound):
+        nxt = castelnuovo_contract(cur, classes[0])
+        steps.append(MmpStep(contracted=classes[0], rank_before=cur.rank, rank_after=nxt.rank))
+        cur = nxt
+    end = run_classical_mmp(cur, bound)
+    assert end.steps == ()
+    return replace(end, steps=tuple(steps))

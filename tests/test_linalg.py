@@ -205,8 +205,37 @@ class TestKernelAndHermite:
 
     def test_coordinates_reject_outside(self):
         basis = integer_kernel(((1, 1, 1),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vector is not in the lattice spanned by the basis$"):
             coordinates_in_basis(basis, (1, 0, 0))
+
+    def test_coordinates_in_random_hermite_bases(self):
+        # pivots above 1 and dense columns, unlike a contraction basis
+        rng = random.Random(53)
+        big_pivots = dense = 0
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            cols = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            basis = [c for c in column_hermite_form(cols) if any(c)]
+            if not basis:
+                continue
+            pivots = [next(i for i, x in enumerate(c) if x) for c in basis]
+            big_pivots += any(c[i] > 1 for c, i in zip(basis, pivots))
+            dense += any(all(c[i:]) for c, i in zip(basis, pivots))
+            y = tuple(rng.randint(-4, 4) for _ in basis)
+            v = tuple(sum(yk * c[i] for yk, c in zip(y, basis)) for i in range(n))
+            assert coordinates_in_basis(basis, v) == y
+            # one more at a pivot above 1 leaves the lattice
+            for c, i in zip(basis, pivots):
+                if c[i] > 1:
+                    w = list(v)
+                    w[i] += 1
+                    with pytest.raises(ValueError, match="^vector is not in the lattice spanned by the basis$"):
+                        coordinates_in_basis(basis, w)
+        assert big_pivots >= 50 and dense >= 50
+
+    def test_coordinates_reject_a_zero_column(self):
+        with pytest.raises(ValueError, match="^zero column in basis$"):
+            coordinates_in_basis([(1, 0), (0, 0)], (1, 0))
 
 
 class TestInertia:

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import disguise, multiset_minus_one_count, naive_minus_one_classes
+from helpers import disguise, multiset_minus_one_count, naive_minus_one_classes, naive_mmp_trace
+from mmpkit import surface
 from mmpkit.errors import (
     DegenerateConeError,
     EmptyCurveListError,
@@ -12,6 +13,7 @@ from mmpkit.errors import (
     NotMinusOneClassError,
     NotRank2Error,
     NotSymmetricError,
+    ToolkitError,
     UnboundedSearchError,
     UndeterminedOutcomeError,
 )
@@ -381,6 +383,43 @@ class TestClassicalMmp:
                     assert trace.outcome is MmpOutcome.MORI_FIBRE_P2LIKE
                     assert len(trace.steps) == r
         assert ended_at_rank_one >= 40
+
+    def test_carried_classes_match_a_fresh_search_per_step(self):
+        def result(mmp, s, bound=None):
+            try:
+                return mmp(s, bound)
+            except ToolkitError as e:
+                return type(e), e.code
+
+        rng = random.Random(909)
+        for k in range(200):
+            s, _ = disguise(make_blowup_p2(k % 9), rng, moves=rng.randint(1, 8))
+            if k % 2:
+                s = SurfaceLattice(rank=s.rank, gram=s.gram, K=s.K)
+            assert result(run_classical_mmp, s) == result(naive_mmp_trace, s)
+            if k % 9 <= 4:
+                for bound in (1, 2):
+                    assert result(run_classical_mmp, s, bound) == result(naive_mmp_trace, s, bound)
+
+    def test_searches_once_without_a_bound(self, monkeypatch):
+        calls = {"search": 0, "contract": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(surface, "enumerate_minus_one_classes", counted("search", enumerate_minus_one_classes))
+        monkeypatch.setattr(surface, "castelnuovo_contract", counted("contract", castelnuovo_contract))
+        assert len(run_classical_mmp(make_blowup_p2(8)).steps) == 8
+        assert calls == {"search": 1, "contract": 8}
+        # a box is taken in each step's own coordinates: one scan per step,
+        # and one more that finds nothing
+        calls.update(search=0, contract=0)
+        assert len(run_classical_mmp(make_blowup_p2(3), bound=1).steps) == 3
+        assert calls == {"search": 4, "contract": 3}
 
     def test_ruled_above_rank_two_is_flagged_heuristic(self):
         # quadric-like fibre inside a rank-3 lattice
