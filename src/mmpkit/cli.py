@@ -10,14 +10,16 @@ machine (sorted keys, no whitespace, rationals as exact "p/q" strings;
 identical inputs give byte-identical reports), or one "key: value" line
 per top-level field, in order, for --format text.
 
-The parsers here check only that the JSON has the fields and types the
-library needs; every domain rule is checked by the library, which names
-the offending field relative to the object or function that checked it.
-The parsers put the document path in front (``vertices[0].genus``), and
-``--`` for a flag (``--point``).  Exit codes: 0 success; 2 for an error
-that names a field (input validation) and for a stray ValueError; 3 for
-an error without a field (a mathematical precondition failed), and for
-a MemoryError or RecursionError (code ``resource_exhausted``).
+The parsers here only pick the fields out of the document, walk its
+lists of objects (``vertices``, ``boundary``) and read its rationals
+(``"1/2"``); every type and domain rule is checked once, by the library,
+which names the offending field relative to the object or function that
+checked it.  This module puts the document path in front
+(``vertices[0].genus``), and ``--`` for a flag (``--point[1]``).  Exit
+codes: 0 success; 2 for an error that names a field (input validation)
+and for a stray ValueError; 3 for an error without a field (a
+mathematical precondition failed), and for a MemoryError or
+RecursionError (code ``resource_exhausted``).
 """
 
 from __future__ import annotations
@@ -58,20 +60,9 @@ def _get(doc, key):
     return doc[key]
 
 
-def _as_int(value, field) -> int:
-    # JSON integers only: the library coerces with int(), which takes True and 2.5
-    _expect(type(value) is int, "wrong_type", field, f"expected an integer, got {value!r}")
+def _as_list(value, field) -> list:
+    _expect(isinstance(value, list), "wrong_type", field, "expected a list")
     return value
-
-
-def _as_list(value, field, code="wrong_type") -> list:
-    _expect(isinstance(value, list), code, field, "expected a list")
-    return value
-
-
-def _as_int_list(value, field) -> list[int]:
-    _expect(isinstance(value, list), "wrong_type", field, "expected a list of integers")
-    return [_as_int(x, f"{field}[{k}]") for k, x in enumerate(value)]
 
 
 def _as_fraction(value, field) -> Fraction:
@@ -81,61 +72,39 @@ def _as_fraction(value, field) -> Fraction:
         raise InvalidInputError(str(exc), "coeff_bad", field) from exc
 
 
-# -- schema parsers: JSON presence and types; the library checks the rest -----
+# -- schema parsers: pick the fields; the library checks types and the rest ------
 
 
 def parse_cone(doc) -> toric.Cone:
-    rank = _as_int(_get(doc, "rank"), "rank")
-    rays = _as_list(_get(doc, "rays"), "rays")
-    return toric.Cone(rank=rank, rays=tuple(_as_int_list(r, f"rays[{k}]") for k, r in enumerate(rays)))
+    return toric.Cone(rank=_get(doc, "rank"), rays=_get(doc, "rays"))
 
 
 def parse_graph(doc) -> tuple[dualgraph.DualGraph, dualgraph.Boundary]:
     vertices = []
     for k, v in enumerate(_as_list(_get(doc, "vertices"), "vertices")):
         with _inside(f"vertices[{k}]."):
-            genus = _as_int(_get(v, "genus"), "genus")
-            self_int = _as_int(_get(v, "self_int"), "self_int")
-            vertices.append(dualgraph.Vertex(genus=genus, self_int=self_int))
-    edges = _as_list(doc.get("edges", []), "edges")
-    graph = dualgraph.DualGraph(
-        vertices=tuple(vertices), edges=tuple(_as_int_list(e, f"edges[{k}]") for k, e in enumerate(edges))
-    )
+            vertices.append(dualgraph.Vertex(genus=_get(v, "genus"), self_int=_get(v, "self_int")))
+    graph = dualgraph.DualGraph(vertices=tuple(vertices), edges=doc.get("edges", []))
     comps = []
     for k, b in enumerate(_as_list(doc.get("boundary", []), "boundary")):
         with _inside(f"boundary[{k}]."):
             coeff = _as_fraction(_get(b, "coeff"), "coeff")
-            meets = _as_list(b.get("meets", []), "meets")
-            meets = tuple(_as_int_list(m, f"meets[{i}]") for i, m in enumerate(meets))
-            comps.append(dualgraph.BoundaryComponent(coeff=coeff, meets=meets))
+            comps.append(dualgraph.BoundaryComponent(coeff=coeff, meets=b.get("meets", [])))
     return graph, dualgraph.Boundary(tuple(comps))
 
 
 def parse_surface(doc) -> surface.SurfaceLattice:
-    rank = _as_int(_get(doc, "rank"), "rank")
-    # a gram that is not a list has always been reported as not square
-    gram = _as_list(_get(doc, "gram"), "gram", code="gram_not_square")
-    k_vec = _as_int_list(_get(doc, "K"), "K")
-    curves = _as_list(doc.get("curves", []), "curves")
-    label = doc.get("label", "")
-    _expect(isinstance(label, str), "wrong_type", "label", "label must be a string")
     return surface.SurfaceLattice(
-        rank=rank,
-        gram=tuple(_as_int_list(row, f"gram[{k}]") for k, row in enumerate(gram)),
-        K=tuple(k_vec),
-        curves=tuple(_as_int_list(c, f"curves[{k}]") for k, c in enumerate(curves)),
-        label=label,
+        rank=_get(doc, "rank"),
+        gram=_get(doc, "gram"),
+        K=_get(doc, "K"),
+        curves=doc.get("curves", []),
+        label=doc.get("label", ""),
     )
 
 
-def parse_samples(doc) -> tuple[list[list[int]], int | None]:
-    # samples that are not a list have always been reported as empty
-    samples = _as_list(_get(doc, "samples"), "samples", code="samples_empty")
-    max_dim = doc.get("max_dim")
-    return (
-        [_as_int_list(pair, f"samples[{k}]") for k, pair in enumerate(samples)],
-        None if max_dim is None else _as_int(max_dim, "max_dim"),
-    )
+def parse_samples(doc):
+    return _get(doc, "samples"), doc.get("max_dim")
 
 
 def parse_coeffs(doc) -> list[Fraction]:
@@ -173,8 +142,8 @@ def load_document(args) -> dict:
     return doc
 
 
-def parse_vector_flag(text, field) -> tuple[int, ...]:
-    return tuple(_as_int_list(_load_json(text, field), field))
+def parse_vector_flag(text, field):
+    return _load_json(text, field)
 
 
 # -- report rendering ----------------------------------------------------------

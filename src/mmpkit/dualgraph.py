@@ -44,7 +44,9 @@ class Vertex:
     self_int: int
 
     def __post_init__(self):
-        if self.genus < 0:
+        genus = linalg.as_int(self.genus, "genus")
+        linalg.as_int(self.self_int, "self_int")
+        if genus < 0:
             raise InvalidInputError("genus must be nonnegative", "genus_negative", "genus")
 
 
@@ -54,11 +56,12 @@ class DualGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        edges = linalg.as_rows(self.edges, "edges")
         if not self.vertices:
             raise InvalidInputError("expected a nonempty list of vertices", "wrong_type", "vertices")
         n = len(self.vertices)
         merged: dict[tuple[int, int], int] = {}
-        for k, edge in enumerate(self.edges):
+        for k, edge in enumerate(edges):
             field = f"edges[{k}]"
             if len(edge) != 3:
                 raise InvalidInputError("edge must be [i, j, mult]", "edge_malformed", field)
@@ -114,12 +117,13 @@ class BoundaryComponent:
     def __post_init__(self):
         coeff = Fraction(self.coeff)
         object.__setattr__(self, "coeff", coeff)
+        meets = linalg.as_rows(self.meets, "meets")
         if not 0 <= coeff <= 1:
             raise CoefficientOutOfRangeError(
                 f"boundary coefficient {coeff} is outside [0, 1]", "coeff_out_of_range", "coeff"
             )
         merged: dict[int, int] = {}
-        for k, pair in enumerate(self.meets):
+        for k, pair in enumerate(meets):
             if len(pair) != 2:
                 raise InvalidInputError("expected [vertex, mult]", "meets_malformed", f"meets[{k}]")
             vertex, mult = pair
@@ -310,12 +314,12 @@ def blowup_vertex(
         verts[i] = Vertex(genus=verts[i].genus, self_int=verts[i].self_int - 1)
 
     if isinstance(site, FreePoint):
-        if not 0 <= site.vertex < n:
+        if not 0 <= linalg.as_int(site.vertex, "vertex") < n:
             raise InvalidSiteError(f"no vertex {site.vertex}")
         drop_self_int(site.vertex)
         edges.append([site.vertex, new, 1])
     elif isinstance(site, EdgePoint):
-        i, j = min(site.i, site.j), max(site.i, site.j)
+        i, j = sorted((linalg.as_int(site.i, "i"), linalg.as_int(site.j, "j")))
         hit = next((e for e in edges if (e[0], e[1]) == (i, j)), None)
         if hit is None:
             raise InvalidSiteError(f"no edge between {i} and {j}")
@@ -327,11 +331,11 @@ def blowup_vertex(
         edges.append([i, new, 1])
         edges.append([j, new, 1])
     elif isinstance(site, BoundaryPoint):
-        if not 0 <= site.component < len(comps):
+        if not 0 <= linalg.as_int(site.component, "component") < len(comps):
             raise InvalidSiteError(f"no boundary component {site.component}")
         comp = comps[site.component]
         meets = dict(comp.meets)
-        if meets.get(site.vertex, 0) < 1:
+        if meets.get(linalg.as_int(site.vertex, "vertex"), 0) < 1:
             raise InvalidSiteError(
                 f"boundary component {site.component} does not meet vertex {site.vertex}"
             )

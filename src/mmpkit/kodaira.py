@@ -16,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
+from . import linalg
 from .errors import (
     CoefficientOutOfRangeError,
     InsufficientSamplesError,
@@ -48,14 +49,14 @@ class PairClass(Enum):
 
 def plane_curve_genus(d: int) -> int:
     """Genus (d-1)(d-2)/2 of a smooth plane curve of degree d."""
-    if d < 1:
+    if linalg.as_int(d, "d") < 1:
         raise ValueError("degree must be positive")
     return (d - 1) * (d - 2) // 2
 
 
 def curve_kappa(g: int) -> KappaEstimate:
     """Kodaira dimension of a smooth projective curve of genus g."""
-    if g < 0:
+    if linalg.as_int(g, "g") < 0:
         raise ValueError("genus must be nonnegative")
     if g == 0:
         return KappaEstimate(None, "deg K = -2 < 0: rational curve")
@@ -66,9 +67,9 @@ def curve_kappa(g: int) -> KappaEstimate:
 
 def curve_plurigenus(g: int, m: int) -> int:
     """h^0 of the m-th canonical power on a genus-g curve."""
-    if g < 0:
+    if linalg.as_int(g, "g") < 0:
         raise ValueError("genus must be nonnegative")
-    if m < 1:
+    if linalg.as_int(m, "m") < 1:
         raise ValueError("m must be positive")
     if g == 0:
         return 0
@@ -82,13 +83,15 @@ def curve_plurigenus(g: int, m: int) -> int:
 def riemann_roch_curve(deg: int, g: int) -> int:
     """Euler characteristic 1 + deg D - g on a genus-g curve; a negative g
     is an input error on the field ``genus``."""
-    if g < 0:
+    if linalg.as_int(g, "genus") < 0:
         raise InvalidInputError("genus must be nonnegative", "genus_negative", "genus")
-    return 1 + deg - g
+    return 1 + linalg.as_int(deg, "deg") - g
 
 
 def _validate_samples(samples) -> list[tuple[int, int]]:
     """The samples sorted by m; faults name ``samples`` or ``samples[k]``."""
+    # samples that are not a list have always been reported as empty
+    samples = linalg.as_rows(samples, "samples", code="samples_empty")
     if not samples:
         raise InvalidInputError("expected a nonempty list of [m, P] pairs", "samples_empty", "samples")
     pts = []
@@ -97,7 +100,7 @@ def _validate_samples(samples) -> list[tuple[int, int]]:
         field = f"samples[{k}]"
         if len(pair) != 2:
             raise InvalidInputError("expected [m, P]", "sample_malformed", field)
-        m, p = int(pair[0]), int(pair[1])
+        m, p = pair
         if m < 1:
             raise InvalidInputError("m must be positive", "sample_bad_m", field)
         if p < 0:
@@ -160,7 +163,7 @@ def estimate_kappa(samples, max_dim: int | None = None) -> KappaEstimate:
     A negative max_dim is an input error on the field ``max_dim``.
     """
     pts = _validate_samples(samples)
-    if max_dim is not None and max_dim < 0:
+    if max_dim is not None and linalg.as_int(max_dim, "max_dim") < 0:
         raise InvalidInputError("max_dim must be nonnegative", "max_dim_bad", "max_dim")
     if all(p == 0 for _, p in pts):
         return KappaEstimate(None, "all sampled plurigenera vanish")

@@ -10,7 +10,9 @@ the Sylvester negative-definiteness test, whose leading principal minors
 are its pivots when no row swap is needed.  One column Hermite form
 serves integer kernels in a canonical basis and the Smith normal form,
 which alternates it on columns and rows.  Beside them sits the inertia
-of a symmetric form.
+of a symmetric form, and the toolkit's one rule for integer input
+(``as_int``, ``as_vector``, ``as_rows``): an int that is not a bool, in
+a list or tuple, is kept as given, and anything else is ``wrong_type``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NotSymmetricError, SingularMatrixError, ZeroVectorError
+from .errors import InvalidInputError, NotSymmetricError, SingularMatrixError, ZeroVectorError
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -26,8 +28,25 @@ RatVector = tuple[Fraction, ...]
 RatMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-def as_vector(v) -> IntVector:
-    return tuple(int(x) for x in v)
+def as_int(x, field: str) -> int:
+    """x itself when it is an int and not a bool, else a wrong_type error on field."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise InvalidInputError(f"expected an integer, got {x!r}", "wrong_type", field)
+
+
+def as_vector(v, field: str) -> IntVector:
+    """v as a tuple: a list or tuple whose entries pass as_int on field[k]."""
+    if not isinstance(v, (list, tuple)):
+        raise InvalidInputError("expected a list of integers", "wrong_type", field)
+    return tuple(x if type(x) is int else as_int(x, f"{field}[{k}]") for k, x in enumerate(v))
+
+
+def as_rows(rows, field: str, code: str = "wrong_type") -> IntMatrix:
+    """rows as a tuple of as_vector tuples; a rows that is no list or tuple is code on field."""
+    if not isinstance(rows, (list, tuple)):
+        raise InvalidInputError("expected a list", code, field)
+    return tuple(as_vector(row, f"{field}[{k}]") for k, row in enumerate(rows))
 
 
 def is_symmetric(a) -> bool:
@@ -46,7 +65,7 @@ def vector_gcd(v) -> int:
 
 def primitive(v) -> IntVector:
     """v divided by the gcd of its entries.  Raises ZeroVectorError on 0."""
-    v = as_vector(v)
+    v = as_vector(v, "v")
     g = vector_gcd(v)
     if g == 0:
         raise ZeroVectorError("the zero vector has no primitive representative")

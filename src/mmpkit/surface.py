@@ -54,13 +54,14 @@ class SurfaceLattice:
     label: str = ""
 
     def __post_init__(self):
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        rank = linalg.as_int(self.rank, "rank")
+        # a gram that is not a list has always been reported as not square
+        gram = linalg.as_rows(self.gram, "gram", code="gram_not_square")
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "K", tuple(int(x) for x in self.K))
-        object.__setattr__(
-            self, "curves", tuple(tuple(int(x) for x in c) for c in self.curves)
-        )
-        rank = self.rank
+        object.__setattr__(self, "K", linalg.as_vector(self.K, "K"))
+        object.__setattr__(self, "curves", linalg.as_rows(self.curves, "curves"))
+        if not isinstance(self.label, str):
+            raise InvalidInputError("label must be a string", "wrong_type", "label")
         if rank < 1:
             raise InvalidInputError("rank must be positive", "rank_out_of_range", "rank")
         if len(gram) != rank:
@@ -98,7 +99,7 @@ class SurfaceLattice:
 
 def make_blowup_p2(r: int) -> SurfaceLattice:
     """Blow-up of the plane at r points: basis (H, E_1, ..., E_r)."""
-    if r < 0:
+    if linalg.as_int(r, "r") < 0:
         raise InvalidInputError("r must be nonnegative", "r_out_of_range", "r")
     rank = r + 1
     gram = tuple(
@@ -132,7 +133,7 @@ def make_quadric() -> SurfaceLattice:
 
 def adjunction_genus(s: SurfaceLattice, c) -> int:
     """Arithmetic genus 1 + C.(C+K)/2; raises on parity violation."""
-    c = tuple(int(x) for x in c)
+    c = linalg.as_vector(c, "c")
     total = s.pair(c, c) + s.pair(c, s.K)
     if total % 2 != 0:
         raise NonIntegralGenusError("C.(C+K) is odd; no integral genus")
@@ -228,7 +229,7 @@ def enumerate_minus_one_classes(s: SurfaceLattice, bound: int | None = None) -> 
     any other lattice needs a bound.
     """
     if bound is not None:
-        if bound < 0:
+        if linalg.as_int(bound, "bound") < 0:
             raise InvalidInputError("bound must be nonnegative", "bound_negative", "bound")
         ranges = [range(-bound, bound + 1)] * s.rank
         return [
@@ -267,15 +268,15 @@ def pushforward_class(s: SurfaceLattice, c, x) -> IntVector:
     The projection is x + (x.C) C, expressed in the canonical integer
     basis of the orthogonal complement of C.
     """
-    c = tuple(int(v) for v in c)
-    x = tuple(int(v) for v in x)
+    c = linalg.as_vector(c, "c")
+    x = linalg.as_vector(x, "x")
     _check_minus_one(s, c)
     return _pushforward(s, _contraction_basis(s, c), c, x)
 
 
 def castelnuovo_contract(s: SurfaceLattice, c) -> SurfaceLattice:
     """Contract a (-1)-class: rank drops by one, K pulls back to K - C."""
-    c = tuple(int(v) for v in c)
+    c = linalg.as_vector(c, "c")
     _check_minus_one(s, c)
     basis = _contraction_basis(s, c)
     gb = [_gram_times(s, b) for b in basis]
@@ -408,7 +409,7 @@ def cone_rays_rank2(s: SurfaceLattice) -> tuple[IntVector, IntVector]:
 def _divisor(s: SurfaceLattice, d) -> IntVector:
     """d as a class of s; a length other than the rank is an input error
     on the field ``divisor``."""
-    d = tuple(int(x) for x in d)
+    d = linalg.as_vector(d, "divisor")
     if len(d) != s.rank:
         raise InvalidInputError(f"divisor must have length {s.rank}", "divisor_length", "divisor")
     return d
@@ -433,7 +434,5 @@ def is_ample_kleiman(s: SurfaceLattice, d) -> bool:
 def riemann_roch_surface(s: SurfaceLattice, d, chi0: int):
     """Euler characteristic D.(D-K)/2 + chi0; int when integral else Fraction."""
     d = _divisor(s, d)
-    value = Fraction(s.pair(d, d) - s.pair(d, s.K), 2) + chi0
-    if value.denominator == 1:
-        return int(value)
-    return value
+    value = Fraction(s.pair(d, d) - s.pair(d, s.K), 2) + linalg.as_int(chi0, "chi0")
+    return value.numerator if value.denominator == 1 else value

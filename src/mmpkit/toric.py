@@ -52,11 +52,12 @@ class Cone:
     rays: tuple[IntVector, ...]
 
     def __post_init__(self):
-        if self.rank < 1:
+        rank = linalg.as_int(self.rank, "rank")
+        object.__setattr__(self, "rays", linalg.as_rows(self.rays, "rays"))
+        if rank < 1:
             raise InvalidInputError("rank must be positive", "rank_out_of_range", "rank")
         if not self.rays:
             raise InvalidInputError("expected a nonempty list of rays", "wrong_type", "rays")
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in self.rays))
         for k, ray in enumerate(self.rays):
             field = f"rays[{k}]"
             if len(ray) != self.rank:
@@ -70,10 +71,9 @@ class Cone:
 
 
 def cone_from_rays(rays) -> Cone:
-    rays = [tuple(int(x) for x in r) for r in rays]
-    if not rays:
-        raise InvalidInputError("expected a nonempty list of rays", "wrong_type", "rays")
-    return Cone(rank=len(rays[0]), rays=tuple(rays))
+    """The cone on rays, of the length of the first; Cone rejects an empty list."""
+    rays = linalg.as_rows(rays, "rays")
+    return Cone(rank=len(rays[0]) if rays else 1, rays=rays)
 
 
 class ConeClass(Enum):
@@ -157,15 +157,16 @@ def gorenstein_index(m: RatVector) -> int:
 
 
 def contains(cone: Cone, point) -> bool:
-    hs = facets(cone)
-    return all(linalg.dot(h, point) >= 0 for h in hs)
+    point = linalg.as_vector(point, "point")
+    return all(linalg.dot(h, point) >= 0 for h in facets(cone))
 
 
 def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
     """Nonzero lattice points P of the cone with m(P) <= 1, in lex order, for m
-    the support functional.  In the cone on d independent rays S, P is a ray or
-    S frac(S^-1 z) with coordinate sum <= 1, for z in the box 0 <= z_k < h_kk of
-    the Hermite form of S, one per coset; |det S| S^-1 has cross_normal rows."""
+    the support functional; NotQGorensteinError when there is none.  In the cone
+    on d independent rays S, P is a ray or S frac(S^-1 z) with coordinate sum
+    <= 1, for z in the box 0 <= z_k < h_kk of the Hermite form of S, one per
+    coset; |det S| S^-1 has cross_normal rows."""
     facets(cone)  # raises for a line or a cone that is not full-dimensional
     d = cone.rank
     points = set(cone.rays)
@@ -174,6 +175,9 @@ def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
         *strides, det = [prod(diagonal[:k]) for k in range(d + 1)]  # det = 0: no cosets
         adj = [linalg.cross_normal(rays[:i] + rays[i + 1 :], d) for i in range(d)]
         adj = [a if linalg.dot(a, s) > 0 else tuple(-x for x in a) for a, s in zip(adj, rays)]
+        m = [sum(col) for col in zip(*adj)]  # |det S| m, if m exists: |det S| on every ray
+        if det and any(linalg.dot(m, r) != det for r in cone.rays):
+            raise NotQGorensteinError("cone has no support functional; m(P) <= 1 is undefined")
         for z in ([t // w % h for w, h in zip(strides, diagonal)] for t in range(det)):
             nums = [linalg.dot(a, z) % det for a in adj]
             if 0 < sum(nums) <= det:
@@ -219,7 +223,7 @@ def toric_discrepancy(cone: Cone, v) -> Fraction:
     """Discrepancy m(v) - 1 of the valuation at a primitive point v of the cone.
 
     A v of the wrong length is an input error on the field ``point``."""
-    v = tuple(int(x) for x in v)
+    v = linalg.as_vector(v, "point")
     if len(v) != cone.rank:
         raise InvalidInputError(f"point must have length {cone.rank}", "point_length", "point")
     if all(x == 0 for x in v):

@@ -550,6 +550,15 @@ ERROR_CONTRACT = [
         "wrong_type",
         "boundary",
     ),
+    # a float in each integer slot that the library checks
+    (_cone(rays=[[0, 1.5], [3, -1]]), 2, "wrong_type", "rays[0][1]"),
+    (_graph(vertices=[VERTEX, {"genus": 0, "self_int": -2.5}]), 2, "wrong_type", "vertices[1].self_int"),
+    (_graph(edges=[[0, 1, 1.5]]), 2, "wrong_type", "edges[0][2]"),
+    (_boundary({"coeff": "1/2", "meets": [[0, 1.5]]}), 2, "wrong_type", "boundary[0].meets[0][1]"),
+    (_surface(gram=[[0, 1], [1, 0.5]]), 2, "wrong_type", "gram[1][1]"),
+    (_samples(samples=[[1, 2], [2, 4.9]]), 2, "wrong_type", "samples[1][1]"),
+    (["toric-discrepancy", "--inline", _doc(CONE), "--point", "[1.0,0]"], 2, "wrong_type", "--point[0]"),
+    (_surface("nef-check", "--divisor", "[1,0.5]"), 2, "wrong_type", "--divisor[1]"),
 ]
 
 

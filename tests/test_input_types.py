@@ -1,0 +1,161 @@
+"""One rule for integer input across the library: an int that is not a bool,
+in a list or tuple.  Anything else is InvalidInputError with code
+wrong_type on the exact field; nothing is converted."""
+
+from fractions import Fraction
+
+import pytest
+
+from mmpkit import linalg
+from mmpkit.dualgraph import (
+    BoundaryComponent,
+    BoundaryPoint,
+    DualGraph,
+    EdgePoint,
+    FreePoint,
+    Vertex,
+    blowup_vertex,
+    discrepancies,
+)
+from mmpkit.errors import InvalidInputError
+from mmpkit.kodaira import curve_kappa, curve_plurigenus, estimate_kappa, plane_curve_genus, riemann_roch_curve
+from mmpkit.surface import (
+    SurfaceLattice,
+    adjunction_genus,
+    castelnuovo_contract,
+    enumerate_minus_one_classes,
+    is_ample_kleiman,
+    is_nef,
+    make_blowup_p2,
+    make_quadric,
+    pushforward_class,
+    riemann_roch_surface,
+)
+from mmpkit.toric import Cone, classify_cone, cone_from_rays, contains, toric_discrepancy
+
+A3 = Cone(rank=2, rays=((0, 1), (3, -1)))
+QUADRIC = make_quadric()
+BL1 = make_blowup_p2(1)
+V = Vertex(genus=0, self_int=-2)
+CHAIN = DualGraph(vertices=(V, V), edges=((0, 1, 1),))
+HALF = Fraction(1, 2)
+
+
+def _surface(**changes):
+    return SurfaceLattice(**{"rank": 2, "gram": ((0, 1), (1, 0)), "K": (-2, -2), "curves": ((1, 0),)} | changes)
+
+
+# (entry point with x in an integer slot, field)
+INT_SLOTS = {
+    "Cone.rank": (lambda x: Cone(rank=x, rays=((0, 1), (3, -1))), "rank"),
+    "Cone.rays": (lambda x: Cone(rank=2, rays=((0, 1), (3, x))), "rays[1][1]"),
+    "cone_from_rays": (lambda x: cone_from_rays([[x, 1], [3, -1]]), "rays[0][0]"),
+    "contains": (lambda x: contains(A3, (1, x)), "point[1]"),
+    "toric_discrepancy": (lambda x: toric_discrepancy(A3, (x, 0)), "point[0]"),
+    "SurfaceLattice.rank": (lambda x: _surface(rank=x), "rank"),
+    "SurfaceLattice.gram": (lambda x: _surface(gram=((0, 1), (1, x))), "gram[1][1]"),
+    "SurfaceLattice.K": (lambda x: _surface(K=(-2, x)), "K[1]"),
+    "SurfaceLattice.curves": (lambda x: _surface(curves=((1, 0), (x, 1))), "curves[1][0]"),
+    "make_blowup_p2": (lambda x: make_blowup_p2(x), "r"),
+    "adjunction_genus": (lambda x: adjunction_genus(QUADRIC, (1, x)), "c[1]"),
+    "pushforward_class.c": (lambda x: pushforward_class(BL1, (0, x), (1, 0)), "c[1]"),
+    "pushforward_class.x": (lambda x: pushforward_class(BL1, (0, 1), (x, 0)), "x[0]"),
+    "castelnuovo_contract": (lambda x: castelnuovo_contract(BL1, (x, 1)), "c[0]"),
+    "enumerate_minus_one_classes": (lambda x: enumerate_minus_one_classes(BL1, bound=x), "bound"),
+    "is_nef": (lambda x: is_nef(QUADRIC, (x, 0)), "divisor[0]"),
+    "is_ample_kleiman": (lambda x: is_ample_kleiman(QUADRIC, (1, x)), "divisor[1]"),
+    "riemann_roch_surface.divisor": (lambda x: riemann_roch_surface(QUADRIC, (x, 1), 1), "divisor[0]"),
+    "riemann_roch_surface.chi0": (lambda x: riemann_roch_surface(QUADRIC, (1, 1), x), "chi0"),
+    "Vertex.genus": (lambda x: Vertex(genus=x, self_int=-2), "genus"),
+    "Vertex.self_int": (lambda x: Vertex(genus=0, self_int=x), "self_int"),
+    "DualGraph.edges": (lambda x: DualGraph(vertices=(V, V), edges=((0, 1, x),)), "edges[0][2]"),
+    "BoundaryComponent.meets": (lambda x: BoundaryComponent(coeff=HALF, meets=((0, x),)), "meets[0][1]"),
+    "FreePoint": (lambda x: blowup_vertex(CHAIN, None, FreePoint(vertex=x)), "vertex"),
+    "EdgePoint": (lambda x: blowup_vertex(CHAIN, None, EdgePoint(i=0, j=x)), "j"),
+    "BoundaryPoint": (lambda x: blowup_vertex(CHAIN, None, BoundaryPoint(vertex=0, component=x)), "component"),
+    "estimate_kappa.samples": (lambda x: estimate_kappa([[1, 1], [x, 4]]), "samples[1][0]"),
+    "estimate_kappa.max_dim": (lambda x: estimate_kappa([[1, 1], [2, 4]], max_dim=x), "max_dim"),
+    "riemann_roch_curve.deg": (lambda x: riemann_roch_curve(x, 1), "deg"),
+    "riemann_roch_curve.genus": (lambda x: riemann_roch_curve(1, x), "genus"),
+    "plane_curve_genus": (lambda x: plane_curve_genus(x), "d"),
+    "curve_kappa": (lambda x: curve_kappa(x), "g"),
+    "curve_plurigenus": (lambda x: curve_plurigenus(2, x), "m"),
+    "primitive": (lambda x: linalg.primitive((x, 2)), "v[0]"),
+}
+
+# (entry point with x in a list slot, field, code)
+LIST_SLOTS = {
+    "Cone.rays": (lambda x: Cone(rank=2, rays=x), "rays", "wrong_type"),
+    "Cone.ray": (lambda x: Cone(rank=2, rays=((0, 1), x)), "rays[1]", "wrong_type"),
+    "cone_from_rays": (lambda x: cone_from_rays(x), "rays", "wrong_type"),
+    "contains": (lambda x: contains(A3, x), "point", "wrong_type"),
+    "toric_discrepancy": (lambda x: toric_discrepancy(A3, x), "point", "wrong_type"),
+    # a gram and samples that are not lists keep their historical codes
+    "SurfaceLattice.gram": (lambda x: _surface(gram=x), "gram", "gram_not_square"),
+    "SurfaceLattice.gram_row": (lambda x: _surface(gram=((0, 1), x)), "gram[1]", "wrong_type"),
+    "SurfaceLattice.K": (lambda x: _surface(K=x), "K", "wrong_type"),
+    "SurfaceLattice.curves": (lambda x: _surface(curves=x), "curves", "wrong_type"),
+    "SurfaceLattice.curve": (lambda x: _surface(curves=(x,)), "curves[0]", "wrong_type"),
+    "adjunction_genus": (lambda x: adjunction_genus(QUADRIC, x), "c", "wrong_type"),
+    "pushforward_class.c": (lambda x: pushforward_class(BL1, x, (1, 0)), "c", "wrong_type"),
+    "pushforward_class.x": (lambda x: pushforward_class(BL1, (0, 1), x), "x", "wrong_type"),
+    "castelnuovo_contract": (lambda x: castelnuovo_contract(BL1, x), "c", "wrong_type"),
+    "is_nef": (lambda x: is_nef(QUADRIC, x), "divisor", "wrong_type"),
+    "is_ample_kleiman": (lambda x: is_ample_kleiman(QUADRIC, x), "divisor", "wrong_type"),
+    "riemann_roch_surface": (lambda x: riemann_roch_surface(QUADRIC, x, 1), "divisor", "wrong_type"),
+    "DualGraph.edges": (lambda x: DualGraph(vertices=(V, V), edges=x), "edges", "wrong_type"),
+    "DualGraph.edge": (lambda x: DualGraph(vertices=(V, V), edges=(x,)), "edges[0]", "wrong_type"),
+    "BoundaryComponent.meets": (lambda x: BoundaryComponent(coeff=HALF, meets=x), "meets", "wrong_type"),
+    "BoundaryComponent.meet": (lambda x: BoundaryComponent(coeff=HALF, meets=(x,)), "meets[0]", "wrong_type"),
+    "estimate_kappa.samples": (lambda x: estimate_kappa(x), "samples", "samples_empty"),
+    "estimate_kappa.sample": (lambda x: estimate_kappa([[1, 1], x]), "samples[1]", "wrong_type"),
+    "primitive": (lambda x: linalg.primitive(x), "v", "wrong_type"),
+}
+
+
+def _fault(call):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    return info.value.code, info.value.field
+
+
+# a float, a bool and a numeric string: none is an int, though int() takes each
+@pytest.mark.parametrize("bad", [2.5, True, "1"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("name", INT_SLOTS)
+def test_integer_slot_rejects_non_int(name, bad):
+    call, field = INT_SLOTS[name]
+    assert _fault(lambda: call(bad)) == ("wrong_type", field)
+
+
+# a string of digits is iterable, and still no list of integers
+@pytest.mark.parametrize("bad", [5, "12", None], ids=["int", "string", "none"])
+@pytest.mark.parametrize("name", LIST_SLOTS)
+def test_list_slot_rejects_non_list(name, bad):
+    call, field, code = LIST_SLOTS[name]
+    assert _fault(lambda: call(bad)) == (code, field)
+
+
+def test_label_must_be_a_string():
+    assert _fault(lambda: _surface(label=5)) == ("wrong_type", "label")
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: classify_cone(Cone(rank=2, rays=((0, 1), (2.9, -1)))), "rays[1][0]"),
+        (lambda: estimate_kappa([[1, 1], [2, 4.9]]), "samples[1][1]"),
+        (lambda: is_nef(make_quadric(), (1.9, 0.5)), "divisor[0]"),
+        (lambda: discrepancies(DualGraph(vertices=(Vertex(genus=0, self_int=-2.5),), edges=())), "self_int"),
+        (lambda: DualGraph(vertices=(V, V), edges=((0, 1, 1.5),)), "edges[0][2]"),
+    ],
+    ids=["classify_cone", "estimate_kappa", "is_nef", "discrepancies", "edges"],
+)
+def test_float_inputs_name_their_field(call, field):
+    assert _fault(call) == ("wrong_type", field)
+
+
+def test_accepted_values_are_kept_as_given():
+    assert linalg.as_int(-7, "x") == -7
+    assert linalg.as_vector([1, 2], "v") == (1, 2)
+    assert linalg.as_rows([(1, 2), [3, 4]], "rows") == ((1, 2), (3, 4))
+    assert Cone(rank=2, rays=[[0, 1], [3, -1]]) == A3

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -169,6 +170,27 @@ class TestLatticePoints:
             with pytest.raises(error) as info:
                 lattice_points_at_or_below_one(cone_from_rays(rays))
             assert (info.value.code, info.value.field) == (code, None)
+
+    def test_no_support_functional_raises(self):
+        rays = json.loads((GOLDEN / "cone_not_qgor.json").read_text())["rays"]
+        with pytest.raises(NotQGorensteinError) as info:
+            lattice_points_at_or_below_one(cone_from_rays(rays))
+        assert (info.value.code, info.value.field) == ("not_q_gorenstein", None)
+        # on seeded valid cones it raises exactly when there is no functional
+        rng = random.Random(31)
+        seen = Counter()
+        for k in range(900):
+            cone = random_cone(rng, 2 + k % 3)
+            if not is_strongly_convex(cone) or matrix_rank(cone.rays) < cone.rank:
+                continue
+            try:
+                lattice_points_at_or_below_one(cone)
+                raised = False
+            except NotQGorensteinError:
+                raised = True
+            assert raised == (q_gorenstein_functional(cone) is None), cone.rays
+            seen[raised] += 1
+        assert min(seen[True], seen[False]) >= 20
 
     def test_matches_box_scan(self):
         # seeded cones of rank 1-4 and every golden cone with a support
