@@ -57,8 +57,11 @@ class DualGraph:
 
     def __post_init__(self):
         edges = linalg.as_rows(self.edges, "edges")
-        if not self.vertices:
+        if not isinstance(self.vertices, (list, tuple)) or not self.vertices:
             raise InvalidInputError("expected a nonempty list of vertices", "wrong_type", "vertices")
+        for k, v in enumerate(self.vertices):
+            if not isinstance(v, Vertex):
+                raise InvalidInputError(f"expected a Vertex, got {v!r}", "wrong_type", f"vertices[{k}]")
         n = len(self.vertices)
         merged: dict[tuple[int, int], int] = {}
         for k, edge in enumerate(edges):
@@ -115,7 +118,7 @@ class BoundaryComponent:
     meets: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        coeff = Fraction(self.coeff)
+        coeff = linalg.as_fraction(self.coeff, "coeff")
         object.__setattr__(self, "coeff", coeff)
         meets = linalg.as_rows(self.meets, "meets")
         if not 0 <= coeff <= 1:
@@ -199,16 +202,20 @@ def _classify(d, touching) -> SingularityClass:
 
 
 def discrepancies(graph: DualGraph, boundary: Boundary | None = None) -> DiscrepancyReport:
-    """Solve for the discrepancy of every exceptional curve and classify."""
+    """Solve for the discrepancy of every exceptional curve and classify.
+
+    With no boundary a Du Val name stands in for the contractibility check:
+    naming the graph already proved it connected and negative definite.
+    """
     boundary = boundary or EMPTY_BOUNDARY
     boundary.validate_against(graph)
-    if not check_contractible(graph):
+    du_val = None if boundary.components else detect_du_val(graph)
+    if du_val is None and not check_contractible(graph):
         raise NotContractibleError("intersection matrix is not negative definite")
     m = graph.intersection_matrix()
     k_deg = graph.canonical_degrees()
     rhs = [Fraction(k) + boundary.intersection_with(j) for j, k in enumerate(k_deg)]
     d = linalg.solve_exact(m, rhs)
-    du_val = detect_du_val(graph) if not boundary.components else None
     return DiscrepancyReport(
         discrepancies=d,
         singularity_class=_classify(d, boundary.touching_coefficients()),
@@ -218,50 +225,29 @@ def discrepancies(graph: DualGraph, boundary: Boundary | None = None) -> Discrep
 
 
 def detect_du_val(graph: DualGraph) -> str | None:
-    """Name the ADE Dynkin tree when the graph is one, else None.
+    """Name the ADE Dynkin diagram when the graph is one, else None.
 
-    Requires all genera 0, all self-intersections -2, all pairwise
-    multiplicities 1, and a tree shape: a chain is A_n; one fork with
-    branch lengths (1, 1, k) is D_{k+3}; branch lengths (1, 2, 2),
-    (1, 2, 3), (1, 2, 4) are E6, E7, E8.
+    A connected, negative-definite graph of genus-0 (-2)-curves with simple
+    edges is an ADE diagram (Artin, Amer. J. Math. 88, 1966), so once the
+    Sylvester test passes its degrees name it: with no fork it is A_n; a
+    fork with two or three leaf neighbours is D_n, and with one is E_n.
     """
-    n = len(graph.vertices)
     if any(v.genus != 0 or v.self_int != -2 for v in graph.vertices):
         return None
-    if any(mult != 1 for _, _, mult in graph.edges):
+    if any(mult != 1 for _, _, mult in graph.edges) or not graph.is_connected():
         return None
-    if len(graph.edges) != n - 1 or not graph.is_connected():
+    if not linalg.is_negative_definite(graph.intersection_matrix()):
         return None
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    n = len(graph.vertices)
+    degrees = [0] * n
     for i, j, _ in graph.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    degrees = [len(adj[i]) for i in range(n)]
-    if any(deg > 3 for deg in degrees):
-        return None
-    forks = [i for i, deg in enumerate(degrees) if deg == 3]
-    if not forks:
+        degrees[i] += 1
+        degrees[j] += 1
+    if 3 not in degrees:
         return f"A{n}"
-    if len(forks) > 1:
-        return None
-    fork = forks[0]
-    lengths = []
-    for start in adj[fork]:
-        length, prev, cur = 1, fork, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    lengths.sort()
-    a, b, c = lengths
-    if (a, b) == (1, 1):
-        return f"D{c + 3}"
-    if (a, b) == (1, 2) and c in (2, 3, 4):
-        return f"E{c + 4}"
-    return None
+    fork = degrees.index(3)
+    leaves = sum(degrees[j if i == fork else i] == 1 for i, j, _ in graph.edges if fork in (i, j))
+    return f"{'E' if leaves == 1 else 'D'}{n}"
 
 
 # -- blow-up bookkeeping -------------------------------------------------------

@@ -192,7 +192,7 @@ def estimate_kappa(samples, max_dim: int | None = None) -> KappaEstimate:
 
 
 def _validate_coeffs(coeffs) -> list[Fraction]:
-    return [Fraction(c) for c in coeffs]
+    return [linalg.as_fraction(c, f"coeffs[{k}]") for k, c in enumerate(coeffs)]
 
 
 def classify_pair_on_curve(coeffs) -> PairClass:

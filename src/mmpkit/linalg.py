@@ -13,6 +13,7 @@ which alternates it on columns and rows.  Beside them sits the inertia
 of a symmetric form, and the toolkit's one rule for integer input
 (``as_int``, ``as_vector``, ``as_rows``): an int that is not a bool, in
 a list or tuple, is kept as given, and anything else is ``wrong_type``.
+A rational slot (``as_fraction``) takes such an int or a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ def as_int(x, field: str) -> int:
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     raise InvalidInputError(f"expected an integer, got {x!r}", "wrong_type", field)
+
+
+def as_fraction(x, field: str) -> Fraction:
+    """x as a Fraction when it is one or an int that is not a bool, else a wrong_type error on field."""
+    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
+        return Fraction(x)
+    raise InvalidInputError(f"expected an integer or a Fraction, got {x!r}", "wrong_type", field)
 
 
 def as_vector(v, field: str) -> IntVector:
@@ -76,10 +84,6 @@ def dot(u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     return sum(x * y for x, y in zip(u, v))
-
-
-def mat_vec(a, x):
-    return tuple(dot(row, x) for row in a)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

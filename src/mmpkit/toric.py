@@ -84,15 +84,6 @@ class ConeClass(Enum):
     NOT_Q_GORENSTEIN = "NotQGorenstein"
 
 
-#: positions in the implication chain smooth => terminal => canonical => klt
-CLASS_CHAIN_ORDER = {
-    ConeClass.SMOOTH: 0,
-    ConeClass.TERMINAL: 1,
-    ConeClass.CANONICAL: 2,
-    ConeClass.KLT_ONLY: 3,
-}
-
-
 @dataclass(frozen=True)
 class ToricClassification:
     kind: ConeClass

@@ -6,7 +6,19 @@ from math import gcd, isqrt
 
 from mmpkit.dualgraph import Boundary, BoundaryComponent, DualGraph, Vertex
 from mmpkit.linalg import dot, is_negative_definite, matrix_rank, solve_possibly_singular
-from mmpkit.toric import cone_from_rays, facets
+from mmpkit.toric import ConeClass, cone_from_rays, facets
+
+#: positions in the implication chain smooth => terminal => canonical => klt
+CLASS_CHAIN_ORDER = {
+    ConeClass.SMOOTH: 0,
+    ConeClass.TERMINAL: 1,
+    ConeClass.CANONICAL: 2,
+    ConeClass.KLT_ONLY: 3,
+}
+
+
+def mat_vec(a, x):
+    return tuple(dot(row, x) for row in a)
 
 
 def chain_graph(self_ints, genera=None) -> DualGraph:
@@ -33,6 +45,77 @@ def dynkin_graph(kind: str, n: int) -> DualGraph:
     else:
         raise ValueError(kind)
     return DualGraph(vertices=vertices, edges=edges)
+
+
+def tree_graph(p, q, r) -> DualGraph:
+    """T_{p,q,r}: three arms of (-2)-curves of p, q and r vertices, counting
+    the shared centre 0, so p + q + r - 2 vertices in all."""
+    edges, n = [], 1
+    for arm in (p, q, r):
+        prev = 0
+        for _ in range(arm - 1):
+            edges.append((prev, n, 1))
+            prev, n = n, n + 1
+    return DualGraph(vertices=(Vertex(genus=0, self_int=-2),) * n, edges=tuple(edges))
+
+
+def cycle_graph(n) -> DualGraph:
+    """The affine diagram A~_{n-1}: a cycle of n (-2)-curves, n >= 3."""
+    edges = tuple((i, (i + 1) % n, 1) for i in range(n))
+    return DualGraph(vertices=(Vertex(genus=0, self_int=-2),) * n, edges=edges)
+
+
+def disjoint_union(*graphs) -> DualGraph:
+    vertices, edges = [], []
+    for g in graphs:
+        edges += [(i + len(vertices), j + len(vertices), m) for i, j, m in g.edges]
+        vertices += g.vertices
+    return DualGraph(vertices=tuple(vertices), edges=tuple(edges))
+
+
+def walk_du_val(graph: DualGraph):
+    """The ADE name from the shape alone, the oracle for detect_du_val.
+
+    Requires all genera 0, all self-intersections -2, all multiplicities 1
+    and a tree: a chain is A_n; one fork with arms of (1, 1, k) vertices
+    past it is D_{k+3}; arms (1, 2, 2), (1, 2, 3), (1, 2, 4) are E6, E7, E8.
+    """
+    n = len(graph.vertices)
+    if any(v.genus != 0 or v.self_int != -2 for v in graph.vertices):
+        return None
+    if any(mult != 1 for _, _, mult in graph.edges):
+        return None
+    if len(graph.edges) != n - 1 or not graph.is_connected():
+        return None
+    adj = {i: [] for i in range(n)}
+    for i, j, _ in graph.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    degrees = [len(adj[i]) for i in range(n)]
+    if any(deg > 3 for deg in degrees):
+        return None
+    forks = [i for i, deg in enumerate(degrees) if deg == 3]
+    if not forks:
+        return f"A{n}"
+    if len(forks) > 1:
+        return None
+    fork = forks[0]
+    lengths = []
+    for start in adj[fork]:
+        length, prev, cur = 1, fork, start
+        while True:
+            nxt = [x for x in adj[cur] if x != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        lengths.append(length)
+    a, b, c = sorted(lengths)
+    if (a, b) == (1, 1):
+        return f"D{c + 3}"
+    if (a, b) == (1, 2) and c in (2, 3, 4):
+        return f"E{c + 4}"
+    return None
 
 
 def random_tree_edges(rng, n):

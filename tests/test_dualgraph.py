@@ -3,7 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import chain_graph, dynkin_graph, random_boundary, random_negdef_graph
+from helpers import (
+    chain_graph,
+    cycle_graph,
+    disjoint_union,
+    dynkin_graph,
+    mat_vec,
+    random_boundary,
+    random_negdef_graph,
+    random_tree_edges,
+    tree_graph,
+    walk_du_val,
+)
 from mmpkit.dualgraph import (
     Boundary,
     BoundaryComponent,
@@ -24,11 +35,29 @@ from mmpkit.errors import (
     InvalidSiteError,
     NotContractibleError,
 )
-from mmpkit.linalg import mat_vec
 
 
 def single_vertex(genus, self_int):
     return DualGraph(vertices=(Vertex(genus=genus, self_int=self_int),), edges=())
+
+
+def seeded_graph(rng):
+    """A random tree of (-2)-curves, or one with a multiple edge, with a vertex
+    that is not a genus-0 (-2)-curve, or beside a second such tree."""
+    n = rng.randint(1, 12)
+    vertices = [Vertex(0, -2)] * n
+    edges = random_tree_edges(rng, n)
+    change = rng.choice(["none", "edge", "vertex", "union"])
+    if change == "edge" and n >= 2:
+        edges.append(rng.choice(edges) if rng.random() < 0.5 else (*rng.sample(range(n), 2), 2))
+    elif change == "vertex":
+        vertices[rng.randrange(n)] = rng.choice([Vertex(0, -3), Vertex(0, -1), Vertex(1, -2)])
+    graph = DualGraph(vertices=tuple(vertices), edges=tuple(edges))
+    if change == "union":
+        m = rng.randint(1, 8)
+        other = DualGraph(vertices=(Vertex(0, -2),) * m, edges=tuple(random_tree_edges(rng, m)))
+        graph = disjoint_union(graph, other)
+    return graph
 
 
 def blowup_formula_value(report, boundary, site):
@@ -81,6 +110,18 @@ class TestContractibility:
     def test_not_contractible_propagates(self):
         with pytest.raises(NotContractibleError):
             discrepancies(single_vertex(0, 1))
+
+    def test_minus_two_graphs_without_a_du_val_name_still_fail(self):
+        """(-2)-graphs that detect_du_val turns down reach check_contractible."""
+        for graph in (cycle_graph(4), tree_graph(2, 3, 7)):
+            with pytest.raises(NotContractibleError):
+                discrepancies(graph)
+        for graph in (
+            disjoint_union(dynkin_graph("A", 2), dynkin_graph("A", 1)),
+            disjoint_union(dynkin_graph("E", 8), dynkin_graph("A", 3)),
+        ):
+            with pytest.raises(DisconnectedError):
+                discrepancies(graph)
 
 
 class TestRationalCurveContractions:
@@ -149,6 +190,22 @@ class TestDuVal:
         )
         assert detect_du_val(graph) is None
 
+    def test_matches_the_tree_walk(self):
+        trees = [tree_graph(p, q, r) for p in range(2, 14) for q in range(p, 14) for r in range(q, 14)]
+        chains = [dynkin_graph("A", n) for n in range(1, 31)]
+        cycles = [cycle_graph(n) for n in range(3, 20)]
+        rng = random.Random(11)
+        seeded = [seeded_graph(rng) for _ in range(2000)]
+        # 11 vertices and |det| 4, as D11 has, but two components
+        e8_a3 = disjoint_union(dynkin_graph("E", 8), dynkin_graph("A", 3))
+        graphs = trees + chains + cycles + seeded + [e8_a3]
+        assert len(trees) == 364
+        mismatches = [g for g in graphs if detect_du_val(g) != walk_du_val(g)]
+        assert mismatches == []
+        assert detect_du_val(e8_a3) is None
+        names = [detect_du_val(g) for g in trees]
+        assert sorted(n for n in names if n) == sorted(["E6", "E7", "E8"] + [f"D{n}" for n in range(4, 16)])
+
 
 class TestBoundary:
     def test_coefficient_range_enforced(self):
@@ -177,6 +234,19 @@ class TestBoundary:
         graph = single_vertex(0, -3)
         aloof = Boundary((BoundaryComponent(coeff=Fraction(1), meets=()),))
         assert discrepancies(graph, aloof).singularity_class is SingularityClass.KLT
+
+    def test_du_val_graph_with_a_boundary_has_no_name(self):
+        graph = dynkin_graph("D", 5)
+        plain = discrepancies(graph)
+        aloof = discrepancies(graph, Boundary((BoundaryComponent(coeff=Fraction(1, 2)),)))
+        assert plain.du_val == "D5"
+        assert aloof.du_val is None
+        assert aloof.discrepancies == plain.discrepancies
+        met = Boundary((BoundaryComponent(coeff=Fraction(1, 2), meets=((1, 1),)),))
+        report = discrepancies(graph, met)
+        assert report.du_val is None
+        rhs = tuple(k + met.intersection_with(j) for j, k in enumerate(graph.canonical_degrees()))
+        assert mat_vec(graph.intersection_matrix(), report.discrepancies) == rhs
 
 
 class TestBlowupBookkeeping:

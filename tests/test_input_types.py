@@ -1,5 +1,6 @@
 """One rule for integer input across the library: an int that is not a bool,
-in a list or tuple.  Anything else is InvalidInputError with code
+in a list or tuple.  A rational slot also takes a Fraction, and a vertex
+slot takes only a Vertex.  Anything else is InvalidInputError with code
 wrong_type on the exact field; nothing is converted."""
 
 from fractions import Fraction
@@ -18,7 +19,15 @@ from mmpkit.dualgraph import (
     discrepancies,
 )
 from mmpkit.errors import InvalidInputError
-from mmpkit.kodaira import curve_kappa, curve_plurigenus, estimate_kappa, plane_curve_genus, riemann_roch_curve
+from mmpkit.kodaira import (
+    classify_pair_on_curve,
+    curve_kappa,
+    curve_plurigenus,
+    estimate_kappa,
+    fano_pair_on_p1_check,
+    plane_curve_genus,
+    riemann_roch_curve,
+)
 from mmpkit.surface import (
     SurfaceLattice,
     adjunction_genus,
@@ -103,6 +112,8 @@ LIST_SLOTS = {
     "is_nef": (lambda x: is_nef(QUADRIC, x), "divisor", "wrong_type"),
     "is_ample_kleiman": (lambda x: is_ample_kleiman(QUADRIC, x), "divisor", "wrong_type"),
     "riemann_roch_surface": (lambda x: riemann_roch_surface(QUADRIC, x, 1), "divisor", "wrong_type"),
+    "DualGraph.vertices": (lambda x: DualGraph(vertices=x, edges=()), "vertices", "wrong_type"),
+    "DualGraph.vertex": (lambda x: DualGraph(vertices=(V, x), edges=()), "vertices[1]", "wrong_type"),
     "DualGraph.edges": (lambda x: DualGraph(vertices=(V, V), edges=x), "edges", "wrong_type"),
     "DualGraph.edge": (lambda x: DualGraph(vertices=(V, V), edges=(x,)), "edges[0]", "wrong_type"),
     "BoundaryComponent.meets": (lambda x: BoundaryComponent(coeff=HALF, meets=x), "meets", "wrong_type"),
@@ -110,6 +121,13 @@ LIST_SLOTS = {
     "estimate_kappa.samples": (lambda x: estimate_kappa(x), "samples", "samples_empty"),
     "estimate_kappa.sample": (lambda x: estimate_kappa([[1, 1], x]), "samples[1]", "wrong_type"),
     "primitive": (lambda x: linalg.primitive(x), "v", "wrong_type"),
+}
+
+# (entry point with x in a rational slot, field)
+RATIONAL_SLOTS = {
+    "BoundaryComponent.coeff": (lambda x: BoundaryComponent(coeff=x), "coeff"),
+    "classify_pair_on_curve": (lambda x: classify_pair_on_curve([HALF, x]), "coeffs[1]"),
+    "fano_pair_on_p1_check": (lambda x: fano_pair_on_p1_check([x]), "coeffs[0]"),
 }
 
 
@@ -133,6 +151,14 @@ def test_integer_slot_rejects_non_int(name, bad):
 def test_list_slot_rejects_non_list(name, bad):
     call, field, code = LIST_SLOTS[name]
     assert _fault(lambda: call(bad)) == (code, field)
+
+
+# Fraction() takes each of these, the float as its binary value
+@pytest.mark.parametrize("bad", [0.1, True, "1/2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("name", RATIONAL_SLOTS)
+def test_rational_slot_rejects_non_rational(name, bad):
+    call, field = RATIONAL_SLOTS[name]
+    assert _fault(lambda: call(bad)) == ("wrong_type", field)
 
 
 def test_label_must_be_a_string():
@@ -159,3 +185,5 @@ def test_accepted_values_are_kept_as_given():
     assert linalg.as_vector([1, 2], "v") == (1, 2)
     assert linalg.as_rows([(1, 2), [3, 4]], "rows") == ((1, 2), (3, 4))
     assert Cone(rank=2, rays=[[0, 1], [3, -1]]) == A3
+    assert linalg.as_fraction(HALF, "x") == HALF
+    assert type(linalg.as_fraction(-7, "x")) is Fraction

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import box_negdef_oracle
+from helpers import box_negdef_oracle, mat_vec
 from mmpkit.errors import NotSymmetricError, SingularMatrixError, ZeroVectorError
 from mmpkit.linalg import (
     column_hermite_form,
@@ -13,7 +13,6 @@ from mmpkit.linalg import (
     inertia,
     integer_kernel,
     is_negative_definite,
-    mat_vec,
     matrix_rank,
     primitive,
     smith_normal_form,

@@ -14,13 +14,13 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 
+from helpers import mat_vec  # noqa: E402
 from mmpkit.errors import SingularMatrixError  # noqa: E402
 from mmpkit.linalg import (  # noqa: E402
     det_bareiss,
     inertia,
     integer_kernel,
     is_negative_definite,
-    mat_vec,
     matrix_rank,
     smith_normal_form,
     solve_exact,

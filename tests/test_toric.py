@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    CLASS_CHAIN_ORDER,
     naive_is_strongly_convex,
     naive_points_at_or_below_one,
     random_cone,
@@ -25,7 +26,6 @@ from mmpkit.errors import (
 )
 from mmpkit.linalg import dot, matrix_rank
 from mmpkit.toric import (
-    CLASS_CHAIN_ORDER,
     Cone,
     ConeClass,
     classify_cone,
