@@ -77,6 +77,7 @@ class DualGraph:
                 raise InvalidInputError("multiplicity must be positive", "edge_bad_mult", field)
             key = (min(i, j), max(i, j))
             merged[key] = merged.get(key, 0) + mult
+        object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(
             self, "edges", tuple((i, j, m) for (i, j), m in sorted(merged.items()))
         )

@@ -50,14 +50,14 @@ class PairClass(Enum):
 def plane_curve_genus(d: int) -> int:
     """Genus (d-1)(d-2)/2 of a smooth plane curve of degree d."""
     if linalg.as_int(d, "d") < 1:
-        raise ValueError("degree must be positive")
+        raise InvalidInputError("degree must be positive", "d_out_of_range", "d")
     return (d - 1) * (d - 2) // 2
 
 
 def curve_kappa(g: int) -> KappaEstimate:
     """Kodaira dimension of a smooth projective curve of genus g."""
     if linalg.as_int(g, "g") < 0:
-        raise ValueError("genus must be nonnegative")
+        raise InvalidInputError("genus must be nonnegative", "genus_negative", "g")
     if g == 0:
         return KappaEstimate(None, "deg K = -2 < 0: rational curve")
     if g == 1:
@@ -68,9 +68,9 @@ def curve_kappa(g: int) -> KappaEstimate:
 def curve_plurigenus(g: int, m: int) -> int:
     """h^0 of the m-th canonical power on a genus-g curve."""
     if linalg.as_int(g, "g") < 0:
-        raise ValueError("genus must be nonnegative")
+        raise InvalidInputError("genus must be nonnegative", "genus_negative", "g")
     if linalg.as_int(m, "m") < 1:
-        raise ValueError("m must be positive")
+        raise InvalidInputError("m must be positive", "m_out_of_range", "m")
     if g == 0:
         return 0
     if g == 1:

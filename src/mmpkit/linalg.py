@@ -228,7 +228,7 @@ def smith_normal_form(a) -> list[int]:
     not, the next round replaces g by the gcd of its column, a proper
     divisor.
     """
-    cols = list(zip(*a))
+    cols = list(zip(*as_rows(a, "a")))
     while True:
         cols = [c for c in column_hermite_form(cols) if any(c)]
         if all(sum(x != 0 for x in c) == 1 for c in cols):
@@ -295,6 +295,7 @@ def integer_kernel(a) -> list[IntVector]:
     [A; I] U with U unimodular; the bottom blocks of its columns with a
     zero top block are a kernel basis, already in Hermite form.
     """
+    a = as_rows(a, "a")
     nr = len(a)
     nc = len(a[0]) if nr else 0
     stacked = [[row[j] for row in a] + [int(k == j) for k in range(nc)] for j in range(nc)]

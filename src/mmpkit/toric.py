@@ -14,10 +14,10 @@ cone, at the cost of one step per coset of Z^d / S Z^d, or sum |det S|:
 * extra points, all m = 1  -> canonical,
 * some point with m < 1    -> klt only (Q-Gorenstein toric is always klt).
 
-Both checks on a cone read its facet normals: a full-dimensional cone has
-no line exactly when they span the space (its dual cone is then full-
-dimensional), and a lower-dimensional one is first completed by a basis of
-the orthogonal complement of its span, which adds no line.
+One kernel and one normals pass decide both checks on a cone: completed
+by a basis of the orthogonal complement of its span, which adds no line,
+a cone has no line exactly when its facet normals span the space (its dual
+cone is then full-dimensional).
 
 Smoothness means the generators extend to a basis of the lattice, i.e. the
 cone is simplicial and the ray matrix has all Smith invariant factors 1.
@@ -110,23 +110,18 @@ def _normals(rays, d) -> set[IntVector]:
     return found
 
 
-def is_strongly_convex(cone: Cone) -> bool:
-    """True when the cone has no line, i.e. when the facet normals of its rays plus a basis
-    of the orthogonal complement of their span have rank d: those vectors generate a full-
-    dimensional cone, this one plus a simplicial one, with a line exactly when this has."""
-    rays = cone.rays + tuple(linalg.integer_kernel(cone.rays))
-    return linalg.matrix_rank(list(_normals(rays, cone.rank))) == cone.rank
-
-
 def facets(cone: Cone) -> tuple[IntVector, ...]:
-    """Inward primitive facet normals h_j with cone = { x : h_j(x) >= 0 }.  Raises for
-    a cone with a line, then for one that is not full-dimensional."""
-    if not is_strongly_convex(cone):
+    """Inward primitive facet normals h_j with cone = { x : h_j(x) >= 0 }.  Raises for a
+    cone with a line, then for one that is not full-dimensional.  The rays and a basis of
+    the orthogonal complement of their span generate this cone plus a simplicial one: it is
+    full-dimensional, and has a line exactly when this has, i.e. when its normals have rank < d."""
+    kernel = tuple(linalg.integer_kernel(cone.rays))
+    normals = _normals(cone.rays + kernel, cone.rank)
+    if linalg.matrix_rank(list(normals)) != cone.rank:
         raise NotStronglyConvexError("cone contains a line")
-    rank = linalg.matrix_rank(cone.rays)
-    if rank != cone.rank:
-        raise NotFullDimensionalError(f"rays span a space of dimension {rank} < {cone.rank}")
-    return tuple(sorted(_normals(cone.rays, cone.rank)))
+    if kernel:
+        raise NotFullDimensionalError(f"rays span a space of dimension {cone.rank - len(kernel)} < {cone.rank}")
+    return tuple(sorted(normals))
 
 
 def q_gorenstein_functional(cone: Cone) -> RatVector | None:

@@ -299,17 +299,12 @@ def multiset_minus_one_count(r) -> int:
     return total
 
 
-def disguise(s, rng, moves=4):
-    """A random unimodular change of basis of a SurfaceLattice.
+def random_unimodular(rng, n, moves=4):
+    """A random P in GL(n, Z) and its inverse, as lists of rows.
 
-    The new basis vectors are the columns of P, built from random
-    transvections and sign flips; the inverse is tracked alongside, so no
-    library solver is involved.  K and the curves are carried over.
-    Returns (lattice, to_new), where to_new maps old coordinates to new.
+    P is built from random column transvections and sign flips; the
+    inverse is tracked alongside, so no library solver is involved.
     """
-    from mmpkit.surface import SurfaceLattice
-
-    n = s.rank
     p = [[int(i == j) for j in range(n)] for i in range(n)]
     inv = [row[:] for row in p]
     for _ in range(moves if n > 1 else 0):
@@ -323,6 +318,20 @@ def disguise(s, rng, moves=4):
             for row in p:
                 row[i] = -row[i]
             inv[i] = [-a for a in inv[i]]
+    return p, inv
+
+
+def disguise(s, rng, moves=4):
+    """A random unimodular change of basis of a SurfaceLattice.
+
+    The new basis vectors are the columns of P from random_unimodular.
+    K and the curves are carried over.  Returns (lattice, to_new), where
+    to_new maps old coordinates to new.
+    """
+    from mmpkit.surface import SurfaceLattice
+
+    n = s.rank
+    p, inv = random_unimodular(rng, n, moves)
 
     def to_new(v):
         return tuple(sum(a * b for a, b in zip(row, v)) for row in inv)

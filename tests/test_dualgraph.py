@@ -92,6 +92,14 @@ class TestInputFaults:
                 build()
             assert (info.value.code, info.value.field) == (code, field)
 
+    def test_vertices_from_a_list_are_stored_as_a_tuple(self):
+        v = Vertex(genus=0, self_int=-2)
+        from_list = DualGraph(vertices=[v, v], edges=[(0, 1, 1)])
+        from_tuple = DualGraph(vertices=(v, v), edges=((0, 1, 1),))
+        assert from_list.vertices == (v, v)
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+
 
 class TestContractibility:
     def test_examples(self):

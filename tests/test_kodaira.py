@@ -8,6 +8,7 @@ import pytest
 from mmpkit.errors import (
     CoefficientOutOfRangeError,
     InsufficientSamplesError,
+    InvalidInputError,
     NegativeCoefficientError,
 )
 from mmpkit.kodaira import (
@@ -33,6 +34,18 @@ class TestPlaneCurveGenus:
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             plane_curve_genus(0)
+
+    def test_range_faults_carry_code_and_field(self):
+        # InvalidInputError is a ValueError, so callers catching that still do
+        for call, message, code, field in (
+            (lambda: plane_curve_genus(0), "degree must be positive", "d_out_of_range", "d"),
+            (lambda: curve_kappa(-1), "genus must be nonnegative", "genus_negative", "g"),
+            (lambda: curve_plurigenus(-1, 1), "genus must be nonnegative", "genus_negative", "g"),
+            (lambda: curve_plurigenus(2, 0), "m must be positive", "m_out_of_range", "m"),
+        ):
+            with pytest.raises(InvalidInputError) as info:
+                call()
+            assert (str(info.value), info.value.code, info.value.field) == (message, code, field)
 
     def test_matches_adjunction_on_plane(self):
         p2 = make_blowup_p2(0)

@@ -3,19 +3,21 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
 
 from helpers import (
     CLASS_CHAIN_ORDER,
+    mat_vec,
     naive_is_strongly_convex,
     naive_points_at_or_below_one,
     random_cone,
     random_q_gorenstein_cone,
+    random_unimodular,
 )
-from mmpkit import toric
+from mmpkit import linalg, toric
 from mmpkit.dualgraph import DualGraph, Vertex, discrepancies
 from mmpkit.errors import (
     NotFullDimensionalError,
@@ -31,7 +33,6 @@ from mmpkit.toric import (
     classify_cone,
     cone_from_rays,
     facets,
-    is_strongly_convex,
     lattice_points_at_or_below_one,
     q_gorenstein_functional,
     toric_discrepancy,
@@ -44,6 +45,23 @@ ODP_RAYS = [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]]
 def quotient_cone(a, q=1):
     """Rank-2 cone with rays (0,1) and (a,-q)."""
     return cone_from_rays([[0, 1], [a, -q]])
+
+
+def facets_error(cone):
+    """The class of the error facets raises on the cone, or None."""
+    try:
+        facets(cone)
+    except (NotStronglyConvexError, NotFullDimensionalError) as error:
+        return type(error)
+    return None
+
+
+def unimodular_image(rng, cone):
+    """The cone mapped through a random g in GL(d, Z), its rays shuffled, and g."""
+    g, _ = random_unimodular(rng, cone.rank)
+    rays = [mat_vec(g, ray) for ray in cone.rays]
+    rng.shuffle(rays)
+    return cone_from_rays(rays), g
 
 
 class TestConeValidation:
@@ -181,7 +199,7 @@ class TestLatticePoints:
         seen = Counter()
         for k in range(900):
             cone = random_cone(rng, 2 + k % 3)
-            if not is_strongly_convex(cone) or matrix_rank(cone.rays) < cone.rank:
+            if not naive_is_strongly_convex(cone) or matrix_rank(cone.rays) < cone.rank:
                 continue
             try:
                 lattice_points_at_or_below_one(cone)
@@ -324,10 +342,11 @@ class TestToricDiscrepancy:
 
 class TestStrongConvexity:
     def test_halfplane_detected(self):
-        assert not is_strongly_convex(cone_from_rays([[1, 0], [-1, 1], [0, -1]]))
+        with pytest.raises(NotStronglyConvexError):
+            facets(cone_from_rays([[1, 0], [-1, 1], [0, -1]]))
 
     def test_strictly_convex(self):
-        assert is_strongly_convex(cone_from_rays([[1, 0], [1, 5]]))
+        assert facets(cone_from_rays([[1, 0], [1, 5]])) == ((0, 1), (5, -1))
 
     def test_matches_caratheodory_scan(self):
         # seeded cones of rank 1-4, many lower-dimensional or with a line; the
@@ -339,17 +358,84 @@ class TestStrongConvexity:
             cone = random_cone(rng, 1 + k % 4)
             convex = naive_is_strongly_convex(cone)
             lower = matrix_rank(cone.rays) < cone.rank
-            assert is_strongly_convex(cone) == convex, cone.rays
             expected = NotStronglyConvexError if not convex else NotFullDimensionalError if lower else None
-            try:
-                facets(cone)
-                raised = None
-            except (NotStronglyConvexError, NotFullDimensionalError) as error:
-                raised = type(error)
-            assert raised is expected, cone.rays
+            assert facets_error(cone) is expected, cone.rays
             seen["line" if not convex else "lower" if lower else "valid"] += 1
             seen["rank 1"] += cone.rank == 1
         assert min(seen.values()) >= 60, seen
+
+    def test_one_kernel_and_one_normals_pass(self, monkeypatch):
+        # on a valid cone with n rays the kernel is empty, so facets crosses
+        # each (d-1)-subset of the rays once and takes one rank
+        calls = Counter()
+        for name in ("integer_kernel", "cross_normal", "matrix_rank"):
+
+            def counted(*args, _name=name, _fn=getattr(linalg, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(linalg, name, counted)
+        rng = random.Random(37)
+        for k in range(40):
+            d = 1 + k % 4
+            cone = random_q_gorenstein_cone(rng, d, k % 3 if d > 1 else 0)
+            calls.clear()
+            facets(cone)
+            n = len(cone.rays)
+            assert calls == Counter(integer_kernel=1, cross_normal=comb(n, d - 1), matrix_rank=1), cone.rays
+
+    def test_not_full_dimensional_message(self):
+        # seeded strongly convex cones whose rays span a space of dimension
+        # 1-4, inside Z^2 to Z^5; the dimension is matrix_rank of the rays
+        rng = random.Random(41)
+        seen = Counter()
+        for k in range(400):
+            cone = random_cone(rng, 2 + k % 4)
+            rank = matrix_rank(cone.rays)
+            if rank == cone.rank or not naive_is_strongly_convex(cone):
+                continue
+            with pytest.raises(NotFullDimensionalError) as info:
+                facets(cone)
+            assert str(info.value) == f"rays span a space of dimension {rank} < {cone.rank}"
+            assert (info.value.code, info.value.field) == ("not_full_dimensional", None)
+            seen[rank] += 1
+        assert min(seen[rank] for rank in range(1, 5)) >= 5, seen
+
+
+class TestUnimodularInvariance:
+    """A cone and its rays are classified up to GL(d, Z) and the order of the
+    rays: mapping them through a random unimodular g and shuffling them must
+    carry every answer along."""
+
+    def test_classification_follows_the_map(self):
+        rng = random.Random(43)
+        kinds = Counter()
+        for k in range(80):
+            d = 1 + k % 4
+            cone = random_q_gorenstein_cone(rng, d, rng.randint(0, 2) if d > 1 else 0)
+            image, g = unimodular_image(rng, cone)
+            before, after = classify_cone(cone), classify_cone(image)
+            assert (after.kind, after.q_factorial, after.gorenstein_index) == (
+                before.kind,
+                before.q_factorial,
+                before.gorenstein_index,
+            ), cone.rays
+            assert len(facets(image)) == len(facets(cone)), cone.rays
+            expected = tuple(sorted(mat_vec(g, p) for p in before.points_at_or_below_one))
+            assert after.points_at_or_below_one == expected, cone.rays
+            kinds[before.kind] += 1
+        assert len(kinds) == 4, kinds
+
+    def test_facets_error_follows_the_map(self):
+        rng = random.Random(47)
+        seen = Counter()
+        for k in range(300):
+            cone = random_cone(rng, 1 + k % 4)
+            image, _ = unimodular_image(rng, cone)
+            raised = facets_error(cone)
+            assert facets_error(image) is raised, cone.rays
+            seen[raised] += 1
+        assert len(seen) == 3 and min(seen.values()) >= 30, seen
 
 
 class TestRankOne:
