@@ -16,10 +16,12 @@ lists of objects (``vertices``, ``boundary``) and read its rationals
 which names the offending field relative to the object or function that
 checked it.  This module puts the document path in front
 (``vertices[0].genus``), and ``--`` for a flag (``--point[1]``).  Exit
-codes: 0 success; 2 for an error that names a field (input validation)
-and for a stray ValueError; 3 for an error without a field (a
-mathematical precondition failed), and for a MemoryError or
-RecursionError (code ``resource_exhausted``).
+codes: 0 success; 2 for an error that names a field (input validation),
+and, with code ``invalid_value`` and no field, for a report that cannot
+be printed because it holds an integer over Python's int-to-decimal
+digit limit (the discrepancies of two 3000-digit self-intersections); 3
+for an error without a field (a mathematical precondition failed), and
+for a MemoryError or RecursionError (code ``resource_exhausted``).
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ def parse_coeffs(doc) -> list[Fraction]:
 
 
 def _load_json(text, field):
+    # ValueError covers JSONDecodeError and an integer over the int-to-str digit limit
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InvalidInputError(f"invalid JSON: {exc}", "bad_json", field) from exc
     except RecursionError as exc:
         raise InvalidInputError("invalid JSON: nested too deeply", "bad_json", field) from exc
@@ -172,12 +175,14 @@ def _surface_to_doc(s: surface.SurfaceLattice) -> dict:
 
 def emit(report: dict, fmt: str) -> None:
     """Canonical JSON for machine; for text, one 'key: value' line per
-    top-level field, strings as they are and other values as JSON."""
+    top-level field, strings as they are and other values as JSON.  The
+    text is rendered whole before the one write, so a report that cannot
+    be rendered writes nothing."""
     if fmt == "machine":
-        sys.stdout.write(canonical_json(report) + "\n")
-        return
-    for key, value in report.items():
-        sys.stdout.write(f"{key}: {value if isinstance(value, str) else canonical_json(value)}\n")
+        text = canonical_json(report)
+    else:
+        text = "\n".join(f"{k}: {v if isinstance(v, str) else canonical_json(v)}" for k, v in report.items())
+    sys.stdout.write(text + "\n")
 
 
 def emit_error(kind: str, code: str, message: str, fmt: str, field: str | None = None) -> None:
@@ -478,6 +483,8 @@ def main(argv=None) -> int:
     fmt = args.format
     try:
         body = row.handler(args)
+        rule = row.rule if isinstance(row.rule, str) else row.rule[body["mode"]]
+        emit({"command": args.command, **body, "rule": rule}, fmt)
     except ToolkitError as exc:
         if exc.field is not None:
             emit_error("validation", exc.code, str(exc), fmt, exc.field)
@@ -485,15 +492,13 @@ def main(argv=None) -> int:
         emit_error("precondition", exc.code, str(exc), fmt)
         return 3
     except ValueError as exc:
-        # safety net: structural problems surface as validation, never a trace
+        # a report holding an integer too long to print, or any other stray ValueError
         emit_error("validation", "invalid_value", str(exc), fmt)
         return 2
     except (MemoryError, RecursionError) as exc:
         # last net: an input too large to compute on ends without a trace
         emit_error("precondition", "resource_exhausted", f"{type(exc).__name__}: the input is too large", fmt)
         return 3
-    rule = row.rule if isinstance(row.rule, str) else row.rule[body["mode"]]
-    emit({"command": args.command, **body, "rule": rule}, fmt)
     return 0
 
 

@@ -8,11 +8,11 @@ The routines cover what the geometric layers need.  One fraction-free
 (Bareiss) row echelon pass serves exact solving, rank, determinants and
 the Sylvester negative-definiteness test, whose leading principal minors
 are its pivots when no row swap is needed.  One column Hermite form
-serves integer kernels in a canonical basis and the Smith normal form,
-which alternates it on columns and rows.  Beside them sits the inertia
-of a symmetric form, and the toolkit's one rule for integer input
-(``as_int``, ``as_vector``, ``as_rows``): an int that is not a bool, in
-a list or tuple, is kept as given, and anything else is ``wrong_type``.
+serves integer kernels in a canonical basis and the coset boxes of
+``toric``.  Beside them sits the inertia of a symmetric form, and the
+toolkit's one rule for integer input (``as_int``, ``as_vector``,
+``as_rows``): an int that is not a bool, in a list or tuple, is kept as
+given, and anything else is ``wrong_type``.
 A rational slot (``as_fraction``) takes such an int or a ``Fraction``.
 """
 
@@ -211,37 +211,6 @@ def is_negative_definite(a) -> bool:
         and pivots == list(range(len(a)))
         and all((-1) ** (k + 1) * m[k][k] > 0 for k in pivots)
     )
-
-
-def smith_normal_form(a) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
-
-    Only the nonzero factors are returned, so the zero matrix yields [].
-    Kannan and Bachem (SIAM J. Comput. 8, 1979): take the column Hermite
-    form, drop its zero columns, transpose, and repeat until every column
-    has one nonzero entry.  Hermite pivot rows are distinct, so the matrix
-    is then monomial, and the gcd/lcm chain of its entries gives the
-    factors.  The loop ends: after a round the top pivot g is alone in its
-    row.  If g divides its column, the next round leaves it alone in its
-    row and column too (the Hermite form of a lattice is unique), later
-    rounds keep it so, and the argument repeats on the smaller block.  If
-    not, the next round replaces g by the gcd of its column, a proper
-    divisor.
-    """
-    cols = list(zip(*as_rows(a, "a")))
-    while True:
-        cols = [c for c in column_hermite_form(cols) if any(c)]
-        if all(sum(x != 0 for x in c) == 1 for c in cols):
-            break
-        cols = list(zip(*cols))
-    factors = [next(x for x in c if x) for c in cols]
-    # enforce the divisibility chain
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if factors[j] % factors[i] != 0:
-                g = gcd(factors[i], factors[j])
-                factors[i], factors[j] = g, factors[i] * factors[j] // g
-    return factors
 
 
 def _combine_columns(cols, j0, j, row):

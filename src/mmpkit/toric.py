@@ -20,7 +20,7 @@ a cone has no line exactly when its facet normals span the space (its dual
 cone is then full-dimensional).
 
 Smoothness means the generators extend to a basis of the lattice, i.e. the
-cone is simplicial and the ray matrix has all Smith invariant factors 1.
+cone is simplicial and its ray matrix has determinant +-1.
 Q-factoriality is simpliciality.  All arithmetic is exact.
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm, prod
 
 from . import linalg
@@ -158,13 +158,13 @@ def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
     points = set(cone.rays)
     for rays in combinations(cone.rays, d):
         diagonal = [col[k] for k, col in enumerate(linalg.column_hermite_form(rays))]
-        *strides, det = [prod(diagonal[:k]) for k in range(d + 1)]  # det = 0: no cosets
+        det = prod(diagonal)  # 0 on a dependent subset, whose box is empty
         adj = [linalg.cross_normal(rays[:i] + rays[i + 1 :], d) for i in range(d)]
         adj = [a if linalg.dot(a, s) > 0 else tuple(-x for x in a) for a, s in zip(adj, rays)]
         m = [sum(col) for col in zip(*adj)]  # |det S| m, if m exists: |det S| on every ray
         if det and any(linalg.dot(m, r) != det for r in cone.rays):
             raise NotQGorensteinError("cone has no support functional; m(P) <= 1 is undefined")
-        for z in ([t // w % h for w, h in zip(strides, diagonal)] for t in range(det)):
+        for z in product(*map(range, diagonal)):
             nums = [linalg.dot(a, z) % det for a in adj]
             if 0 < sum(nums) <= det:
                 points.add(tuple(sum(n * s[j] for n, s in zip(nums, rays)) // det for j in range(d)))
@@ -187,7 +187,8 @@ def classify_cone(cone: Cone) -> ToricClassification:
     points = tuple(lattice_points_at_or_below_one(cone))
     ray_set = set(cone.rays)
     extras = [p for p in points if p not in ray_set]
-    smooth = q_factorial and linalg.smith_normal_form(cone.rays) == [1] * cone.rank
+    # the points call has checked the rays span: a square ray matrix is invertible here
+    smooth = q_factorial and abs(linalg.det_bareiss(cone.rays)) == 1
     if smooth:
         kind = ConeClass.SMOOTH
     elif not extras:

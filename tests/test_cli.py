@@ -380,6 +380,8 @@ CONE = {"rank": 2, "rays": [[0, 1], [3, -1]]}
 VERTEX = {"genus": 0, "self_int": -2}
 QUADRIC = {"rank": 2, "gram": [[0, 1], [1, 0]], "K": [-2, -2], "curves": [[1, 0], [0, 1]], "label": "q"}
 DEEP = "[" * 100000
+#: an integer of 4301 digits, one over Python's default int-to-decimal limit
+HUGE = "1" * 4301
 
 
 def _doc(base=None, **changes):
@@ -550,6 +552,10 @@ ERROR_CONTRACT = [
         "wrong_type",
         "boundary",
     ),
+    # an integer too long to convert from decimal is no valid JSON number here
+    (["toric-classify", "--inline", f'{{"rank":2,"rays":[[0,1],[{HUGE},-1]]}}'], 2, "bad_json", "--inline"),
+    (["toric-discrepancy", "--inline", _doc(CONE), "--point", f"[{HUGE},0]"], 2, "bad_json", "--point"),
+    (_surface("nef-check", "--divisor", f"[{HUGE},0]"), 2, "bad_json", "--divisor"),
     # a float in each integer slot that the library checks
     (_cone(rays=[[0, 1.5], [3, -1]]), 2, "wrong_type", "rays[0][1]"),
     (_graph(vertices=[VERTEX, {"genus": 0, "self_int": -2.5}]), 2, "wrong_type", "vertices[1].self_int"),
@@ -608,6 +614,39 @@ class TestLastNet:
         assert (status, err["kind"], err["code"], "field" in err) == (3, "precondition", "resource_exhausted", False)
         assert err["message"].startswith(error.__name__)
         assert text_status == 3 and text.startswith("error [resource_exhausted]: ")
+        assert stderr.getvalue() == ""
+
+
+# well-formed inputs whose report holds an integer over the int-to-decimal limit
+UNPRINTABLE = {
+    # the new vertex's self-intersection, -10^4300, has 4301 digits
+    "graph-blowup": [
+        "graph-blowup", "--inline", json.dumps({"vertices": [{"genus": 0, "self_int": 1 - 10**4300}]}), "--vertex", "0",
+    ],
+    # kappa, the rounded log-log slope, has more than 4300 digits
+    "kappa-estimate": [
+        "kappa-estimate", "--inline", json.dumps({"samples": [[10**4299, 1], [10**4299 + 1, 10**4299]]}),
+    ],
+    # the discrepancies have numerators and denominators of about 6000 digits
+    "graph-discrepancies": _graph(
+        vertices=[{"genus": 0, "self_int": -(10**2999 + 3)}, {"genus": 0, "self_int": -(10**2999 + 10**1500 + 7)}]
+    ),
+}
+
+
+class TestUnprintableReport:
+    @pytest.mark.parametrize("fmt", ["machine", "text"])
+    @pytest.mark.parametrize("name", UNPRINTABLE)
+    def test_invalid_value_in_one_line_without_a_trace(self, name, fmt):
+        stderr = io.StringIO()
+        with redirect_stderr(stderr):
+            status, out = run_cli(UNPRINTABLE[name] + ["--format", fmt])
+        assert status == 2 and out.count("\n") == 1 and out.endswith("\n")
+        if fmt == "machine":
+            err = json.loads(out)["error"]
+            assert (err["kind"], err["code"], "field" in err) == ("validation", "invalid_value", False)
+        else:
+            assert out.startswith("error [invalid_value]: ")
         assert stderr.getvalue() == ""
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -334,6 +335,45 @@ class TestResolutionIndependence:
             graph, boundary = blowup_vertex(graph, boundary, site)
             report = discrepancies(graph, boundary)
             assert report.discrepancies[-1] == expected_new
+
+
+def relabel(graph, boundary, perm):
+    """The graph and boundary with vertex k renamed perm[k]."""
+    vertices = [None] * len(perm)
+    for k, v in enumerate(graph.vertices):
+        vertices[perm[k]] = v
+    edges = tuple((perm[i], perm[j], m) for i, j, m in graph.edges)
+    components = tuple(
+        BoundaryComponent(coeff=c.coeff, meets=tuple((perm[v], m) for v, m in c.meets)) for c in boundary.components
+    )
+    return DualGraph(vertices=tuple(vertices), edges=edges), Boundary(components)
+
+
+class TestRelabelling:
+    """A dual graph is its set of curves: renaming the vertices, with the edges
+    and the boundary meets, keeps every verdict and carries each discrepancy
+    to its curve's new place."""
+
+    def test_verdicts_follow_a_permutation(self):
+        rng = random.Random(59)
+        ade = [dynkin_graph("A", n) for n in range(1, 9)] + [dynkin_graph("D", n) for n in range(4, 9)]
+        ade += [dynkin_graph("E", n) for n in (6, 7, 8)]
+        chains = [chain_graph([rng.randint(-6, -2) for _ in range(rng.randint(1, 8))]) for _ in range(40)]
+        seeded = [random_negdef_graph(rng, minimal=k % 2 == 0) for k in range(80)]
+        seen = Counter()
+        for graph in ade + chains + seeded:
+            boundary = random_boundary(rng, graph) if rng.random() < 0.5 else Boundary(())
+            perm = rng.sample(range(len(graph.vertices)), len(graph.vertices))
+            before = discrepancies(graph, boundary)
+            after = discrepancies(*relabel(graph, boundary, perm))
+            assert (after.singularity_class, after.du_val, after.minimal_resolution) == (
+                before.singularity_class,
+                before.du_val,
+                before.minimal_resolution,
+            ), (graph, boundary, perm)
+            assert tuple(after.discrepancies[p] for p in perm) == before.discrepancies, (graph, boundary, perm)
+            seen[before.du_val[0] if before.du_val else before.singularity_class] += 1
+        assert {"A", "D", "E"} <= set(seen) and len(seen) >= 6, seen
 
 
 class TestMinimalResolutionTheorems:

@@ -91,7 +91,6 @@ INT_SLOTS = {
     "curve_plurigenus": (lambda x: curve_plurigenus(2, x), "m"),
     "primitive": (lambda x: linalg.primitive((x, 2)), "v[0]"),
     "integer_kernel": (lambda x: linalg.integer_kernel([[x, 1]]), "a[0][0]"),
-    "smith_normal_form": (lambda x: linalg.smith_normal_form([[x, 0], [0, 1]]), "a[0][0]"),
 }
 
 # (entry point with x in a list slot, field, code)
@@ -125,8 +124,6 @@ LIST_SLOTS = {
     "primitive": (lambda x: linalg.primitive(x), "v", "wrong_type"),
     "integer_kernel": (lambda x: linalg.integer_kernel(x), "a", "wrong_type"),
     "integer_kernel.row": (lambda x: linalg.integer_kernel([[1, 2], x]), "a[1]", "wrong_type"),
-    "smith_normal_form": (lambda x: linalg.smith_normal_form(x), "a", "wrong_type"),
-    "smith_normal_form.row": (lambda x: linalg.smith_normal_form([[1, 2], x]), "a[1]", "wrong_type"),
 }
 
 # (entry point with x in a rational slot, field)

@@ -15,7 +15,6 @@ from mmpkit.linalg import (
     is_negative_definite,
     matrix_rank,
     primitive,
-    smith_normal_form,
     solve_exact,
     solve_possibly_singular,
 )
@@ -80,69 +79,6 @@ class TestNegativeDefinite:
                 for j in range(i, n):
                     m[i][j] = m[j][i] = rng.randint(-limit, limit)
             assert is_negative_definite(m) == box_negdef_oracle(m)
-
-
-class TestSmithNormalForm:
-    def test_examples(self):
-        assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
-        assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
-        assert smith_normal_form([[0, 0], [0, 0]]) == []
-        assert smith_normal_form([]) == []
-        assert smith_normal_form([[0, 0, 0]]) == []
-        assert smith_normal_form([[0], [6], [4]]) == [2]
-        # five alternating Hermite rounds before the matrix is monomial
-        assert smith_normal_form([[8, -8, 6], [-4, -2, -9], [-1, 4, 1]]) == [1, 1, 60]
-
-    def test_known_diagonal(self):
-        assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-
-    def test_rectangular(self):
-        assert smith_normal_form([[2, 0, 0], [0, 3, 0]]) == [1, 6]
-
-    def test_chain_and_determinant(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            n = rng.randint(1, 4)
-            a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            factors = smith_normal_form(a)
-            for x, y in zip(factors, factors[1:]):
-                assert y % x == 0
-            det = det_bareiss(a)
-            if det != 0:
-                prod = 1
-                for f in factors:
-                    prod *= f
-                assert prod == abs(det)
-                assert len(factors) == n
-
-    def test_against_determinantal_divisor_oracle(self):
-        # invariant factors are quotients of gcds of k-by-k minors
-        from itertools import combinations
-        from math import gcd
-
-        def oracle(a):
-            rows, cols = len(a), len(a[0])
-            prev = 1
-            out = []
-            for k in range(1, min(rows, cols) + 1):
-                g = 0
-                for rsel in combinations(range(rows), k):
-                    for csel in combinations(range(cols), k):
-                        minor = det_bareiss([[a[i][j] for j in csel] for i in rsel])
-                        g = gcd(g, abs(minor))
-                if g == 0:
-                    break
-                out.append(g // prev)
-                prev = g
-            return out
-
-        rng = random.Random(43)
-        for size, count in ((7, 150), (10**12, 100)):
-            for _ in range(count):
-                rows = rng.randint(1, 3)
-                cols = rng.randint(1, 4)
-                a = [[rng.randint(-size, size) for _ in range(cols)] for _ in range(rows)]
-                assert smith_normal_form(a) == oracle(a)
 
 
 class TestPrimitive:

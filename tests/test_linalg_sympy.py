@@ -2,11 +2,14 @@
 
 Inputs are seeded random int and Fraction matrices, many of them rank
 deficient (built as a product L R through a smaller inner dimension) and
-many rectangular.
+many rectangular.  The smoothness of a simplicial cone is checked against
+sympy's invariant factors of its ray matrix.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,10 +25,10 @@ from mmpkit.linalg import (  # noqa: E402
     integer_kernel,
     is_negative_definite,
     matrix_rank,
-    smith_normal_form,
     solve_exact,
     solve_possibly_singular,
 )
+from mmpkit.toric import ConeClass, classify_cone, cone_from_rays  # noqa: E402
 
 CASES = 100
 
@@ -140,12 +143,21 @@ class TestAgainstSympy:
             seen.add(verdict)
         assert seen == {True, False}
 
-    def test_smith_normal_form(self):
+    def test_smooth_iff_every_invariant_factor_is_one(self):
+        # the cone on the primitive rows of a random nonsingular matrix
         rng = random.Random(106)
-        for _ in range(CASES):
-            a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            factors = invariant_factors(sympy.Matrix(a), domain=ZZ)
-            assert smith_normal_form(a) == [abs(int(f)) for f in factors if f != 0], a
+        verdicts = Counter()
+        while sum(verdicts.values()) < CASES:
+            n = rng.randint(1, 4)
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if det_bareiss(a) == 0:
+                continue
+            rays = [[x // gcd(*row) for x in row] for row in a]
+            factors = invariant_factors(sympy.Matrix(rays), domain=ZZ)
+            smooth = classify_cone(cone_from_rays(rays)).kind is ConeClass.SMOOTH
+            assert smooth == all(abs(int(f)) == 1 for f in factors), rays
+            verdicts[smooth] += 1
+        assert min(verdicts[True], verdicts[False]) >= 20, verdicts
 
     def test_integer_kernel(self):
         rng = random.Random(107)

@@ -426,6 +426,16 @@ class TestUnimodularInvariance:
             kinds[before.kind] += 1
         assert len(kinds) == 4, kinds
 
+    def test_unimodular_images_of_the_orthant_are_smooth(self):
+        # the columns of g in GL(d, Z) are a lattice basis
+        rng = random.Random(53)
+        for k in range(80):
+            g, _ = random_unimodular(rng, 1 + k % 4, moves=rng.randint(0, 8))
+            rays = list(zip(*g))
+            result = classify_cone(cone_from_rays(rays))
+            assert (result.kind, result.q_factorial, result.gorenstein_index) == (ConeClass.SMOOTH, True, 1), rays
+            assert result.points_at_or_below_one == tuple(sorted(rays)), rays
+
     def test_facets_error_follows_the_map(self):
         rng = random.Random(47)
         seen = Counter()
