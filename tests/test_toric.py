@@ -3,6 +3,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations, product
 from math import comb, gcd
 from pathlib import Path
 
@@ -309,6 +310,62 @@ class TestClassification:
             else:
                 assert any(v < 1 for v in levels)
             seen += 1
+
+
+class TestSmoothness:
+    """A cone is smooth when its rays are a basis of the lattice: it is
+    simplicial and every unit vector is an integer combination of its rays."""
+
+    def test_smooth_iff_rays_are_a_lattice_basis(self):
+        # the cone on the primitive rows of a random nonsingular matrix
+        rng = random.Random(59)
+        verdicts = Counter()
+        while sum(verdicts.values()) < 120:
+            d = rng.randint(1, 4)
+            a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+            if linalg.det_bareiss(a) == 0:
+                continue
+            rays = [[x // gcd(*row) for x in row] for row in a]
+            columns = [list(col) for col in zip(*rays)]
+            units = ([int(i == j) for j in range(d)] for i in range(d))
+            basis = all(x.denominator == 1 for e in units for x in linalg.solve_exact(columns, e))
+            smooth = classify_cone(cone_from_rays(rays)).kind is ConeClass.SMOOTH
+            assert smooth == basis, rays
+            verdicts[smooth] += 1
+        assert min(verdicts[True], verdicts[False]) >= 20, verdicts
+
+    def test_ray_order_and_signs_do_not_matter(self):
+        # half of these ray matrices have determinant -1
+        for rays in permutations([(1, 0, 0), (1, 1, 0), (0, 2, 1)]):
+            for signs in product((1, -1), repeat=3):
+                signed = [[s * x for x in ray] for s, ray in zip(signs, rays)]
+                result = classify_cone(cone_from_rays(signed))
+                assert (result.kind, result.q_factorial) == (ConeClass.SMOOTH, True), signed
+
+    def test_smooth_proper_faces_do_not_make_the_cone_smooth(self):
+        # each proper face spans a saturated sublattice, but the rays have index
+        # 2 or 3; the lowest nonzero box point sits at level 1, 3/2 and 5/3
+        for rays, index, kind in (
+            ([[1, 0], [1, 2]], 2, ConeClass.CANONICAL),
+            ([[1, 0, 0], [0, 1, 0], [1, 1, 2]], 2, ConeClass.TERMINAL),
+            ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 3]], 3, ConeClass.TERMINAL),
+        ):
+            assert abs(linalg.det_bareiss(rays)) == index
+            result = classify_cone(cone_from_rays(rays))
+            assert (result.kind, result.q_factorial) == (kind, True), rays
+
+    def test_non_simplicial_is_never_smooth(self):
+        # many of these cones have rank rays forming a lattice basis
+        rng = random.Random(61)
+        unimodular_subsets = 0
+        for k in range(60):
+            rank = 2 + k % 2
+            cone = random_q_gorenstein_cone(rng, rank, extra=1 + k % 2)
+            result = classify_cone(cone)
+            assert (result.kind is ConeClass.SMOOTH, result.q_factorial) == (False, False), cone.rays
+            if any(abs(linalg.det_bareiss(sub)) == 1 for sub in combinations(cone.rays, rank)):
+                unimodular_subsets += 1
+        assert unimodular_subsets >= 10, unimodular_subsets
 
 
 class TestToricDiscrepancy:
