@@ -3,12 +3,13 @@
 Each subcommand is one row of ``COMMANDS``: its handler, help line, rule
 text and own flags.  ``build_parser`` turns the table into one parser,
 built on the first call and shared by every later call in the process.
-A handler reads its flags and any JSON document and returns a report body;
-``main`` puts the row's name first as "command" and its rule last as
-"rule", and ``emit`` renders the report: canonical JSON for --format
-machine (sorted keys, no whitespace, rationals as exact "p/q" strings;
-identical inputs give byte-identical reports), or one "key: value" line
-per top-level field, in order, for --format text.
+A handler reads its flags and any JSON document and returns a report body
+of library values as they are (Fractions, Enums, tuples, ``asdict`` of the
+library's records); ``main`` puts the row's name first as "command" and
+its rule last as "rule", and ``emit`` renders the report by the one rule
+of ``serialize``: canonical JSON for --format machine (identical inputs
+give byte-identical reports), or one "key: value" line per top-level
+field, in order, for --format text.
 
 The parsers here only pick the fields out of the document, walk its
 lists of objects (``vertices``, ``boundary``) and read its rationals
@@ -30,13 +31,16 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
+from enum import Enum
 from fractions import Fraction
 from functools import cache
+from operator import mul
 from typing import Callable, NamedTuple
 
 from . import dualgraph, kodaira, surface, toric
 from .errors import InvalidInputError, ToolkitError
-from .serialize import canonical_json, fraction_to_str, parse_fraction
+from .serialize import canonical_json, parse_fraction, plain
 
 def _expect(condition: bool, code: str, field: str, message: str):
     if not condition:
@@ -152,36 +156,20 @@ def parse_vector_flag(text, field):
 # -- report rendering ----------------------------------------------------------
 
 
-def _graph_to_doc(graph: dualgraph.DualGraph, boundary: dualgraph.Boundary) -> dict:
-    return {
-        "vertices": [{"genus": v.genus, "self_int": v.self_int} for v in graph.vertices],
-        "edges": [[i, j, m] for i, j, m in graph.edges],
-        "boundary": [
-            {"coeff": fraction_to_str(c.coeff), "meets": [[v, m] for v, m in c.meets]}
-            for c in boundary.components
-        ],
-    }
-
-
-def _surface_to_doc(s: surface.SurfaceLattice) -> dict:
-    return {
-        "rank": s.rank,
-        "gram": [list(row) for row in s.gram],
-        "K": list(s.K),
-        "curves": [list(c) for c in s.curves],
-        "label": s.label,
-    }
+def _text_value(v) -> str:
+    v = plain(v) if isinstance(v, (Fraction, Enum)) else v
+    return v if isinstance(v, str) else canonical_json(v)
 
 
 def emit(report: dict, fmt: str) -> None:
     """Canonical JSON for machine; for text, one 'key: value' line per
-    top-level field, strings as they are and other values as JSON.  The
-    text is rendered whole before the one write, so a report that cannot
-    be rendered writes nothing."""
+    top-level field, strings, rationals and enums bare and other values as
+    JSON.  The text is rendered whole before the one write, so a report
+    that cannot be rendered writes nothing."""
     if fmt == "machine":
         text = canonical_json(report)
     else:
-        text = "\n".join(f"{k}: {v if isinstance(v, str) else canonical_json(v)}" for k, v in report.items())
+        text = "\n".join(f"{k}: {_text_value(v)}" for k, v in report.items())
     sys.stdout.write(text + "\n")
 
 
@@ -200,24 +188,14 @@ def emit_error(kind: str, code: str, message: str, fmt: str, field: str | None =
 
 
 def cmd_toric_classify(args):
-    cone = parse_cone(load_document(args))
-    result = toric.classify_cone(cone)
-    points = []
-    if result.support_functional is not None:
-        m = result.support_functional
-        for p in result.points_at_or_below_one:
-            value = sum((Fraction(c) * x for c, x in zip(m, p)), Fraction(0))
-            points.append({"point": list(p), "discrepancy": fraction_to_str(value - 1)})
+    result = toric.classify_cone(parse_cone(load_document(args)))
+    m = result.support_functional  # None only when there are no points
     return {
-        "class": result.kind.value,
+        "class": result.kind,
         "q_factorial": result.q_factorial,
         "gorenstein_index": result.gorenstein_index,
-        "support_functional": (
-            None
-            if result.support_functional is None
-            else [fraction_to_str(x) for x in result.support_functional]
-        ),
-        "points": points,
+        "support_functional": m,
+        "points": [{"point": p, "discrepancy": sum(map(mul, m, p)) - 1} for p in result.points_at_or_below_one],
     }
 
 
@@ -226,16 +204,15 @@ def cmd_toric_discrepancy(args):
     point = parse_vector_flag(args.point, "--point")
     with _inside("--"):
         value = toric.toric_discrepancy(cone, point)
-    return {"point": list(point), "discrepancy": fraction_to_str(value)}
+    return {"point": point, "discrepancy": value}
 
 
 def cmd_graph_discrepancies(args):
-    graph, boundary = parse_graph(load_document(args))
-    result = dualgraph.discrepancies(graph, boundary)
+    result = dualgraph.discrepancies(*parse_graph(load_document(args)))
     return {
         "contractible": True,
-        "discrepancies": [fraction_to_str(d) for d in result.discrepancies],
-        "class": result.singularity_class.value,
+        "discrepancies": result.discrepancies,
+        "class": result.singularity_class,
         "du_val": result.du_val,
         "minimal_resolution": result.minimal_resolution,
     }
@@ -258,13 +235,11 @@ def cmd_graph_blowup(args):
     graph, boundary = parse_graph(load_document(args))
     site = _parse_site(args)
     new_graph, new_boundary = dualgraph.blowup_vertex(graph, boundary, site)
-    if isinstance(site, dualgraph.EdgePoint):
-        site_doc = {"edge": [site.i, site.j]}
-    elif isinstance(site, dualgraph.BoundaryPoint):
-        site_doc = {"vertex": site.vertex, "boundary": site.component}
-    else:
-        site_doc = {"vertex": site.vertex}
-    return {"site": site_doc, "graph": _graph_to_doc(new_graph, new_boundary)}
+    flags = {"edge": args.edge, "vertex": args.vertex, "boundary": args.boundary}
+    return {
+        "site": {k: v for k, v in flags.items() if v is not None},
+        "graph": {**asdict(new_graph), "boundary": asdict(new_boundary)["components"]},
+    }
 
 
 def cmd_mmp_run(args):
@@ -272,17 +247,10 @@ def cmd_mmp_run(args):
     with _inside("--"):
         trace = surface.run_classical_mmp(s, bound=args.bound)
     return {
-        "steps": [
-            {
-                "contracted": list(step.contracted),
-                "rank_before": step.rank_before,
-                "rank_after": step.rank_after,
-            }
-            for step in trace.steps
-        ],
-        "outcome": {"kind": trace.outcome.value, "fibre": None if trace.fibre is None else list(trace.fibre)},
-        "final": _surface_to_doc(trace.final),
-        "notes": list(trace.notes) + list(s.warnings()),
+        "steps": [asdict(step) for step in trace.steps],
+        "outcome": {"kind": trace.outcome, "fibre": trace.fibre},
+        "final": asdict(trace.final),
+        "notes": trace.notes + s.warnings(),
     }
 
 
@@ -300,16 +268,14 @@ def cmd_delpezzo_lines(args):
         s = parse_surface(load_document(args))
     with _inside("--"):
         classes = surface.enumerate_minus_one_classes(s, bound=args.bound)
-    report = {"count": len(classes), "classes": [list(c) for c in classes]}
+    report = {"count": len(classes), "classes": classes}
     if args.r is not None:
         report["r"] = args.r
     return report
 
 
 def cmd_cone_rays(args):
-    s = parse_surface(load_document(args))
-    r1, r2 = surface.cone_rays_rank2(s)
-    return {"rays": [list(r1), list(r2)]}
+    return {"rays": surface.cone_rays_rank2(parse_surface(load_document(args)))}
 
 
 def cmd_nef_check(args):
@@ -319,11 +285,11 @@ def cmd_nef_check(args):
         nef = surface.is_nef(s, divisor)
         ample = surface.is_ample_kleiman(s, divisor)
     return {
-        "divisor": list(divisor),
+        "divisor": divisor,
         "nef": nef,
         "ample": ample,
         "note": "relative to the supplied curve classes",
-        "warnings": list(s.warnings()),
+        "warnings": s.warnings(),
     }
 
 
@@ -340,19 +306,16 @@ def cmd_rr(args):
         _expect(args.deg is not None and args.genus is not None, "rr_mode", "--deg", "need both --deg and --genus")
         with _inside("--"):
             chi = kodaira.riemann_roch_curve(args.deg, args.genus)
-        return {"mode": "curve", "deg": args.deg, "genus": args.genus, "chi": fraction_to_str(chi), "integral": True}
-    _expect(args.divisor is not None and args.chi0 is not None, "rr_mode", "--divisor", "need --divisor and --chi0")
-    s = parse_surface(load_document(args))
-    divisor = parse_vector_flag(args.divisor, "--divisor")
-    with _inside("--"):
-        chi = surface.riemann_roch_surface(s, divisor, args.chi0)
-    return {
-        "mode": "surface",
-        "divisor": list(divisor),
-        "chi0": args.chi0,
-        "chi": fraction_to_str(chi),
-        "integral": isinstance(chi, int),
-    }
+        report = {"mode": "curve", "deg": args.deg, "genus": args.genus}
+    else:
+        _expect(args.divisor is not None and args.chi0 is not None, "rr_mode", "--divisor", "need --divisor and --chi0")
+        s = parse_surface(load_document(args))
+        divisor = parse_vector_flag(args.divisor, "--divisor")
+        with _inside("--"):
+            chi = surface.riemann_roch_surface(s, divisor, args.chi0)
+        report = {"mode": "surface", "divisor": divisor, "chi0": args.chi0}
+    # chi is a "p/q" string in both modes, integral or not
+    return {**report, "chi": Fraction(chi), "integral": isinstance(chi, int)}
 
 
 def cmd_kappa_estimate(args):
@@ -364,10 +327,8 @@ def cmd_kappa_estimate(args):
 def cmd_pair_classify(args):
     coeffs = parse_coeffs(load_document(args))
     cls = kodaira.classify_pair_on_curve(coeffs)
-    fano = None
-    if all(0 <= c <= 1 for c in coeffs):
-        fano = kodaira.fano_pair_on_p1_check(coeffs)
-    return {"coeffs": [fraction_to_str(c) for c in coeffs], "class": cls.value, "fano_on_p1": fano}
+    fano = kodaira.fano_pair_on_p1_check(coeffs) if all(0 <= c <= 1 for c in coeffs) else None
+    return {"coeffs": coeffs, "class": cls, "fano_on_p1": fano}
 
 
 class Command(NamedTuple):

@@ -141,6 +141,14 @@ class BoundaryComponent:
 class Boundary:
     components: tuple[BoundaryComponent, ...] = ()
 
+    def __post_init__(self):
+        if not isinstance(self.components, (list, tuple)):
+            raise InvalidInputError("expected a list of boundary components", "wrong_type", "components")
+        for k, c in enumerate(self.components):
+            if not isinstance(c, BoundaryComponent):
+                raise InvalidInputError(f"expected a BoundaryComponent, got {c!r}", "wrong_type", f"components[{k}]")
+        object.__setattr__(self, "components", tuple(self.components))
+
     def validate_against(self, graph: DualGraph):
         """Every met vertex exists; the field is ``boundary[k].meets[m]``, with
         m the position in the component's sorted ``meets``."""

@@ -267,6 +267,9 @@ def integer_kernel(a) -> list[IntVector]:
     a = as_rows(a, "a")
     nr = len(a)
     nc = len(a[0]) if nr else 0
+    for k, row in enumerate(a):
+        if len(row) != nc:
+            raise InvalidInputError(f"expected {nc} entries, as in a[0]", "row_length", f"a[{k}]")
     stacked = [[row[j] for row in a] + [int(k == j) for k in range(nc)] for j in range(nc)]
     return [col[nr:] for col in column_hermite_form(stacked) if not any(col[:nr])]
 

@@ -1,16 +1,20 @@
 """Exact-rational serialization and canonical JSON.
 
-Machine reports never contain floating point: every rational value is a
-string "p" or "p/q" in lowest terms with positive denominator, and every
-report is dumped with sorted keys and fixed separators so identical
-inputs produce byte-identical output and reports round-trip through any
-JSON parser.
+This module owns the one rendering rule for reports, so the CLI handlers
+return library values as they are.  A ``Fraction`` is written as a string
+"p" or "p/q" in lowest terms with positive denominator, an ``Enum`` as
+its value, and a tuple as a list; any other object that JSON has no type
+for is a ``TypeError``.  Machine reports therefore never contain floating
+point, and every report is dumped with sorted keys and fixed separators
+so identical inputs produce byte-identical output and reports round-trip
+through any JSON parser.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from enum import Enum
 from fractions import Fraction
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -41,5 +45,14 @@ def parse_fraction(value) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
+def plain(value):
+    """The JSON value of a library scalar: a Fraction as "p/q", an Enum as its value."""
+    if isinstance(value, Fraction):
+        return fraction_to_str(value)
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"no JSON rendering for {type(value).__name__}: {value!r}")
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=plain)

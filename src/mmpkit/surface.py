@@ -133,7 +133,7 @@ def make_quadric() -> SurfaceLattice:
 
 def adjunction_genus(s: SurfaceLattice, c) -> int:
     """Arithmetic genus 1 + C.(C+K)/2; raises on parity violation."""
-    c = linalg.as_vector(c, "c")
+    c = _class(s, c, "c")
     total = s.pair(c, c) + s.pair(c, s.K)
     if total % 2 != 0:
         raise NonIntegralGenusError("C.(C+K) is odd; no integral genus")
@@ -268,15 +268,15 @@ def pushforward_class(s: SurfaceLattice, c, x) -> IntVector:
     The projection is x + (x.C) C, expressed in the canonical integer
     basis of the orthogonal complement of C.
     """
-    c = linalg.as_vector(c, "c")
-    x = linalg.as_vector(x, "x")
+    c = _class(s, c, "c")
+    x = _class(s, x, "x")
     _check_minus_one(s, c)
     return _pushforward(s, _contraction_basis(s, c), c, x)
 
 
 def castelnuovo_contract(s: SurfaceLattice, c) -> SurfaceLattice:
     """Contract a (-1)-class: rank drops by one, K pulls back to K - C."""
-    c = linalg.as_vector(c, "c")
+    c = _class(s, c, "c")
     _check_minus_one(s, c)
     basis = _contraction_basis(s, c)
     gb = [_gram_times(s, b) for b in basis]
@@ -380,12 +380,17 @@ def run_classical_mmp(s: SurfaceLattice, bound: int | None = None) -> MmpTrace:
 
 
 def cone_rays_rank2(s: SurfaceLattice) -> tuple[IntVector, IntVector]:
-    """The two boundary rays of the planar cone spanned by the curve list."""
+    """The two boundary rays of the planar cone spanned by the curve list.
+
+    A zero class spans nothing and is skipped; a list of zero classes only
+    spans no cone."""
     if s.rank != 2:
         raise NotRank2Error(f"cone rays need rank 2, got rank {s.rank}")
     if not s.curves:
         raise EmptyCurveListError("no curve classes supplied")
-    directions = sorted({linalg.primitive(c) for c in s.curves})
+    directions = sorted({linalg.primitive(c) for c in s.curves if any(c)})
+    if not directions:
+        raise DegenerateConeError("every curve class is zero")
 
     def cross(u, v):
         return u[0] * v[1] - u[1] * v[0]
@@ -406,18 +411,18 @@ def cone_rays_rank2(s: SurfaceLattice) -> tuple[IntVector, IntVector]:
     return boundary[0], boundary[1]
 
 
-def _divisor(s: SurfaceLattice, d) -> IntVector:
-    """d as a class of s; a length other than the rank is an input error
-    on the field ``divisor``."""
-    d = linalg.as_vector(d, "divisor")
-    if len(d) != s.rank:
-        raise InvalidInputError(f"divisor must have length {s.rank}", "divisor_length", "divisor")
-    return d
+def _class(s: SurfaceLattice, v, field: str) -> IntVector:
+    """v as a class of s; a length other than the rank is an input error
+    on field, with code ``<field>_length`` (``divisor_length``)."""
+    v = linalg.as_vector(v, field)
+    if len(v) != s.rank:
+        raise InvalidInputError(f"{field} must have length {s.rank}", f"{field}_length", field)
+    return v
 
 
 def is_nef(s: SurfaceLattice, d) -> bool:
     """D.C >= 0 for every supplied curve class (relative verdict)."""
-    d = _divisor(s, d)
+    d = _class(s, d, "divisor")
     if not s.curves:
         raise EmptyCurveListError("no curve classes supplied")
     return all(s.pair(d, c) >= 0 for c in s.curves)
@@ -425,7 +430,7 @@ def is_nef(s: SurfaceLattice, d) -> bool:
 
 def is_ample_kleiman(s: SurfaceLattice, d) -> bool:
     """D.C > 0 for every supplied curve class and D^2 > 0."""
-    d = _divisor(s, d)
+    d = _class(s, d, "divisor")
     if not s.curves:
         raise EmptyCurveListError("no curve classes supplied")
     return all(s.pair(d, c) > 0 for c in s.curves) and s.pair(d, d) > 0
@@ -433,6 +438,6 @@ def is_ample_kleiman(s: SurfaceLattice, d) -> bool:
 
 def riemann_roch_surface(s: SurfaceLattice, d, chi0: int):
     """Euler characteristic D.(D-K)/2 + chi0; int when integral else Fraction."""
-    d = _divisor(s, d)
+    d = _class(s, d, "divisor")
     value = Fraction(s.pair(d, d) - s.pair(d, s.K), 2) + linalg.as_int(chi0, "chi0")
     return value.numerator if value.denominator == 1 else value

@@ -4,11 +4,14 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mmpkit.cli import COMMANDS, build_parser, main
+from mmpkit.cli import COMMANDS, build_parser, emit, main
 from mmpkit.serialize import canonical_json, fraction_to_str, parse_fraction
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,6 +74,48 @@ class TestSerialize:
         for bad in ["1.5", "a", "1/0", "", "1/-2", True, None, [1]]:
             with pytest.raises(ValueError):
                 parse_fraction(bad)
+
+
+class Colour(Enum):
+    RED = "Red"
+
+
+@dataclass(frozen=True)
+class Point:
+    x: int
+
+
+class TestRenderingRule:
+    """serialize owns the one rule: a Fraction is its "p/q" string, an Enum
+    its value, a tuple a list; any other object JSON lacks is a TypeError."""
+
+    def test_library_values_at_any_depth(self):
+        report = {
+            "b": (Fraction(-2, 4), Fraction(6, 2), Colour.RED),
+            "a": {"nested": [(Fraction(1, 3), (0, -1))], "class": Colour.RED},
+            "n": None,
+        }
+        assert canonical_json(report) == (
+            '{"a":{"class":"Red","nested":[["1/3",[0,-1]]]},"b":["-1/2","3","Red"],"n":null}'
+        )
+
+    @pytest.mark.parametrize("value", [{1, 2}, Point(1)], ids=["set", "dataclass"])
+    def test_other_objects_are_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            canonical_json({"value": value})
+        with pytest.raises(TypeError):
+            canonical_json([value])
+
+    def test_text_prints_a_top_level_fraction_or_enum_bare(self):
+        report = {"d": Fraction(-1, 3), "chi": Fraction(3), "class": Colour.RED, "s": "x", "v": (Fraction(1, 2),)}
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            emit(report, "text")
+        assert buffer.getvalue() == 'd: -1/3\nchi: 3\nclass: Red\ns: x\nv: ["1/2"]\n'
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            emit(report, "machine")
+        assert buffer.getvalue() == '{"chi":"3","class":"Red","d":"-1/3","s":"x","v":["1/2"]}\n'
 
 
 class TestSubcommandResults:
@@ -150,6 +195,11 @@ class TestSubcommandResults:
     def test_cone_rays(self):
         code, out = run_machine(["cone-rays", "--input", str(GOLDEN / "surface_quadric.json")])
         assert json.loads(out)["rays"] == [[0, 1], [1, 0]]
+
+    def test_cone_rays_skip_a_zero_class(self):
+        # a zero class spans nothing; it once ended in zero_vector, exit 3
+        code, out = run_machine(_surface("cone-rays", curves=[[0, 0], [1, 0], [0, 1]]))
+        assert (code, json.loads(out)["rays"]) == (0, [[0, 1], [1, 0]])
 
     def test_nef_check(self):
         code, out = run_machine(
@@ -539,6 +589,7 @@ ERROR_CONTRACT = [
     (["cone-rays", "--input", str(GOLDEN / "surface_bl2.json")], 3, "not_rank_2", None),
     (_surface("cone-rays", curves=[]), 3, "empty_curve_list", None),
     (_surface("cone-rays", curves=[[1, 0], [-1, 0]]), 3, "degenerate_cone", None),
+    (_surface("cone-rays", curves=[[0, 0]]), 3, "degenerate_cone", None),
     (_surface("nef-check", "--divisor", "[1,1]", curves=[]), 3, "empty_curve_list", None),
     (_samples(samples=[[1, 0], [2, 5]]), 3, "insufficient_samples", None),
     (["pair-classify", "--inline", '{"coeffs":["-1/2"]}'], 3, "negative_coefficient", None),

@@ -9,6 +9,7 @@ import pytest
 
 from mmpkit import linalg
 from mmpkit.dualgraph import (
+    Boundary,
     BoundaryComponent,
     BoundaryPoint,
     DualGraph,
@@ -119,6 +120,8 @@ LIST_SLOTS = {
     "DualGraph.edge": (lambda x: DualGraph(vertices=(V, V), edges=(x,)), "edges[0]", "wrong_type"),
     "BoundaryComponent.meets": (lambda x: BoundaryComponent(coeff=HALF, meets=x), "meets", "wrong_type"),
     "BoundaryComponent.meet": (lambda x: BoundaryComponent(coeff=HALF, meets=(x,)), "meets[0]", "wrong_type"),
+    "Boundary.components": (lambda x: Boundary(x), "components", "wrong_type"),
+    "Boundary.component": (lambda x: discrepancies(CHAIN, Boundary((x,))), "components[0]", "wrong_type"),
     "estimate_kappa.samples": (lambda x: estimate_kappa(x), "samples", "samples_empty"),
     "estimate_kappa.sample": (lambda x: estimate_kappa([[1, 1], x]), "samples[1]", "wrong_type"),
     "primitive": (lambda x: linalg.primitive(x), "v", "wrong_type"),

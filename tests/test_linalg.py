@@ -111,6 +111,14 @@ class TestKernelAndHermite:
     def test_full_rank_kernel_empty(self):
         assert integer_kernel(((1, 0), (0, 1))) == []
 
+    @pytest.mark.parametrize("a", [[[1, 2], [3]], [[1, 2], [3, 4, 5]], [[1], [2], []]])
+    def test_ragged_rows_are_an_input_error(self, a):
+        # a short row ended in an IndexError, and a long one gave an empty kernel
+        with pytest.raises(ValueError) as info:
+            integer_kernel(a)
+        bad = next(k for k, row in enumerate(a) if len(row) != len(a[0]))
+        assert (info.value.code, info.value.field) == ("row_length", f"a[{bad}]")
+
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(17)
         for _ in range(100):

@@ -476,6 +476,19 @@ class TestConeRays:
         s = SurfaceLattice(rank=2, gram=q.gram, K=q.K, curves=((2, 0), (1, 0)))
         assert cone_rays_rank2(s) == ((1, 0), (1, 0))
 
+    def test_zero_class_spans_nothing(self):
+        q = make_quadric()
+        for curves in (((0, 0), (1, 0), (0, 1)), ((1, 0), (0, 0), (0, 1), (0, 0))):
+            s = SurfaceLattice(rank=2, gram=q.gram, K=q.K, curves=curves)
+            assert cone_rays_rank2(s) == ((0, 1), (1, 0))
+
+    def test_only_zero_classes_span_no_cone(self):
+        q = make_quadric()
+        s = SurfaceLattice(rank=2, gram=q.gram, K=q.K, curves=((0, 0), (0, 0)))
+        with pytest.raises(DegenerateConeError) as info:
+            cone_rays_rank2(s)
+        assert info.value.field is None
+
 
 class TestNefAndAmple:
     def test_quadric_examples(self):
@@ -519,6 +532,28 @@ class TestDivisorLength:
         with pytest.raises(ValueError) as info:
             is_nef(s, (1,))
         assert info.value.code == "divisor_length"
+
+
+class TestClassLength:
+    # the check TestDivisorLength pins, on the other class arguments: before,
+    # the pairing's zip truncated a short class, and the contraction indexed
+    # past its end
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda: adjunction_genus(make_blowup_p2(2), (1,)), "c"),
+            (lambda: adjunction_genus(make_blowup_p2(1), (0, 1, 5)), "c"),
+            (lambda: castelnuovo_contract(make_blowup_p2(2), (0, 1)), "c"),
+            (lambda: castelnuovo_contract(make_blowup_p2(1), (0, 1, 0)), "c"),
+            (lambda: pushforward_class(make_blowup_p2(2), (0, 1), (1, 0, 0)), "c"),
+            (lambda: pushforward_class(make_blowup_p2(2), (0, 1, 0), (1,)), "x"),
+        ],
+        ids=["genus-short", "genus-long", "contract-short", "contract-long", "push-c", "push-x"],
+    )
+    def test_wrong_length_names_its_field(self, call, field):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert (info.value.code, info.value.field) == (f"{field}_length", field)
 
 
 class TestRiemannRochSurface:
