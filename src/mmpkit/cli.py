@@ -4,12 +4,12 @@ Each subcommand is one row of ``COMMANDS``: its handler, help line, rule
 text and own flags.  ``build_parser`` turns the table into one parser,
 built on the first call and shared by every later call in the process.
 A handler reads its flags and any JSON document and returns a report body
-of library values as they are (Fractions, Enums, tuples, ``asdict`` of the
-library's records); ``main`` puts the row's name first as "command" and
-its rule last as "rule", and ``emit`` renders the report by the one rule
-of ``serialize``: canonical JSON for --format machine (identical inputs
-give byte-identical reports), or one "key: value" line per top-level
-field, in order, for --format text.
+of library values as they are (Fractions, Enums, tuples, the library's
+records); ``main`` puts the row's name first as "command" and its rule
+last as "rule", and ``emit`` renders the report by the one rule of
+``serialize``: canonical JSON for --format machine (identical inputs give
+byte-identical reports), or one "key: value" line per top-level field, in
+order, for --format text.
 
 The parsers here only pick the fields out of the document, walk its
 lists of objects (``vertices``, ``boundary``) and read its rationals
@@ -31,7 +31,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -238,7 +237,7 @@ def cmd_graph_blowup(args):
     flags = {"edge": args.edge, "vertex": args.vertex, "boundary": args.boundary}
     return {
         "site": {k: v for k, v in flags.items() if v is not None},
-        "graph": {**asdict(new_graph), "boundary": asdict(new_boundary)["components"]},
+        "graph": {**plain(new_graph), "boundary": new_boundary.components},
     }
 
 
@@ -247,9 +246,9 @@ def cmd_mmp_run(args):
     with _inside("--"):
         trace = surface.run_classical_mmp(s, bound=args.bound)
     return {
-        "steps": [asdict(step) for step in trace.steps],
+        "steps": trace.steps,
         "outcome": {"kind": trace.outcome, "fibre": trace.fibre},
-        "final": asdict(trace.final),
+        "final": trace.final,
         "notes": trace.notes + s.warnings(),
     }
 

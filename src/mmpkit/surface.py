@@ -88,6 +88,12 @@ class SurfaceLattice:
                 )
 
     def pair(self, x, y) -> int:
+        """x.y under the Gram matrix; a length other than the rank is an input
+        error on field ``x`` or ``y``, with code ``x_length`` or ``y_length``."""
+        if len(x) != self.rank:
+            raise InvalidInputError(f"x must have length {self.rank}", "x_length", "x")
+        if len(y) != self.rank:
+            raise InvalidInputError(f"y must have length {self.rank}", "y_length", "y")
         return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, self.gram) if xi)
 
     def warnings(self) -> tuple[str, ...]:

@@ -6,9 +6,10 @@ exists with m(ray) = 1 for every generator, the associated affine toric
 variety is Q-Gorenstein with Gorenstein index the lcm of the denominators
 of m, and the discrepancy of the valuation obtained by star-subdividing at
 a primitive lattice point v of the cone equals m(v) - 1.  Classification
-then reads off the nonzero lattice points P with m(P) <= 1, found in the
-simplicial cones on the independent d-subsets S of rays, which cover the
-cone, at the cost of one step per coset of Z^d / S Z^d, or sum |det S|:
+then reads off the nonzero lattice points P with m(P) <= 1 in the simplicial
+cones on the independent d-subsets S of rays, which cover the cone, walking
+the integral point z - S floor(S^-1 z) through one z per coset of Z^d / S Z^d
+by integer additions, at a cost of sum |det S| steps:
 
 * only the ray generators  -> terminal,
 * extra points, all m = 1  -> canonical,
@@ -149,25 +150,39 @@ def contains(cone: Cone, point) -> bool:
 
 def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
     """Nonzero lattice points P of the cone with m(P) <= 1, in lex order, for m
-    the support functional; NotQGorensteinError when there is none.  In the cone
-    on d independent rays S, P is a ray or S frac(S^-1 z) with coordinate sum
-    <= 1, for z in the box 0 <= z_k < h_kk of the Hermite form of S, one per
-    coset; |det S| S^-1 has cross_normal rows."""
+    the support functional; NotQGorensteinError when there is none.  In the cone on
+    d independent rays S, P is a ray or z - S floor(S^-1 z) whose numerators n_i = a_i.z
+    mod |det S| sum to at most |det S|, a_i the cross_normal rows of |det S| S^-1, for z in
+    the Hermite box 0 <= z_k < h_kk.  z_k += 1 on its longest side adds a_i[k] mod |det S|
+    to n_i and e_k - S floor(S^-1 e_k) to P, and s_i leaves P if n_i wraps: P stays integral."""
     facets(cone)  # raises for a line or a cone that is not full-dimensional
     d = cone.rank
     points = set(cone.rays)
     for rays in combinations(cone.rays, d):
         diagonal = [col[k] for k, col in enumerate(linalg.column_hermite_form(rays))]
-        det = prod(diagonal)  # 0 on a dependent subset, whose box is empty
+        det = prod(diagonal)
+        if not det:
+            continue  # a dependent subset, whose box is empty
         adj = [linalg.cross_normal(rays[:i] + rays[i + 1 :], d) for i in range(d)]
         adj = [a if linalg.dot(a, s) > 0 else tuple(-x for x in a) for a, s in zip(adj, rays)]
         m = [sum(col) for col in zip(*adj)]  # |det S| m, if m exists: |det S| on every ray
-        if det and any(linalg.dot(m, r) != det for r in cone.rays):
+        if any(linalg.dot(m, r) != det for r in cone.rays):
             raise NotQGorensteinError("cone has no support functional; m(P) <= 1 is undefined")
-        for z in product(*map(range, diagonal)):
+        k = diagonal.index(max(diagonal))
+        steps = [a[k] % det for a in adj]
+        move = [sum(t * s[j] for t, s in zip(steps, rays)) // det for j in range(d)]
+        for z in product(*map(range, diagonal[:k] + [1] + diagonal[k + 1 :])):
             nums = [linalg.dot(a, z) % det for a in adj]
-            if 0 < sum(nums) <= det:
-                points.add(tuple(sum(n * s[j] for n, s in zip(nums, rays)) // det for j in range(d)))
+            p = [sum(n * s[j] for n, s in zip(nums, rays)) // det for j in range(d)]
+            for _ in range(diagonal[k]):
+                if 0 < sum(nums) <= det:
+                    points.add(tuple(p))
+                for i in range(d):
+                    p[i] += move[i]
+                    nums[i] += steps[i]
+                    if nums[i] >= det:
+                        nums[i] -= det
+                        p = [x - y for x, y in zip(p, rays[i])]
     return sorted(points)
 
 

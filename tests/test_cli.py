@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from mmpkit.cli import COMMANDS, build_parser, emit, main
-from mmpkit.serialize import canonical_json, fraction_to_str, parse_fraction
+from mmpkit.serialize import canonical_json, fraction_to_str, parse_fraction, plain
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,7 +87,8 @@ class Point:
 
 class TestRenderingRule:
     """serialize owns the one rule: a Fraction is its "p/q" string, an Enum
-    its value, a tuple a list; any other object JSON lacks is a TypeError."""
+    its value, a dataclass record the object of its fields, a tuple a list;
+    any other object JSON lacks is a TypeError."""
 
     def test_library_values_at_any_depth(self):
         report = {
@@ -99,7 +100,13 @@ class TestRenderingRule:
             '{"a":{"class":"Red","nested":[["1/3",[0,-1]]]},"b":["-1/2","3","Red"],"n":null}'
         )
 
-    @pytest.mark.parametrize("value", [{1, 2}, Point(1)], ids=["set", "dataclass"])
+    def test_a_record_is_the_object_of_its_fields_at_any_depth(self):
+        report = {"p": Point(Fraction(1, 2)), "ps": (Point(Colour.RED), Point((Point(0),)))}
+        assert canonical_json(report) == '{"p":{"x":"1/2"},"ps":[{"x":"Red"},{"x":[{"x":0}]}]}'
+        leaf = (10**30, -1)
+        assert plain(Point(leaf))["x"] is leaf  # the encoder walks the record; nothing is copied
+
+    @pytest.mark.parametrize("value", [{1, 2}, Point], ids=["set", "dataclass type"])
     def test_other_objects_are_a_type_error(self, value):
         with pytest.raises(TypeError):
             canonical_json({"value": value})

@@ -9,6 +9,7 @@ from mmpkit import surface
 from mmpkit.errors import (
     DegenerateConeError,
     EmptyCurveListError,
+    InvalidInputError,
     NonIntegralGenusError,
     NotMinusOneClassError,
     NotRank2Error,
@@ -554,6 +555,23 @@ class TestClassLength:
         with pytest.raises(ValueError) as info:
             call()
         assert (info.value.code, info.value.field) == (f"{field}_length", field)
+
+    @pytest.mark.parametrize(
+        "x, y, field",
+        [
+            ((1,), (1,), "x"),
+            ((1, 0, 0, 7), (1, 0, 0, 7), "x"),
+            ((1, 0, 0), (1,), "y"),
+            ((1, 0, 0), (1, 0, 0, 7), "y"),
+        ],
+        ids=["short", "long", "y-short", "y-long"],
+    )
+    def test_pair_checks_both_lengths(self, x, y, field):
+        # the pairing's zip answered 1 on the first two before
+        with pytest.raises(InvalidInputError) as info:
+            make_blowup_p2(2).pair(x, y)
+        assert (info.value.code, info.value.field) == (f"{field}_length", field)
+        assert str(info.value) == f"{field} must have length 3"
 
 
 class TestRiemannRochSurface:

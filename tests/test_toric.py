@@ -4,7 +4,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, gcd
+from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -232,6 +232,66 @@ class TestLatticePoints:
             hs = facets(cone)
             inner += any(matrix_rank([h for h in hs if dot(h, r) == 0]) < cone.rank - 1 for r in cone.rays)
         assert inner >= 150
+
+    def test_walk_matches_box_scan(self):
+        # the walk steps the longest side k of each Hermite box and carries the
+        # numerators a_i.z mod |det S| and the point; these cones reach every
+        # shape of box and adjugate that the walk treats differently
+        rng = random.Random(43)
+        cones = [random_q_gorenstein_cone(rng, 2 + k % 3, k % 4 if k % 3 else 0) for k in range(150)]
+        cones += [
+            cone_from_rays(rays)
+            for rays in (
+                [[1, 0, 0], [1, 2, 0], [1, 0, 2]],  # Z/2 x Z/2
+                [[1, 0, 0, 0], [1, 2, 0, 0], [1, 0, 2, 0], [1, 0, 0, 2]],  # (Z/2)^3
+                [[1, 0, 0], [1, 3, 0], [1, 0, 3], [1, 3, 3]],  # non-simplicial, (Z/3)^2 boxes
+                [[1, 5], [2, 7]],  # adjugate rows (-7, 2), (5, -1) for |det S| = 3
+                [[1, 7], [2, 9]],  # adjugate entry 7 > |det S| = 5
+                [[2, 1, 0], [0, 1, 0], [1, 1, 6]],
+                [[1, 0, 0], [0, 1, 0], [-1, -1, 301]],
+            )
+        ]
+        cones += [quotient_cone(a) for a in [*range(1, 41), 97, 256, 1000, 2310, 4999, 5000]]
+        seen = Counter()
+        for cone in cones:
+            m = q_gorenstein_functional(cone)
+            assert lattice_points_at_or_below_one(cone) == naive_points_at_or_below_one(cone, m), cone.rays
+            d = cone.rank
+            seen["non-simplicial"] += len(cone.rays) > d
+            hs = facets(cone)  # a ray is not extremal when the facets through it span less than a hyperplane
+            seen["ray not extremal"] += any(matrix_rank([h for h in hs if dot(h, r) == 0]) < d - 1 for r in cone.rays)
+            for rays in combinations(cone.rays, d):
+                diagonal = [col[k] for k, col in enumerate(linalg.column_hermite_form(rays))]
+                det = prod(diagonal)
+                if not det:
+                    seen["dependent"] += 1
+                    continue
+                adj = [linalg.cross_normal(rays[:i] + rays[i + 1 :], d) for i in range(d)]
+                adj = [a if dot(a, s) > 0 else tuple(-x for x in a) for a, s in zip(adj, rays)]
+                seen["non-cyclic"] += sum(h > 1 for h in diagonal) > 1
+                seen["longest side not last"] += diagonal.index(max(diagonal)) < d - 1
+                seen["adjugate entry < 0"] += any(x < 0 for a in adj for x in a)
+                seen["adjugate entry > det"] += any(x > det for a in adj for x in a)
+        assert min(seen.values()) >= 10, seen
+
+    def test_walk_seeds_each_row_once(self, monkeypatch):
+        # (0,1),(20000,-1) has Hermite diagonal (20000, 1): one row of 20000
+        # cosets, walked from one seed, so no coset costs a dot product
+        calls = Counter()
+
+        def counted(u, v, _dot=linalg.dot):
+            calls[len(u)] += 1
+            return _dot(u, v)
+
+        monkeypatch.setattr(toric.linalg, "dot", counted)
+        points = lattice_points_at_or_below_one(quotient_cone(20000))
+        assert points == [(0, 1)] + [(x, 0) for x in range(1, 10001)] + [(20000, -1)]
+        # facets: 2 normals x 2 rays; 2 adjugate signs; m on 2 rays; 1 row x 2 numerators
+        assert calls == Counter({2: 2 * 2 + 2 + 2 + 1 * 2})
+        # (1,0,0),(1,2,0),(1,0,2): diagonal (1, 2, 2), walked along k = 1, so 2 rows of 2 cosets
+        calls.clear()
+        lattice_points_at_or_below_one(cone_from_rays([[1, 0, 0], [1, 2, 0], [1, 0, 2]]))
+        assert calls == Counter({3: 3 * 3 + 3 + 3 + 2 * 3})
 
 
 class TestClassification:
