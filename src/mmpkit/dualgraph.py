@@ -237,9 +237,9 @@ def detect_du_val(graph: DualGraph) -> str | None:
     """Name the ADE Dynkin diagram when the graph is one, else None.
 
     A connected, negative-definite graph of genus-0 (-2)-curves with simple
-    edges is an ADE diagram (Artin, Amer. J. Math. 88, 1966), so once the
-    Sylvester test passes its degrees name it: with no fork it is A_n; a
-    fork with two or three leaf neighbours is D_n, and with one is E_n.
+    edges is an ADE diagram (Artin, Amer. J. Math. 88, 1966), so once its
+    form has signature (0, n, 0) its degrees name it: with no fork it is
+    A_n; a fork with two or three leaf neighbours is D_n, and with one E_n.
     """
     if any(v.genus != 0 or v.self_int != -2 for v in graph.vertices):
         return None

@@ -5,14 +5,14 @@ Everything here runs over Python's arbitrary-precision ``int`` and
 tuples of ints (or Fractions), matrices are tuples of row tuples.
 
 The routines cover what the geometric layers need.  One fraction-free
-(Bareiss) row echelon pass serves exact solving, rank, determinants and
-the Sylvester negative-definiteness test, whose leading principal minors
-are its pivots when no row swap is needed.  One column Hermite form
-serves integer kernels in a canonical basis and the coset boxes of
-``toric``.  Beside them sits the inertia of a symmetric form, and the
-toolkit's one rule for integer input (``as_int``, ``as_vector``,
-``as_rows``): an int that is not a bool, in a list or tuple, is kept as
-given, and anything else is ``wrong_type``.
+(Bareiss) row echelon pass serves exact solving, rank and determinants.
+One symmetric fraction-free elimination, which leaves alone the rows a
+pivot does not reach, gives the signature of a form and so decides its
+negative-definiteness.  One column Hermite form serves integer kernels
+in a canonical basis and the coset boxes of ``toric``.  Beside them
+sits the toolkit's one rule for integer input (``as_int``,
+``as_vector``, ``as_rows``): an int that is not a bool, in a list or
+tuple, is kept as given, and anything else is ``wrong_type``.
 A rational slot (``as_fraction``) takes such an int or a ``Fraction``.
 """
 
@@ -196,23 +196,6 @@ def det_bareiss(a) -> int:
     return (-1) ** swaps * m[-1][-1]
 
 
-def is_negative_definite(a) -> bool:
-    """Sylvester test: (-1)^k * (k-th leading principal minor) > 0 for all k.
-
-    With no row swap, Bareiss pivot k is the (k+1)-th leading principal
-    minor (row scaling by positive lcms keeps its sign); a swap or a skipped
-    column means a leading minor vanished.
-    """
-    if not is_symmetric(a):
-        raise NotSymmetricError("negative-definiteness test needs a symmetric matrix")
-    m, pivots, swaps = _echelon(a)
-    return (
-        swaps == 0
-        and pivots == list(range(len(a)))
-        and all((-1) ** (k + 1) * m[k][k] > 0 for k in pivots)
-    )
-
-
 def _combine_columns(cols, j0, j, row):
     """Unimodular combination putting gcd at (row, j0) and 0 at (row, j)."""
     a, b = cols[j0][row], cols[j][row]
@@ -298,52 +281,69 @@ def coordinates_in_basis(columns, v) -> IntVector:
     return tuple(coeffs)
 
 
-def inertia(a) -> tuple[int, int, int]:
-    """Signature (n_plus, n_minus, n_zero) of a symmetric matrix.
+def _signature(a) -> tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero) of a symmetric matrix.
 
     Symmetric fraction-free elimination with diagonal pivots, after scaling
     by the lcm of the denominators.  As in Bareiss, the remaining block is
     prev times the Schur complement, prev the last pivot (a principal
     minor), so the sign of pivot / prev is the sign of a Gaussian pivot.
-    With no nonzero diagonal left, the congruence adding row/column j to
-    row/column i makes m[i][i] = 2 m[i][j].
+    A row with a 0 in the pivot column would only be scaled by pivot /
+    prev, so it stays at the prev that last reached it, at[i], and is
+    scaled by prev / at[i] when next read, exactly by Sylvester's identity:
+    a tree or a chain costs O(n^2), not O(n^3).  With no nonzero diagonal
+    left, the congruence adding row/column j to row/column i makes
+    m[i][i] = 2 m[i][j].
     """
-    if not is_symmetric(a):
-        raise NotSymmetricError("inertia needs a symmetric matrix")
-    n = len(a)
     den = lcm(*(x.denominator for row in a for x in row))
     m = [[x.numerator * (den // x.denominator) for x in row] for row in a]
-    remaining = list(range(n))
-    pos = neg = 0
-    prev = 1
+    remaining, at = list(range(len(a))), [1] * len(a)
+    pos, prev = 0, 1
+
+    def current(i):
+        # the entries of eliminated columns are never read again
+        if at[i] != prev:
+            m[i], at[i] = [x * prev // at[i] for x in m[i]], prev
+        return m[i]
+
     while remaining:
         piv = next((i for i in remaining if m[i][i] != 0), None)
         if piv is None:
-            pair = next(
-                ((i, j) for i in remaining for j in remaining if i < j and m[i][j] != 0),
-                None,
-            )
-            if pair is None:
+            piv, j = next(((i, j) for i in remaining for j in remaining if m[i][j] != 0), (None, None))
+            if piv is None:
                 break
-            i, j = pair
+            top, other = current(piv), current(j)
             for k in remaining:
-                m[i][k] += m[j][k]
+                top[k] += other[k]
             for k in remaining:
-                m[k][i] += m[k][j]
-            piv = i
-        d = m[piv][piv]
-        if (d > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
+                m[k][piv] += m[k][j]
+        top = current(piv)
+        d = top[piv]
+        pos += (d > 0) == (prev > 0)
         remaining.remove(piv)
-        top = m[piv]
         for i in remaining:
-            row, f = m[i], m[i][piv]
-            for j in remaining:
-                row[j] = (d * row[j] - f * top[j]) // prev
+            if m[i][piv] != 0:
+                row = current(i)
+                f = row[piv]
+                for j in remaining:
+                    row[j] = (d * row[j] - f * top[j]) // prev
+                at[i] = d
         prev = d
-    return pos, neg, n - pos - neg
+    return pos, len(a) - len(remaining) - pos, len(remaining)
+
+
+def inertia(a) -> tuple[int, int, int]:
+    """Signature (n_plus, n_minus, n_zero) of a symmetric matrix."""
+    if not is_symmetric(a):
+        raise NotSymmetricError("inertia needs a symmetric matrix")
+    return _signature(a)
+
+
+def is_negative_definite(a) -> bool:
+    """True when the symmetric matrix a has signature (0, n, 0)."""
+    if not is_symmetric(a):
+        raise NotSymmetricError("negative-definiteness test needs a symmetric matrix")
+    return _signature(a) == (0, len(a), 0)
 
 
 def cross_normal(rows, dim) -> IntVector:

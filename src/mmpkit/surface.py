@@ -237,12 +237,10 @@ def enumerate_minus_one_classes(s: SurfaceLattice, bound: int | None = None) -> 
     if bound is not None:
         if linalg.as_int(bound, "bound") < 0:
             raise InvalidInputError("bound must be nonnegative", "bound_negative", "bound")
-        ranges = [range(-bound, bound + 1)] * s.rank
-        return [
-            x
-            for x in product(*ranges)
-            if s.pair(x, x) == -1 and s.pair(s.K, x) == -1
-        ]
+        gk = _gram_times(s, s.K)
+        box = product(*[range(-bound, bound + 1)] * s.rank)
+        hits = (x for x in box if sum(map(mul, gk, x)) == -1)
+        return [x for x in hits if sum(map(mul, x, _gram_times(s, x))) == -1]
     if s.pair(s.K, s.K) > 0 and linalg.inertia(s.gram) == (1, s.rank - 1, 0):
         return _ellipsoid_classes(s)
     raise UnboundedSearchError(

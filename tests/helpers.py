@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from mmpkit.dualgraph import Boundary, BoundaryComponent, DualGraph, Vertex
-from mmpkit.linalg import dot, is_negative_definite, matrix_rank, solve_possibly_singular
+from mmpkit.linalg import dot, matrix_rank, solve_possibly_singular
 from mmpkit.toric import ConeClass, cone_from_rays, facets
 
 #: positions in the implication chain smooth => terminal => canonical => klt
@@ -144,7 +144,7 @@ def random_negdef_graph(rng, max_vertices=6, minimal=False, allow_genus=True) ->
                 self_int = rng.randint(-6, -1)
             vertices.append(Vertex(genus=genus, self_int=self_int))
         graph = DualGraph(vertices=tuple(vertices), edges=tuple(edges))
-        if is_negative_definite(graph.intersection_matrix()):
+        if leading_minor_negdef(graph.intersection_matrix()):
             return graph
 
 
@@ -159,6 +159,61 @@ def random_boundary(rng, graph: DualGraph, max_components=2) -> Boundary:
             meets.append((rng.randrange(n), rng.randint(1, 2)))
         comps.append(BoundaryComponent(coeff=coeff, meets=tuple(meets)))
     return Boundary(tuple(comps))
+
+
+def leading_minor_negdef(a) -> bool:
+    """Sylvester's rule, the dense oracle for is_negative_definite: the k-th
+    leading principal minor of a has sign (-1)^k for every k.  Gaussian
+    elimination over Fractions in the given order, with no row swap, has
+    pivot k equal to the ratio of the (k+1)-th to the k-th leading minor,
+    so the rule holds exactly when every pivot is negative."""
+    m = [[Fraction(x) for x in row] for row in a]
+    for k, top in enumerate(m):
+        if top[k] >= 0:
+            return False
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / top[k]
+            m[i] = [x - f * y for x, y in zip(m[i], top)]
+    return True
+
+
+def dense_inertia(a) -> tuple:
+    """Signature (n_plus, n_minus, n_zero) of a symmetric matrix by dense
+    symmetric fraction-free elimination, every remaining row rewritten at
+    every pivot: the reference that linalg.inertia's row-skipping kernel
+    must agree with.  With no nonzero diagonal left, the congruence adding
+    row/column j to row/column i makes m[i][i] = 2 m[i][j]."""
+    n = len(a)
+    den = lcm(*(Fraction(x).denominator for row in a for x in row))
+    m = [[int(x * den) for x in row] for row in a]
+    remaining = list(range(n))
+    pos = neg = 0
+    prev = 1
+    while remaining:
+        piv = next((i for i in remaining if m[i][i] != 0), None)
+        if piv is None:
+            pair = next(((i, j) for i in remaining for j in remaining if i < j and m[i][j] != 0), None)
+            if pair is None:
+                break
+            i, j = pair
+            for k in remaining:
+                m[i][k] += m[j][k]
+            for k in remaining:
+                m[k][i] += m[k][j]
+            piv = i
+        d = m[piv][piv]
+        if (d > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        remaining.remove(piv)
+        top = m[piv]
+        for i in remaining:
+            row, f = m[i], m[i][piv]
+            for j in remaining:
+                row[j] = (d * row[j] - f * top[j]) // prev
+        prev = d
+    return pos, neg, n - pos - neg
 
 
 def box_negdef_oracle(matrix, box=3) -> bool:

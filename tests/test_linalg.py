@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import box_negdef_oracle, mat_vec
+from helpers import box_negdef_oracle, dense_inertia, leading_minor_negdef, mat_vec, random_tree_edges
 from mmpkit.errors import NotSymmetricError, SingularMatrixError, ZeroVectorError
 from mmpkit.linalg import (
     column_hermite_form,
@@ -194,17 +195,92 @@ class TestInertia:
         gram = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
         assert inertia(gram) == (1, 2, 0)
 
-    def test_matches_definiteness(self):
+    def test_row_skipping_matches_dense_references(self):
+        # the kernel leaves rows with a 0 in the pivot column alone; on forms
+        # where that happens often it must give the dense reference loop's
+        # signature and the leading-minor rule's verdict
         rng = random.Random(41)
-        for _ in range(200):
-            n = rng.randint(1, 4)
-            m = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    m[i][j] = m[j][i] = rng.randint(-4, 4)
-            pos, neg, zero = inertia(m)
-            assert pos + neg + zero == n
-            assert is_negative_definite(m) == (neg == n)
+        seen = Counter()
+        for k in range(3500):
+            kind = SHAPES[k % len(SHAPES)]
+            m = random_sparse_form(rng, kind)
+            if rng.random() < 1 / 3:
+                # a congruence by a diagonal of unit fractions
+                d = [rng.randint(1, 4) for _ in m]
+                m = [[Fraction(x, d[i] * d[j]) for j, x in enumerate(row)] for i, row in enumerate(m)]
+                seen["fractions"] += 1
+            sig = inertia(m)
+            assert sig == dense_inertia(m), (kind, m)
+            assert is_negative_definite(m) == leading_minor_negdef(m), (kind, m)
+            seen[kind, "definite" if sig[1] == len(m) else "singular" if sig[2] else "other"] += 1
+        # a zero diagonal block is never definite, and a rank below n singular
+        for kind in SHAPES:
+            verdicts = {"zero diagonal block": ("singular", "other"), "low rank": ("singular",)}.get(
+                kind, ("definite", "singular", "other")
+            )
+            assert min(seen[kind, v] for v in verdicts) >= 10, seen
+        assert seen["fractions"] >= 1000
+
+
+#: shapes of random_sparse_form
+SHAPES = ("dense", "blocks", "chain", "tree", "zero diagonal block", "cancelling", "low rank")
+
+
+def random_sparse_form(rng, kind):
+    """A random symmetric integer matrix of one shape: dense with zeros;
+    block diagonal; a chain; a tree with its vertices in random order; a
+    block with a zero diagonal that only the congruence step can pivot on,
+    reached after the rows of a second block were skipped; entries in
+    {-1, 0, 1} whose Schur diagonals cancel, so that the congruence step
+    also pairs a row some pivot reached with one it skipped; or B^T D B of
+    lower rank.  Rows and columns are shuffled by one permutation, except
+    for the chain."""
+    n = rng.randint(1, 9)
+    m = [[0] * n for _ in range(n)]
+
+    def put(i, j, x):
+        m[i][j] = m[j][i] = x
+
+    if kind == "dense":
+        for i in range(n):
+            for j in range(i, n):
+                put(i, j, rng.randint(-5, 1) if i == j else rng.choice((0, 0, rng.randint(-2, 2))))
+    elif kind == "blocks":
+        start = 0
+        while start < n:
+            size = rng.randint(1, n - start)
+            for i in range(start, start + size):
+                for j in range(i, start + size):
+                    put(i, j, rng.randint(-4, 1) if i == j else rng.randint(-1, 1))
+            start += size
+    elif kind in ("chain", "tree"):
+        edges = [(i, i + 1, 1) for i in range(n - 1)] if kind == "chain" else random_tree_edges(rng, n)
+        for i in range(n):
+            put(i, i, rng.choice((-3, -2, -2, -1, 0, 1)))
+        for i, j, _ in edges:
+            put(i, j, rng.choice((-1, 1, 1, 2)))
+    elif kind == "zero diagonal block":
+        split = rng.randint(0, n - 1)
+        for i in range(split):
+            for j in range(i, split):
+                put(i, j, rng.randint(-3, -1) if i == j else rng.randint(-1, 1))
+        for i in range(split, n):
+            for j in range(i + 1, n):
+                put(i, j, rng.randint(-2, 2))
+    elif kind == "cancelling":
+        for i in range(n):
+            for j in range(i, n):
+                put(i, j, rng.choice((-1, 0) if i == j else (-1, 0, 0, 1)))
+    else:
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+        d = [rng.choice((-2, -1, -1, 1)) for _ in b]
+        for i in range(n):
+            for j in range(i, n):
+                put(i, j, sum(dk * row[i] * row[j] for dk, row in zip(d, b)))
+    if kind == "chain":
+        return m
+    order = rng.sample(range(n), n)
+    return [[m[i][j] for j in order] for i in order]
 
 
 class TestSmallHelpers:

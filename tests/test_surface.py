@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -233,6 +234,24 @@ class TestMinusOneEnumeration:
             assert all(s.pair(x, x) == -1 and s.pair(s.K, x) == -1 for x in found)
             box = enumerate_minus_one_classes(s, bound=5)
             assert set(box) == {x for x in found if max(map(abs, x)) <= 5}
+
+    def test_bounded_scan_is_the_box_filtered_by_pair(self):
+        # the scan tests K.x before x^2 with unchecked dots; its list, in its
+        # order, is the lexicographic box filtered by the public pairing
+        rng = random.Random(79)
+        found = 0
+        for _ in range(400):
+            n, bound = rng.randint(1, 4), rng.randint(0, 3)
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = rng.randint(-2, 1)
+            s = SurfaceLattice(rank=n, gram=gram, K=[rng.randint(-2, 2) for _ in range(n)])
+            box = product(range(-bound, bound + 1), repeat=n)
+            expected = [x for x in box if s.pair(x, x) == -1 and s.pair(s.K, x) == -1]
+            assert enumerate_minus_one_classes(s, bound=bound) == expected, s
+            found += len(expected)
+        assert found >= 100
 
     def test_unit_rank_has_none(self):
         # signature (1, 0) is positive definite, so no class squares to -1

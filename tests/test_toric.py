@@ -617,12 +617,16 @@ class TestHirzebruchJungCrossOracle:
         # dual-graph discrepancy of the corresponding exceptional curve in
         # the continued-fraction chain; two fully independent code paths
         rng = random.Random(67)
-        seen = 0
-        while seen < 60:
+        drawn = []
+        while len(drawn) < 60:
             a = rng.randint(2, 14)
             q = rng.randint(1, a - 1)
-            if gcd(a, q) != 1:
-                continue
+            if gcd(a, q) == 1:
+                drawn.append((a, q))
+        # long chains: a/(a-1) is A_{a-1}, and a/(a-2) for odd a is (a-3)/2
+        # (-2)-curves then one (-3)-curve
+        long_chains = [(a, a - 1) for a in range(15, 61)] + [(a, a - 2) for a in range(15, 60, 2)]
+        for a, q in drawn + long_chains:
             bs, rays = resolution_rays(a, q)
             cone = quotient_cone(a, q)
             chain = DualGraph(
@@ -644,4 +648,3 @@ class TestHirzebruchJungCrossOracle:
             else:
                 assert toric_kind is ConeClass.KLT_ONLY
                 assert report.singularity_class is SingularityClass.KLT
-            seen += 1
