@@ -34,7 +34,6 @@ from contextlib import contextmanager
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from operator import mul
 from typing import Callable, NamedTuple
 
 from . import dualgraph, kodaira, surface, toric
@@ -188,13 +187,12 @@ def emit_error(kind: str, code: str, message: str, fmt: str, field: str | None =
 
 def cmd_toric_classify(args):
     result = toric.classify_cone(parse_cone(load_document(args)))
-    m = result.support_functional  # None only when there are no points
     return {
         "class": result.kind,
         "q_factorial": result.q_factorial,
         "gorenstein_index": result.gorenstein_index,
-        "support_functional": m,
-        "points": [{"point": p, "discrepancy": sum(map(mul, m, p)) - 1} for p in result.points_at_or_below_one],
+        "support_functional": result.support_functional,
+        "points": [{"point": p, "discrepancy": a} for p, a in zip(result.points_at_or_below_one, result.discrepancies)],
     }
 
 

@@ -5,21 +5,25 @@ Everything here runs over Python's arbitrary-precision ``int`` and
 tuples of ints (or Fractions), matrices are tuples of row tuples.
 
 The routines cover what the geometric layers need.  One fraction-free
-(Bareiss) row echelon pass serves exact solving, rank and determinants.
-One symmetric fraction-free elimination, which leaves alone the rows a
-pivot does not reach, gives the signature of a form and so decides its
-negative-definiteness.  One column Hermite form serves integer kernels
-in a canonical basis and the coset boxes of ``toric``.  Beside them
-sits the toolkit's one rule for integer input (``as_int``,
-``as_vector``, ``as_rows``): an int that is not a bool, in a list or
-tuple, is kept as given, and anything else is ``wrong_type``.
-A rational slot (``as_fraction``) takes such an int or a ``Fraction``.
+(Bareiss) elimination, which leaves alone the rows a pivot does not
+reach, serves two pivot rules.  The echelon rule, the first column with
+a nonzero and its first such row, gives exact solving, rank and
+determinants; the symmetric rule, a nonzero diagonal entry, gives the
+signature of a form and so decides its negative-definiteness.  One
+column Hermite form serves integer kernels in a canonical basis and the
+coset boxes of ``toric``.  Beside them sits the toolkit's one rule for
+integer input (``as_int``, ``as_vector``, ``as_rows``): an int that is
+not a bool, in a list or tuple, is kept as given, and anything else is
+``wrong_type``.  A rational slot (``as_fraction``) takes such an int or
+a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InvalidInputError, NotSymmetricError, SingularMatrixError, ZeroVectorError
 
@@ -99,55 +103,73 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _echelon(rows):
-    """Fraction-free (Bareiss) row echelon form: (m, pivots, swaps).
+def _eliminate(a, symmetric=False):
+    """Fraction-free (Bareiss) elimination of a: (m, order, den).
 
-    m is the reduced rows as int lists, pivots the column of each pivot row
-    and swaps the number of row swaps.  A row with Fraction entries is first
-    scaled by the lcm of its denominators, which changes neither the rank
-    nor the solution set.  By Sylvester's identity each division is exact,
-    and pivot k is the minor of the swapped, scaled matrix on rows 0..k and
-    columns pivots[0..k].
+    a is scaled by den, the lcm of its denominators, into the int rows m,
+    which changes neither the rank nor the solution set; order is the
+    (row, column) of each pivot.  The echelon rule pivots on the first
+    column with a nonzero in a live row, in its first such row.  The
+    symmetric rule pivots on a nonzero diagonal entry; with none left, the
+    congruence adding row and column j to row and column i makes
+    m[i][i] = 2 m[i][j].  As in Bareiss, a live entry is prev times a
+    Gaussian one, prev the last pivot, and pivot k is the minor of the
+    scaled matrix on the first k + 1 pivot rows and columns, in pivot
+    order.  A row with a 0 in the pivot column would only be scaled by
+    pivot / prev, so it is left alone: it is prev / at[i] times its Bareiss
+    row, at[i] the pivot that last reached it, so its next update divides
+    by at[i] instead of prev, exactly by Sylvester's identity, and a chain
+    or a tree costs O(n^2), not O(n^3).  A pivot row is brought to scale
+    and then kept; only its entries in the columns live then are read.
     """
-    m = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-    pivots: list[int] = []
-    swaps, prev = 0, 1
-    for col in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        p = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            swaps += 1
-        top, pv = m[r], m[r][col]
-        for i in range(r + 1, len(m)):
-            row, f = m[i], m[i][col]
-            row[col:] = [(pv * x - f * y) // prev for x, y in zip(row[col:], top[col:])]
-        prev = pv
-        pivots.append(col)
-        if r + 1 == len(m):
-            break
-    return m, pivots, swaps
+    den = lcm(*(x.denominator for row in a for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    rows, at, order, prev = list(range(len(m))), [1] * len(m), [], 1
+    cols = rows if symmetric else range(len(m[0]) if m else 0)
+    while rows:
+        if not symmetric:
+            p, c = next(((i, j) for j in cols for i in rows if m[i][j]), (None, None))
+            if p is None:
+                break
+            cols = range(c + 1, cols.stop)
+        elif (p := next((i for i in rows if m[i][i]), None)) is None:
+            p, j = next(((i, j) for i in rows for j in rows if m[i][j]), (None, None))
+            if p is None:
+                break
+            m[p], at[p] = [x * prev // at[p] + y * prev // at[j] for x, y in zip(m[p], m[j])], prev
+            for k in rows:
+                m[k][p] += m[k][j]
+        if symmetric:
+            c = p
+        if at[p] != prev:
+            m[p] = [x * prev // at[p] for x in m[p]]
+        top, d = m[p], m[p][c]
+        rows.remove(p)
+        for i in rows:
+            row, f = m[i], m[i][c]
+            if f:
+                q, at[i] = at[i], d
+                for j in cols:
+                    row[j] = (d * row[j] - f * top[j]) // q
+        order.append((p, c))
+        prev = d
+    return m, order, den
 
 
 def _solve(a, b, cols):
     """(x, unique) for A x = b with the free variables 0, or None when the
     echelon form of [A | b] has a pivot in the column of b."""
-    m, pivots, _ = _echelon([list(row) + [y] for row, y in zip(a, b)])
-    if pivots and pivots[-1] == cols:
+    m, order, _ = _eliminate([list(row) + [y] for row, y in zip(a, b)])
+    if order and order[-1][1] == cols:
         return None
     # by Cramer's rule den * x is integral, den the last pivot (the minor
     # on the pivot rows and columns), so back-substitution stays in ints
-    den = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    den = m[order[-1][0]][order[-1][1]] if order else 1
     y = [0] * cols
-    for k in reversed(range(len(pivots))):
-        row, c = m[k], pivots[k]
-        y[c] = (den * row[cols] - sum(row[j] * y[j] for j in pivots[k + 1:])) // row[c]
-    return tuple(Fraction(v, den) for v in y), len(pivots) == cols
+    for p, c in reversed(order):
+        row = m[p]
+        y[c] = (den * row[cols] - sum(map(mul, row[c + 1:cols], y[c + 1:]))) // row[c]
+    return tuple(Fraction(v, den) for v in y), len(order) == cols
 
 
 def solve_exact(a, b) -> RatVector:
@@ -180,20 +202,27 @@ def solve_possibly_singular(a, b):
 
 
 def matrix_rank(a) -> int:
-    return len(_echelon(a)[1])
+    return len(_eliminate(a)[1])
 
 
-def det_bareiss(a) -> int:
-    """Exact determinant of an integer matrix from its Bareiss pivots."""
+def det_bareiss(a) -> int | Fraction:
+    """Exact determinant of a square matrix of ints or Fractions, an int
+    when every entry is an int.
+
+    The last pivot is the determinant of den * A with its rows in pivot
+    order, so det A is that pivot over den^n, negated when the order is odd.
+    """
     n = len(a)
     if n == 0:
         return 1
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    m, pivots, swaps = _echelon(a)
-    if len(pivots) < n:
+    m, order, den = _eliminate(a)
+    if len(order) < n:
         return 0
-    return (-1) ** swaps * m[-1][-1]
+    perm = [p for p, _ in order]
+    det = (-1) ** sum(x > y for x, y in combinations(perm, 2)) * m[perm[-1]][n - 1]
+    return det if den == 1 else Fraction(det, den**n)
 
 
 def _combine_columns(cols, j0, j, row):
@@ -282,54 +311,15 @@ def coordinates_in_basis(columns, v) -> IntVector:
 
 
 def _signature(a) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) of a symmetric matrix.
-
-    Symmetric fraction-free elimination with diagonal pivots, after scaling
-    by the lcm of the denominators.  As in Bareiss, the remaining block is
-    prev times the Schur complement, prev the last pivot (a principal
-    minor), so the sign of pivot / prev is the sign of a Gaussian pivot.
-    A row with a 0 in the pivot column would only be scaled by pivot /
-    prev, so it stays at the prev that last reached it, at[i], and is
-    scaled by prev / at[i] when next read, exactly by Sylvester's identity:
-    a tree or a chain costs O(n^2), not O(n^3).  With no nonzero diagonal
-    left, the congruence adding row/column j to row/column i makes
-    m[i][i] = 2 m[i][j].
-    """
-    den = lcm(*(x.denominator for row in a for x in row))
-    m = [[x.numerator * (den // x.denominator) for x in row] for row in a]
-    remaining, at = list(range(len(a))), [1] * len(a)
+    """(n_plus, n_minus, n_zero) of a symmetric matrix from its symmetric
+    pivots: pivot / prev has the sign of a Gaussian pivot, prev the one
+    before it."""
+    m, order, _ = _eliminate(a, symmetric=True)
     pos, prev = 0, 1
-
-    def current(i):
-        # the entries of eliminated columns are never read again
-        if at[i] != prev:
-            m[i], at[i] = [x * prev // at[i] for x in m[i]], prev
-        return m[i]
-
-    while remaining:
-        piv = next((i for i in remaining if m[i][i] != 0), None)
-        if piv is None:
-            piv, j = next(((i, j) for i in remaining for j in remaining if m[i][j] != 0), (None, None))
-            if piv is None:
-                break
-            top, other = current(piv), current(j)
-            for k in remaining:
-                top[k] += other[k]
-            for k in remaining:
-                m[k][piv] += m[k][j]
-        top = current(piv)
-        d = top[piv]
-        pos += (d > 0) == (prev > 0)
-        remaining.remove(piv)
-        for i in remaining:
-            if m[i][piv] != 0:
-                row = current(i)
-                f = row[piv]
-                for j in remaining:
-                    row[j] = (d * row[j] - f * top[j]) // prev
-                at[i] = d
-        prev = d
-    return pos, len(a) - len(remaining) - pos, len(remaining)
+    for p, _ in order:
+        pos += (m[p][p] > 0) == (prev > 0)
+        prev = m[p][p]
+    return pos, len(order) - pos, len(a) - len(order)
 
 
 def inertia(a) -> tuple[int, int, int]:

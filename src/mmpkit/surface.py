@@ -175,7 +175,8 @@ def _ellipsoid_classes(s: SurfaceLattice) -> list[IntVector]:
     gb = [_gram_times(s, v) for v in basis]
     a = [[-sum(map(mul, u, gv)) for u in basis] for gv in gb]
     beta = [sum(map(mul, x0, gv)) for gv in gb]
-    rows, _, _ = linalg._echelon(a)
+    m, order, _ = linalg._eliminate(a)
+    rows = [m[p] for p, _ in order]
     d = len(basis)
     minors = [1] + [rows[k][k] for k in range(d)]
     # det(A) m is integral (Cramer), and so are row_k . m and det(A) R

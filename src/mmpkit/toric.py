@@ -93,6 +93,11 @@ class ToricClassification:
     support_functional: RatVector | None
     points_at_or_below_one: tuple[IntVector, ...]
 
+    @property
+    def discrepancies(self) -> tuple[Fraction, ...]:
+        """The discrepancy m(P) - 1 at each of the points P."""
+        return tuple(_discrepancy(self.support_functional, p) for p in self.points_at_or_below_one)
+
 
 def _normals(rays, d) -> set[IntVector]:
     """Inward primitive normals of the hyperplanes through d-1 rays with all rays on one side."""
@@ -208,7 +213,7 @@ def classify_cone(cone: Cone) -> ToricClassification:
         kind = ConeClass.SMOOTH
     elif not extras:
         kind = ConeClass.TERMINAL
-    elif all(sum(c * x for c, x in zip(m, p)) == 1 for p in extras):
+    elif all(_discrepancy(m, p) == 0 for p in extras):
         kind = ConeClass.CANONICAL
     else:
         kind = ConeClass.KLT_ONLY
@@ -219,6 +224,11 @@ def classify_cone(cone: Cone) -> ToricClassification:
         support_functional=m,
         points_at_or_below_one=points,
     )
+
+
+def _discrepancy(m: RatVector, v) -> Fraction:
+    """m(v) - 1, m the support functional: the discrepancy at v."""
+    return sum(c * x for c, x in zip(m, v)) - 1
 
 
 def toric_discrepancy(cone: Cone, v) -> Fraction:
@@ -237,4 +247,4 @@ def toric_discrepancy(cone: Cone, v) -> Fraction:
     m = q_gorenstein_functional(cone)
     if m is None:
         raise NotQGorensteinError("cone has no support functional; discrepancies undefined")
-    return sum((Fraction(c) * x for c, x in zip(m, v)), Fraction(0)) - 1
+    return _discrepancy(m, v)

@@ -1,8 +1,8 @@
 """Shared generators and independent oracles for the test suite."""
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import gcd, isqrt, lcm
+from itertools import combinations, permutations, product
+from math import gcd, isqrt, lcm, prod
 
 from mmpkit.dualgraph import Boundary, BoundaryComponent, DualGraph, Vertex
 from mmpkit.linalg import dot, matrix_rank, solve_possibly_singular
@@ -214,6 +214,47 @@ def dense_inertia(a) -> tuple:
                 row[j] = (d * row[j] - f * top[j]) // prev
         prev = d
     return pos, neg, n - pos - neg
+
+
+def gauss_jordan(a):
+    """Gauss-Jordan elimination over Fractions, the reference for the
+    echelon readers of linalg: (m, order, late).  The pivot is the first
+    column with a nonzero in a row not yet used, in its first such row, as
+    in linalg; order is the (row, column) of each pivot and m the reduced
+    rows in their given places, each pivot 1 and alone in its column.
+    late counts the rows that had a 0 in one pivot column and a nonzero in
+    a later one: the rows linalg's kernel skips and then reaches."""
+    m = [[Fraction(x) for x in row] for row in a]
+    live, skipped, order, late = list(range(len(m))), set(), [], 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in live if m[i][c]), None)
+        if p is None:
+            continue
+        reached = {i for i in live if m[i][c]}
+        late += len(skipped & reached)
+        skipped = (skipped | set(live)) - reached
+        live.remove(p)
+        top = m[p] = [x / m[p][c] for x in m[p]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != p and f:
+                m[i] = [x - f * y for x, y in zip(row, top)]
+        order.append((p, c))
+    return m, order, late
+
+
+def leibniz_det(a):
+    """det a as the sum over permutations s of sign(s) prod a[i][s(i)]:
+    the reference for det_bareiss, for n <= 6."""
+    n = len(a)
+    assert n <= 6
+    total = 0
+    for s in permutations(range(n)):
+        factors = [a[i][s[i]] for i in range(n)]
+        if all(factors):
+            inversions = sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n))
+            total += (-1) ** inversions * prod(factors)
+    return total
 
 
 def box_negdef_oracle(matrix, box=3) -> bool:

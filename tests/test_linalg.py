@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import box_negdef_oracle, dense_inertia, leading_minor_negdef, mat_vec, random_tree_edges
+from helpers import (
+    box_negdef_oracle,
+    dense_inertia,
+    gauss_jordan,
+    leading_minor_negdef,
+    leibniz_det,
+    mat_vec,
+    random_tree_edges,
+)
 from mmpkit.errors import NotSymmetricError, SingularMatrixError, ZeroVectorError
 from mmpkit.linalg import (
     column_hermite_form,
@@ -56,6 +64,125 @@ class TestSolveExact:
             x = solve_exact(a, b)
             assert list(mat_vec(a, x)) == b
             checked += 1
+
+
+class TestDetBareiss:
+    def test_fraction_entries_are_exact(self):
+        # both were 1, the determinant of the matrix scaled to integers
+        assert det_bareiss([[Fraction(1, 2)]]) == Fraction(1, 2)
+        assert det_bareiss([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == Fraction(1, 6)
+
+    def test_det_of_a_over_k(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            k = rng.randint(2, 7)
+            det = det_bareiss(a)
+            assert isinstance(det, int)
+            assert det_bareiss([[Fraction(x, k) for x in row] for row in a]) == Fraction(det, k**n), (a, k)
+
+
+class TestEchelonReaders:
+    def test_row_skipping_matches_gauss_jordan_and_leibniz(self):
+        # the kernel leaves alone a row with a 0 in the pivot column and
+        # pivots on the first row with a nonzero, not the next one; the
+        # solves, the rank and the determinant must still be those of
+        # Gauss-Jordan over Fractions and of the Leibniz expansion
+        rng = random.Random(43)
+        seen = Counter()
+        for k in range(1200):
+            kind = ECHELON_SHAPES[k % len(ECHELON_SHAPES)]
+            a = random_echelon_matrix(rng, kind)
+            if rng.random() < 1 / 3:
+                a = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in a]
+                seen["fractions"] += 1
+            rows, cols = len(a), len(a[0])
+            _, order, late = gauss_jordan(a)
+            assert matrix_rank(a) == len(order), a
+            seen["skipped, then reached"] += late > 0
+            b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows)]
+            for rhs in (b, list(mat_vec(a, [rng.randint(-3, 3) for _ in range(cols)]))):
+                expected = reference_solve(a, rhs)
+                assert solve_possibly_singular(a, rhs) == expected, (a, rhs)
+                seen["inconsistent" if expected is None else "unique" if expected[1] else "free"] += 1
+            if rows != cols:
+                continue
+            if len(order) < rows:
+                seen["singular"] += 1
+                with pytest.raises(SingularMatrixError):
+                    solve_exact(a, b)
+            else:
+                assert solve_exact(a, b) == reference_solve(a, b)[0], (a, b)
+                perm = [p for p, _ in order]
+                seen["odd order"] += sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:]) % 2
+            if rows <= 6:
+                det = det_bareiss(a)
+                assert det == leibniz_det(a), a
+                assert isinstance(det, int) or any(isinstance(x, Fraction) for row in a for x in row)
+        for key in ("fractions", "skipped, then reached", "odd order", "singular", "inconsistent", "unique", "free"):
+            assert seen[key] >= 100, seen
+
+
+#: shapes of random_echelon_matrix
+ECHELON_SHAPES = ("chain", "tree", "blocks", "zero lead", "low rank")
+
+
+def random_echelon_matrix(rng, kind):
+    """A random integer matrix of one shape: a chain (tridiagonal, some
+    links 0); a tree with its vertices in random order; block diagonal
+    with its rows and its columns shuffled apart; dense with a 0 leading
+    entry and often more zeros down the first column, so that the first
+    pivot row is not the first row; or a rectangular L R through an inner
+    dimension that is often smaller, so often of lower rank.  Only the
+    last is rectangular."""
+    n = rng.randint(1, 7)
+    a = [[0] * n for _ in range(n)]
+    if kind == "chain":
+        for i in range(n):
+            a[i][i] = rng.randint(-3, 2)
+            if i + 1 < n:
+                a[i][i + 1], a[i + 1][i] = rng.choice((-1, 0, 1, 2)), rng.choice((-1, 0, 1, 1))
+    elif kind == "tree":
+        for i in range(n):
+            a[i][i] = rng.choice((-3, -2, -2, -1, 0, 1))
+        for i, j, _ in random_tree_edges(rng, n):
+            a[i][j], a[j][i] = rng.choice((-1, 1, 2)), rng.choice((-1, 1, 1))
+        order = rng.sample(range(n), n)
+        a = [[a[i][j] for j in order] for i in order]
+    elif kind == "blocks":
+        start = 0
+        while start < n:
+            size = rng.randint(1, n - start)
+            for i in range(start, start + size):
+                for j in range(start, start + size):
+                    a[i][j] = rng.randint(-2, 2)
+            start += size
+        rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+        a = [[a[i][j] for j in cols] for i in rows]
+    elif kind == "zero lead":
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        for i in range(rng.randint(1, n)):
+            a[i][0] = 0
+    else:
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        inner = rng.randint(0, min(rows, cols))
+        left = [[rng.randint(-2, 2) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(inner)]
+        a = [[sum(x * r[j] for x, r in zip(row, right)) for j in range(cols)] for row in left]
+    return a
+
+
+def reference_solve(a, b):
+    """solve_possibly_singular's answer read off the Gauss-Jordan form of [A | b]."""
+    cols = len(a[0])
+    m, order, _ = gauss_jordan([list(row) + [y] for row, y in zip(a, b)])
+    if order and order[-1][1] == cols:
+        return None
+    x = [Fraction(0)] * cols
+    for p, c in order:
+        x[c] = m[p][cols]
+    return tuple(x), len(order) == cols
 
 
 class TestNegativeDefinite:

@@ -448,6 +448,22 @@ class TestToricDiscrepancy:
         with pytest.raises(NotQGorensteinError):
             toric_discrepancy(bad, (1, 1, 0))
 
+    def test_classification_carries_m_minus_one_at_each_point(self):
+        rng = random.Random(71)
+        kinds = Counter()
+        for k in range(120):
+            cone = random_q_gorenstein_cone(rng, 2 + k % 3, extra=k % 2)
+            result = classify_cone(cone)
+            m, points = result.support_functional, result.points_at_or_below_one
+            assert result.discrepancies == tuple(sum(c * x for c, x in zip(m, p)) - 1 for p in points), cone.rays
+            for p, value in zip(points, result.discrepancies):
+                if gcd(*p) == 1:
+                    assert value == toric_discrepancy(cone, p), (cone.rays, p)
+            kinds[result.kind] += 1
+        assert min(kinds[kind] for kind in (ConeClass.TERMINAL, ConeClass.CANONICAL, ConeClass.KLT_ONLY)) >= 10, kinds
+        bad = cone_from_rays([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, -1]])
+        assert classify_cone(bad).discrepancies == ()
+
     def test_cross_oracle_with_dual_graph(self):
         # the same singularity computed along two independent code paths
         for a in range(1, 13):
