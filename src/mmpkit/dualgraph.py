@@ -213,14 +213,18 @@ def _classify(d, touching) -> SingularityClass:
 def discrepancies(graph: DualGraph, boundary: Boundary | None = None) -> DiscrepancyReport:
     """Solve for the discrepancy of every exceptional curve and classify.
 
-    With no boundary a Du Val name stands in for the contractibility check:
-    naming the graph already proved it connected and negative definite.
+    Definiteness is tested once.  With no boundary detect_du_val tests it on
+    a connected graph of genus-0 (-2)-curves with simple edges, and names the
+    graph exactly when it passes; every other graph goes to check_contractible.
     """
     boundary = boundary or EMPTY_BOUNDARY
     boundary.validate_against(graph)
     du_val = None if boundary.components else detect_du_val(graph)
-    if du_val is None and not check_contractible(graph):
-        raise NotContractibleError("intersection matrix is not negative definite")
+    if du_val is None:
+        # detect_du_val names every connected negative-definite graph of this shape
+        not_definite = not boundary.components and _minus_two_curves(graph) and graph.is_connected()
+        if not_definite or not check_contractible(graph):
+            raise NotContractibleError("intersection matrix is not negative definite")
     m = graph.intersection_matrix()
     k_deg = graph.canonical_degrees()
     rhs = [Fraction(k) + boundary.intersection_with(j) for j, k in enumerate(k_deg)]
@@ -241,9 +245,7 @@ def detect_du_val(graph: DualGraph) -> str | None:
     form has signature (0, n, 0) its degrees name it: with no fork it is
     A_n; a fork with two or three leaf neighbours is D_n, and with one E_n.
     """
-    if any(v.genus != 0 or v.self_int != -2 for v in graph.vertices):
-        return None
-    if any(mult != 1 for _, _, mult in graph.edges) or not graph.is_connected():
+    if not _minus_two_curves(graph) or not graph.is_connected():
         return None
     if not linalg.is_negative_definite(graph.intersection_matrix()):
         return None
@@ -257,6 +259,13 @@ def detect_du_val(graph: DualGraph) -> str | None:
     fork = degrees.index(3)
     leaves = sum(degrees[j if i == fork else i] == 1 for i, j, _ in graph.edges if fork in (i, j))
     return f"{'E' if leaves == 1 else 'D'}{n}"
+
+
+def _minus_two_curves(graph: DualGraph) -> bool:
+    """All curves are genus-0 (-2)-curves, meeting with multiplicity 1."""
+    return all(v.genus == 0 and v.self_int == -2 for v in graph.vertices) and all(
+        mult == 1 for _, _, mult in graph.edges
+    )
 
 
 # -- blow-up bookkeeping -------------------------------------------------------

@@ -159,6 +159,8 @@ def _eliminate(a, symmetric=False):
 def _solve(a, b, cols):
     """(x, unique) for A x = b with the free variables 0, or None when the
     echelon form of [A | b] has a pivot in the column of b."""
+    if len(b) != len(a):
+        raise ValueError("dimension mismatch between matrix and right-hand side")
     m, order, _ = _eliminate([list(row) + [y] for row, y in zip(a, b)])
     if order and order[-1][1] == cols:
         return None
@@ -181,8 +183,6 @@ def solve_exact(a, b) -> RatVector:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    if len(b) != n:
-        raise ValueError("dimension mismatch between matrix and right-hand side")
     sol = _solve(a, b, n)
     if sol is None or not sol[1]:
         raise SingularMatrixError("matrix is singular")

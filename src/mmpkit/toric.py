@@ -7,9 +7,11 @@ variety is Q-Gorenstein with Gorenstein index the lcm of the denominators
 of m, and the discrepancy of the valuation obtained by star-subdividing at
 a primitive lattice point v of the cone equals m(v) - 1.  Classification
 then reads off the nonzero lattice points P with m(P) <= 1 in the simplicial
-cones on the independent d-subsets S of rays, which cover the cone, walking
-the integral point z - S floor(S^-1 z) through one z per coset of Z^d / S Z^d
-by integer additions, at a cost of sum |det S| steps:
+cones on the independent d-subsets S of rays, which cover the cone.  The
+integral point z - S floor(S^-1 z) of each coset of Z^d / S Z^d is read off
+the numerators of S^-1 z, walked along rows of the Hermite box in runs
+between their wraps mod |det S|; a run's points form one arithmetic
+progression, so the cost is rows + wraps + points, not sum |det S|:
 
 * only the ray generators  -> terminal,
 * extra points, all m = 1  -> canonical,
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import lcm, prod
 
 from . import linalg
@@ -159,7 +161,8 @@ def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
     d independent rays S, P is a ray or z - S floor(S^-1 z) whose numerators n_i = a_i.z
     mod |det S| sum to at most |det S|, a_i the cross_normal rows of |det S| S^-1, for z in
     the Hermite box 0 <= z_k < h_kk.  z_k += 1 on its longest side adds a_i[k] mod |det S|
-    to n_i and e_k - S floor(S^-1 e_k) to P, and s_i leaves P if n_i wraps: P stays integral."""
+    to n_i and e_k - S floor(S^-1 e_k) to P.  Until some n_i wraps, both grow linearly, so
+    the hits of a run between wraps are one interval of steps and one range of points."""
     facets(cone)  # raises for a line or a cone that is not full-dimensional
     d = cone.rank
     points = set(cone.rays)
@@ -173,21 +176,27 @@ def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
         m = [sum(col) for col in zip(*adj)]  # |det S| m, if m exists: |det S| on every ray
         if any(linalg.dot(m, r) != det for r in cone.rays):
             raise NotQGorensteinError("cone has no support functional; m(P) <= 1 is undefined")
+        if det == 1:
+            continue  # a unimodular S, whose one coset adds no point
         k = diagonal.index(max(diagonal))
         steps = [a[k] % det for a in adj]
         move = [sum(t * s[j] for t, s in zip(steps, rays)) // det for j in range(d)]
+        grow = sum(steps)  # > 0: the h_kk > 1 cosets along side k are distinct, so e_k is not in S Z^d
         for z in product(*map(range, diagonal[:k] + [1] + diagonal[k + 1 :])):
             nums = [linalg.dot(a, z) % det for a in adj]
-            p = [sum(n * s[j] for n, s in zip(nums, rays)) // det for j in range(d)]
-            for _ in range(diagonal[k]):
-                if 0 < sum(nums) <= det:
-                    points.add(tuple(p))
-                for i in range(d):
-                    p[i] += move[i]
-                    nums[i] += steps[i]
-                    if nums[i] >= det:
-                        nums[i] -= det
-                        p = [x - y for x, y in zip(p, rays[i])]
+            left = diagonal[k]
+            while left:
+                # no numerator wraps within the next r steps: sum(nums) + t grow is linear in t
+                r = min([left] + [-((n - det) // s) for n, s in zip(nums, steps) if s])  # ceil((det - n) / s)
+                total = sum(nums)  # never negative: only total = 0 misses at t = 0
+                lo, hi = 0 if total else 1, min(r, (det - total) // grow + 1)
+                if lo < hi:
+                    p = [sum(n * s[j] for n, s in zip(nums, rays)) // det for j in range(d)]
+                    points.update(
+                        zip(*(range(x + lo * v, x + hi * v, v) if v else repeat(x, hi - lo) for x, v in zip(p, move)))
+                    )
+                left -= r
+                nums = [(n + r * s) % det for n, s in zip(nums, steps)]
     return sorted(points)
 
 

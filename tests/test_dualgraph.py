@@ -16,6 +16,7 @@ from helpers import (
     tree_graph,
     walk_du_val,
 )
+from mmpkit import dualgraph, linalg
 from mmpkit.dualgraph import (
     Boundary,
     BoundaryComponent,
@@ -131,6 +132,39 @@ class TestContractibility:
         ):
             with pytest.raises(DisconnectedError):
                 discrepancies(graph)
+
+    def test_definiteness_is_tested_once(self, monkeypatch):
+        # a connected (-2)-graph that detect_du_val leaves unnamed has failed its
+        # definiteness test, which check_contractible does not repeat
+        calls = []
+
+        def counted(a, _test=linalg.is_negative_definite):
+            calls.append(len(a))
+            return _test(a)
+
+        monkeypatch.setattr(dualgraph.linalg, "is_negative_definite", counted)
+        cases = [
+            (cycle_graph(5), NotContractibleError, [5]),
+            (tree_graph(2, 3, 7), NotContractibleError, [10]),
+            (single_vertex(0, 1), NotContractibleError, [1]),
+            (dynkin_graph("E", 8), None, [8]),
+            (chain_graph([-2, -3, -2]), None, [3]),
+            (disjoint_union(dynkin_graph("A", 2), dynkin_graph("A", 1)), DisconnectedError, []),
+        ]
+        for graph, error, expected in cases:
+            calls.clear()
+            if error is None:
+                discrepancies(graph)
+            else:
+                with pytest.raises(error):
+                    discrepancies(graph)
+            assert calls == expected, graph
+        # with a boundary detect_du_val is not asked, and check_contractible tests once
+        calls.clear()
+        boundary = Boundary(components=(BoundaryComponent(Fraction(1, 2), ((0, 1),)),))
+        with pytest.raises(NotContractibleError):
+            discrepancies(cycle_graph(5), boundary)
+        assert calls == [5]
 
 
 class TestRationalCurveContractions:

@@ -425,3 +425,13 @@ class TestSmallHelpers:
     def test_solve_possibly_singular_underdetermined(self):
         sol = solve_possibly_singular([[1, 1]], [2])
         assert sol is not None and sol[1] is False
+
+    def test_solve_possibly_singular_checks_rhs_length(self):
+        # a right-hand side one entry short or long is an error, as in solve_exact,
+        # not a system with the surplus rows or entries dropped
+        message = "^dimension mismatch between matrix and right-hand side$"
+        for a, b in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 5])):
+            with pytest.raises(ValueError, match=message):
+                solve_possibly_singular(a, b)
+        with pytest.raises(ValueError, match=message):
+            solve_exact([[1, 2], [3, 4]], [1])

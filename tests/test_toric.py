@@ -48,6 +48,34 @@ def quotient_cone(a, q=1):
     return cone_from_rays([[0, 1], [a, -q]])
 
 
+def count_runs(monkeypatch):
+    """The list that collects one entry per run of the toric walk: each run
+    takes the min of one list, the steps left in the row and to each wrap."""
+    runs = []
+
+    def counted(*args, _min=min):
+        if len(args) == 1 and isinstance(args[0], list):
+            runs.append(args[0])
+        return _min(*args)
+
+    monkeypatch.setattr(toric, "min", counted, raising=False)
+    return runs
+
+
+def row_runs(det, steps, nums, length):
+    """One row of the walk, stepped one coset at a time and split into runs
+    after each step on which a numerator wraps: per run, the sums of the
+    numerators at its cosets."""
+    runs = [[]]
+    for t in range(length):
+        runs[-1].append(sum(nums))
+        wrapped = any(n + s >= det for n, s in zip(nums, steps))
+        nums = [(n + s) % det for n, s in zip(nums, steps)]
+        if wrapped and t + 1 < length:
+            runs.append([])
+    return runs
+
+
 def facets_error(cone):
     """The class of the error facets raises on the cone, or None."""
     try:
@@ -233,10 +261,10 @@ class TestLatticePoints:
             inner += any(matrix_rank([h for h in hs if dot(h, r) == 0]) < cone.rank - 1 for r in cone.rays)
         assert inner >= 150
 
-    def test_walk_matches_box_scan(self):
+    def test_walk_matches_box_scan(self, monkeypatch):
         # the walk steps the longest side k of each Hermite box and carries the
-        # numerators a_i.z mod |det S| and the point; these cones reach every
-        # shape of box and adjugate that the walk treats differently
+        # numerators a_i.z mod |det S| in runs between wraps; these cones reach
+        # every shape of box, adjugate and run that the walk treats differently
         rng = random.Random(43)
         cones = [random_q_gorenstein_cone(rng, 2 + k % 3, k % 4 if k % 3 else 0) for k in range(150)]
         cones += [
@@ -249,13 +277,19 @@ class TestLatticePoints:
                 [[1, 7], [2, 9]],  # adjugate entry 7 > |det S| = 5
                 [[2, 1, 0], [0, 1, 0], [1, 1, 6]],
                 [[1, 0, 0], [0, 1, 0], [-1, -1, 301]],
+                [[-2, 1, 1], [-1, -3, 2], [3, 0, 2]],  # a run length read as a floor, not a ceiling, is 0 here
             )
         ]
         cones += [quotient_cone(a) for a in [*range(1, 41), 97, 256, 1000, 2310, 4999, 5000]]
+        # Hermite box a x a: rows that end while the sum of the numerators is still at most |det S|
+        cones += [cone_from_rays([[a, -1], [a, a - 1]]) for a in range(3, 9)]
+        runs = count_runs(monkeypatch)
         seen = Counter()
         for cone in cones:
             m = q_gorenstein_functional(cone)
+            runs.clear()
             assert lattice_points_at_or_below_one(cone) == naive_points_at_or_below_one(cone, m), cone.rays
+            walked = len(runs)
             d = cone.rank
             seen["non-simplicial"] += len(cone.rays) > d
             hs = facets(cone)  # a ray is not extremal when the facets through it span less than a hyperplane
@@ -272,6 +306,22 @@ class TestLatticePoints:
                 seen["longest side not last"] += diagonal.index(max(diagonal)) < d - 1
                 seen["adjugate entry < 0"] += any(x < 0 for a in adj for x in a)
                 seen["adjugate entry > det"] += any(x > det for a in adj for x in a)
+                if det == 1:
+                    continue  # its one coset is 0, so the walk takes no run
+                k = diagonal.index(max(diagonal))
+                steps = [a[k] % det for a in adj]
+                seen["zero step"] += 0 in steps
+                for z in product(*map(range, diagonal[:k] + [1] + diagonal[k + 1 :])):
+                    row = row_runs(det, steps, [dot(a, z) % det for a in adj], diagonal[k])
+                    walked -= len(row)
+                    seen["row of several runs"] += len(row) > 1
+                    seen["every step wraps"] += diagonal[k] > 1 and len(row) == diagonal[k]
+                    for sums in row:
+                        seen["run starts at sum 0"] += sums[0] == 0
+                        seen["run starts above det"] += sums[0] > det
+                        # the hits 0 < sum <= det end with the run, not where the sum passes det
+                        seen["hits clipped by the run"] += 0 < sums[-1] and sums[-1] + sum(steps) <= det
+            assert walked == 0, cone.rays  # the walk takes as many runs as the step-by-step split
         assert min(seen.values()) >= 10, seen
 
     def test_walk_seeds_each_row_once(self, monkeypatch):
@@ -292,6 +342,13 @@ class TestLatticePoints:
         calls.clear()
         lattice_points_at_or_below_one(cone_from_rays([[1, 0, 0], [1, 2, 0], [1, 0, 2]]))
         assert calls == Counter({3: 3 * 3 + 3 + 3 + 2 * 3})
+
+    def test_walk_adds_a_row_without_wraps_in_one_run(self, monkeypatch):
+        # (0,1),(20000,-1): steps (1, 1) never wrap in the row of 20000 cosets,
+        # so its 10000 extra points are added as one range
+        runs = count_runs(monkeypatch)
+        points = lattice_points_at_or_below_one(quotient_cone(20000))
+        assert len(points) == 10002 and len(runs) == 1
 
 
 class TestClassification:
