@@ -337,9 +337,16 @@ def is_negative_definite(a) -> bool:
 
 
 def cross_normal(rows, dim) -> IntVector:
-    """Generalized cross product: an integer normal to dim-1 row vectors."""
+    """Generalized cross product: an integer normal to dim-1 row vectors, the signed
+    minors of their matrix; a 1x1 minor is its entry and a 2x2 one ad - bc."""
     if len(rows) != dim - 1:
         raise ValueError("need exactly dim-1 vectors")
+    if dim == 2:
+        ((a, b),) = rows
+        return (b, -a)
+    if dim == 3:
+        (a, b, c), (d, e, f) = rows
+        return (b * f - c * e, c * d - a * f, a * e - b * d)
     normal = []
     for i in range(dim):
         minor = [[row[j] for j in range(dim) if j != i] for row in rows]

@@ -23,7 +23,7 @@ _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def fraction_to_str(value) -> str:
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

@@ -34,6 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product, repeat
 from math import lcm, prod
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -97,8 +98,9 @@ class ToricClassification:
 
     @property
     def discrepancies(self) -> tuple[Fraction, ...]:
-        """The discrepancy m(P) - 1 at each of the points P."""
-        return tuple(_discrepancy(self.support_functional, p) for p in self.points_at_or_below_one)
+        """m(P) - 1 = (rm(P) - r) / r at each of the points P, in one Fraction each; () with no m."""
+        rm, r = _integral_functional(self.support_functional or ())  # no m: no points
+        return tuple(Fraction(sum(map(mul, rm, p)) - r, r) for p in self.points_at_or_below_one)
 
 
 def _normals(rays, d) -> set[IntVector]:
@@ -214,30 +216,30 @@ def classify_cone(cone: Cone) -> ToricClassification:
             points_at_or_below_one=(),
         )
     points = tuple(lattice_points_at_or_below_one(cone))
-    ray_set = set(cone.rays)
-    extras = [p for p in points if p not in ray_set]
+    rm, r = _integral_functional(m)
     # the points call has checked the rays span: a square ray matrix is invertible here
     smooth = q_factorial and abs(linalg.det_bareiss(cone.rays)) == 1
     if smooth:
         kind = ConeClass.SMOOTH
-    elif not extras:
+    elif len(points) == len(cone.rays):  # the points hold every ray, each with m = 1
         kind = ConeClass.TERMINAL
-    elif all(_discrepancy(m, p) == 0 for p in extras):
+    elif all(sum(map(mul, rm, p)) == r for p in points):
         kind = ConeClass.CANONICAL
     else:
         kind = ConeClass.KLT_ONLY
     return ToricClassification(
         kind=kind,
         q_factorial=q_factorial,
-        gorenstein_index=gorenstein_index(m),
+        gorenstein_index=r,
         support_functional=m,
         points_at_or_below_one=points,
     )
 
 
-def _discrepancy(m: RatVector, v) -> Fraction:
-    """m(v) - 1, m the support functional: the discrepancy at v."""
-    return sum(c * x for c, x in zip(m, v)) - 1
+def _integral_functional(m: RatVector) -> tuple[IntVector, int]:
+    """(r m, r) for r the Gorenstein index of m: m(v) - 1 = (rm(v) - r) / r in integers."""
+    r = gorenstein_index(m)
+    return tuple(int(x * r) for x in m), r
 
 
 def toric_discrepancy(cone: Cone, v) -> Fraction:
@@ -256,4 +258,5 @@ def toric_discrepancy(cone: Cone, v) -> Fraction:
     m = q_gorenstein_functional(cone)
     if m is None:
         raise NotQGorensteinError("cone has no support functional; discrepancies undefined")
-    return _discrepancy(m, v)
+    rm, r = _integral_functional(m)
+    return Fraction(sum(map(mul, rm, v)) - r, r)

@@ -327,6 +327,12 @@ def naive_points_at_or_below_one(cone, m) -> list:
     return points
 
 
+def fraction_discrepancy(m, p):
+    """m(P) - 1 summed in Fractions, m the support functional: the oracle for the
+    toric discrepancies, which the library reads from the integral functional r m."""
+    return sum(c * x for c, x in zip(m, p)) - 1
+
+
 #: coordinate bound of random_q_gorenstein_cone per rank, so that the box
 #: oracle scans at most a few hundred cells
 CONE_BOX = {1: 1, 2: 5, 3: 2, 4: 2}

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -69,6 +70,22 @@ class TestSerialize:
 
     def test_reduction(self):
         assert fraction_to_str(parse_fraction("4/6")) == "2/3"
+
+    def test_fraction_to_str_renders_each_input_type(self):
+        # a Fraction is rendered as it is, any other input as Fraction(value)
+        cases = [
+            (Fraction(3, 4), "3/4"),
+            (Fraction(10, -4), "-5/2"),
+            (Fraction(-7), "-7"),
+            (Fraction(0), "0"),
+            (Fraction(0, 5), "0"),
+            (0, "0"),
+            (-12, "-12"),
+            (True, "1"),
+            (False, "0"),
+        ]
+        for value, text in cases:
+            assert fraction_to_str(value) == text, value
 
     def test_rejects_garbage(self):
         for bad in ["1.5", "a", "1/0", "", "1/-2", True, None, [1]]:
@@ -322,6 +339,16 @@ class TestDeterminismAndRoundTrip:
             code, out = run_machine(list(argv))
             assert code == 0, argv
             assert out.encode("utf-8") == expected, argv
+
+    def test_large_toric_report_matches_pinned_digest(self, tmp_path):
+        # the 2002 points of (0,1),(4000,-1), each with its discrepancy, in 88149 bytes
+        cone = tmp_path / "cone.json"
+        cone.write_text(json.dumps({"rank": 2, "rays": [[0, 1], [4000, -1]]}))
+        code, out = run_machine(["toric-classify", "--input", str(cone)])
+        assert code == 0
+        report = out.encode("utf-8")
+        assert len(report) == 88149
+        assert hashlib.sha256(report).hexdigest() == "55cea8b563d5dd06be3d9336c65ba4d9aa3d768b62293b86125978703e5affb5"
 
     def test_byte_identical_reruns(self):
         for argv in GOLDEN_RUNS:
