@@ -99,8 +99,7 @@ class ToricClassification:
     @property
     def discrepancies(self) -> tuple[Fraction, ...]:
         """m(P) - 1 = (rm(P) - r) / r at each of the points P, in one Fraction each; () with no m."""
-        rm, r = _integral_functional(self.support_functional or ())  # no m: no points
-        return tuple(Fraction(sum(map(mul, rm, p)) - r, r) for p in self.points_at_or_below_one)
+        return _discrepancies(self.support_functional or (), self.points_at_or_below_one)  # no m: no points
 
 
 def _normals(rays, d) -> set[IntVector]:
@@ -216,7 +215,8 @@ def classify_cone(cone: Cone) -> ToricClassification:
             points_at_or_below_one=(),
         )
     points = tuple(lattice_points_at_or_below_one(cone))
-    rm, r = _integral_functional(m)
+    r = gorenstein_index(m)
+    rm = [int(x * r) for x in m]  # rm(P) == r is m(P) == 1 in integers
     # the points call has checked the rays span: a square ray matrix is invertible here
     smooth = q_factorial and abs(linalg.det_bareiss(cone.rays)) == 1
     if smooth:
@@ -236,10 +236,12 @@ def classify_cone(cone: Cone) -> ToricClassification:
     )
 
 
-def _integral_functional(m: RatVector) -> tuple[IntVector, int]:
-    """(r m, r) for r the Gorenstein index of m: m(v) - 1 = (rm(v) - r) / r in integers."""
+def _discrepancies(m: RatVector, points) -> tuple[Fraction, ...]:
+    """m(P) - 1 = (rm(P) - r) / r at each point P, for r the Gorenstein index of m and
+    rm = r m an integer functional: one Fraction per point."""
     r = gorenstein_index(m)
-    return tuple(int(x * r) for x in m), r
+    rm = [int(x * r) for x in m]
+    return tuple(Fraction(sum(map(mul, rm, p)) - r, r) for p in points)
 
 
 def toric_discrepancy(cone: Cone, v) -> Fraction:
@@ -258,5 +260,4 @@ def toric_discrepancy(cone: Cone, v) -> Fraction:
     m = q_gorenstein_functional(cone)
     if m is None:
         raise NotQGorensteinError("cone has no support functional; discrepancies undefined")
-    rm, r = _integral_functional(m)
-    return Fraction(sum(map(mul, rm, v)) - r, r)
+    return _discrepancies(m, (v,))[0]
