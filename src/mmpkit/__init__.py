@@ -1,118 +1,78 @@
 """mmpkit: exact-arithmetic toolkit for surface singularities, toric
-cones, and the classical surface minimal model program."""
+cones, and the classical surface minimal model program.
 
-from .dualgraph import (
-    Boundary,
-    BoundaryComponent,
-    BoundaryPoint,
-    DiscrepancyReport,
-    DualGraph,
-    EdgePoint,
-    FreePoint,
-    SingularityClass,
-    Vertex,
-    blowup_vertex,
-    check_contractible,
-    detect_du_val,
-    discrepancies,
-)
-from .kodaira import (
-    KappaEstimate,
-    PairClass,
-    classify_pair_on_curve,
-    curve_kappa,
-    curve_plurigenus,
-    estimate_kappa,
-    fano_pair_on_p1_check,
-    plane_curve_genus,
-    riemann_roch_curve,
-)
-from .linalg import (
-    integer_kernel,
-    is_negative_definite,
-    primitive,
-    solve_exact,
-)
-from .surface import (
-    MmpOutcome,
-    MmpStep,
-    MmpTrace,
-    SurfaceLattice,
-    adjunction_genus,
-    castelnuovo_contract,
-    cone_rays_rank2,
-    enumerate_minus_one_classes,
-    is_ample_kleiman,
-    is_nef,
-    make_blowup_p2,
-    make_quadric,
-    pushforward_class,
-    riemann_roch_surface,
-    run_classical_mmp,
-)
-from .toric import (
-    Cone,
-    ConeClass,
-    ToricClassification,
-    classify_cone,
-    cone_from_rays,
-    facets,
-    lattice_points_at_or_below_one,
-    q_gorenstein_functional,
-    toric_discrepancy,
-)
+``import mmpkit`` loads no layer.  Each public name is looked up in its
+home module when it is first read (PEP 562 module ``__getattr__``), which
+imports that module alone; nothing is cached here, so the home module's
+binding is the only one and patching it patches ``mmpkit.<name>`` too.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Boundary",
-    "BoundaryComponent",
-    "BoundaryPoint",
-    "Cone",
-    "ConeClass",
-    "DiscrepancyReport",
-    "DualGraph",
-    "EdgePoint",
-    "FreePoint",
-    "KappaEstimate",
-    "MmpOutcome",
-    "MmpStep",
-    "MmpTrace",
-    "PairClass",
-    "SingularityClass",
-    "SurfaceLattice",
-    "ToricClassification",
-    "Vertex",
-    "adjunction_genus",
-    "blowup_vertex",
-    "castelnuovo_contract",
-    "check_contractible",
-    "classify_cone",
-    "classify_pair_on_curve",
-    "cone_from_rays",
-    "cone_rays_rank2",
-    "curve_kappa",
-    "curve_plurigenus",
-    "detect_du_val",
-    "discrepancies",
-    "enumerate_minus_one_classes",
-    "estimate_kappa",
-    "facets",
-    "fano_pair_on_p1_check",
-    "integer_kernel",
-    "is_ample_kleiman",
-    "is_negative_definite",
-    "is_nef",
-    "lattice_points_at_or_below_one",
-    "make_blowup_p2",
-    "make_quadric",
-    "plane_curve_genus",
-    "primitive",
-    "pushforward_class",
-    "q_gorenstein_functional",
-    "riemann_roch_curve",
-    "riemann_roch_surface",
-    "run_classical_mmp",
-    "solve_exact",
-    "toric_discrepancy",
-]
+# each public name and the module that defines it, in the order of __all__
+_HOMES = {
+    "Boundary": "dualgraph",
+    "BoundaryComponent": "dualgraph",
+    "BoundaryPoint": "dualgraph",
+    "Cone": "toric",
+    "ConeClass": "toric",
+    "DiscrepancyReport": "dualgraph",
+    "DualGraph": "dualgraph",
+    "EdgePoint": "dualgraph",
+    "FreePoint": "dualgraph",
+    "KappaEstimate": "kodaira",
+    "MmpOutcome": "surface",
+    "MmpStep": "surface",
+    "MmpTrace": "surface",
+    "PairClass": "kodaira",
+    "SingularityClass": "dualgraph",
+    "SurfaceLattice": "surface",
+    "ToricClassification": "toric",
+    "Vertex": "dualgraph",
+    "adjunction_genus": "surface",
+    "blowup_vertex": "dualgraph",
+    "castelnuovo_contract": "surface",
+    "check_contractible": "dualgraph",
+    "classify_cone": "toric",
+    "classify_pair_on_curve": "kodaira",
+    "cone_from_rays": "toric",
+    "cone_rays_rank2": "surface",
+    "curve_kappa": "kodaira",
+    "curve_plurigenus": "kodaira",
+    "detect_du_val": "dualgraph",
+    "discrepancies": "dualgraph",
+    "enumerate_minus_one_classes": "surface",
+    "estimate_kappa": "kodaira",
+    "facets": "toric",
+    "fano_pair_on_p1_check": "kodaira",
+    "integer_kernel": "linalg",
+    "is_ample_kleiman": "surface",
+    "is_negative_definite": "linalg",
+    "is_nef": "surface",
+    "lattice_points_at_or_below_one": "toric",
+    "make_blowup_p2": "surface",
+    "make_quadric": "surface",
+    "plane_curve_genus": "kodaira",
+    "primitive": "linalg",
+    "pushforward_class": "surface",
+    "q_gorenstein_functional": "toric",
+    "riemann_roch_curve": "kodaira",
+    "riemann_roch_surface": "surface",
+    "run_classical_mmp": "surface",
+    "solve_exact": "linalg",
+    "toric_discrepancy": "toric",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,7 +9,9 @@ records); ``main`` puts the row's name first as "command" and its rule
 last as "rule", and ``emit`` renders the report by the one rule of
 ``serialize``: canonical JSON for --format machine (identical inputs give
 byte-identical reports), or one "key: value" line per top-level field, in
-order, for --format text.
+order, for --format text.  A parser or handler imports the library layer
+it calls in its own body, so a process imports only the layer of the
+subcommand it runs (of the mode, for ``rr``), and ``--help`` imports none.
 
 The parsers here only pick the fields out of the document, walk its
 lists of objects (``vertices``, ``boundary``) and read its rationals
@@ -36,7 +38,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple
 
-from . import dualgraph, kodaira, surface, toric
 from .errors import InvalidInputError, ToolkitError
 from .serialize import canonical_json, parse_fraction, plain
 
@@ -80,10 +81,12 @@ def _as_fraction(value, field) -> Fraction:
 
 
 def parse_cone(doc) -> toric.Cone:
+    from . import toric
     return toric.Cone(rank=_get(doc, "rank"), rays=_get(doc, "rays"))
 
 
 def parse_graph(doc) -> tuple[dualgraph.DualGraph, dualgraph.Boundary]:
+    from . import dualgraph
     vertices = []
     for k, v in enumerate(_as_list(_get(doc, "vertices"), "vertices")):
         with _inside(f"vertices[{k}]."):
@@ -98,6 +101,7 @@ def parse_graph(doc) -> tuple[dualgraph.DualGraph, dualgraph.Boundary]:
 
 
 def parse_surface(doc) -> surface.SurfaceLattice:
+    from . import surface
     return surface.SurfaceLattice(
         rank=_get(doc, "rank"),
         gram=_get(doc, "gram"),
@@ -186,6 +190,7 @@ def emit_error(kind: str, code: str, message: str, fmt: str, field: str | None =
 
 
 def cmd_toric_classify(args):
+    from . import toric
     result = toric.classify_cone(parse_cone(load_document(args)))
     return {
         "class": result.kind,
@@ -197,6 +202,7 @@ def cmd_toric_classify(args):
 
 
 def cmd_toric_discrepancy(args):
+    from . import toric
     cone = parse_cone(load_document(args))
     point = parse_vector_flag(args.point, "--point")
     with _inside("--"):
@@ -205,6 +211,7 @@ def cmd_toric_discrepancy(args):
 
 
 def cmd_graph_discrepancies(args):
+    from . import dualgraph
     result = dualgraph.discrepancies(*parse_graph(load_document(args)))
     return {
         "contractible": True,
@@ -216,6 +223,7 @@ def cmd_graph_discrepancies(args):
 
 
 def _parse_site(args) -> dualgraph.BlowupSite:
+    from . import dualgraph
     has_edge = args.edge is not None
     has_vertex = args.vertex is not None
     has_boundary = args.boundary is not None
@@ -229,6 +237,7 @@ def _parse_site(args) -> dualgraph.BlowupSite:
 
 
 def cmd_graph_blowup(args):
+    from . import dualgraph
     graph, boundary = parse_graph(load_document(args))
     site = _parse_site(args)
     new_graph, new_boundary = dualgraph.blowup_vertex(graph, boundary, site)
@@ -240,6 +249,7 @@ def cmd_graph_blowup(args):
 
 
 def cmd_mmp_run(args):
+    from . import surface
     s = parse_surface(load_document(args))
     with _inside("--"):
         trace = surface.run_classical_mmp(s, bound=args.bound)
@@ -252,6 +262,7 @@ def cmd_mmp_run(args):
 
 
 def cmd_delpezzo_lines(args):
+    from . import surface
     if args.r is not None:
         with _inside("--"):
             s = surface.make_blowup_p2(args.r)
@@ -272,10 +283,12 @@ def cmd_delpezzo_lines(args):
 
 
 def cmd_cone_rays(args):
+    from . import surface
     return {"rays": surface.cone_rays_rank2(parse_surface(load_document(args)))}
 
 
 def cmd_nef_check(args):
+    from . import surface
     s = parse_surface(load_document(args))
     divisor = parse_vector_flag(args.divisor, "--divisor")
     with _inside("--"):
@@ -300,11 +313,13 @@ def cmd_rr(args):
         "use --deg/--genus (curve) or --input/--divisor/--chi0 (surface)",
     )
     if curve_mode:
+        from . import kodaira
         _expect(args.deg is not None and args.genus is not None, "rr_mode", "--deg", "need both --deg and --genus")
         with _inside("--"):
             chi = kodaira.riemann_roch_curve(args.deg, args.genus)
         report = {"mode": "curve", "deg": args.deg, "genus": args.genus}
     else:
+        from . import surface
         _expect(args.divisor is not None and args.chi0 is not None, "rr_mode", "--divisor", "need --divisor and --chi0")
         s = parse_surface(load_document(args))
         divisor = parse_vector_flag(args.divisor, "--divisor")
@@ -316,12 +331,14 @@ def cmd_rr(args):
 
 
 def cmd_kappa_estimate(args):
+    from . import kodaira
     samples, max_dim = parse_samples(load_document(args))
     estimate = kodaira.estimate_kappa(samples, max_dim=max_dim)
     return {"kappa": "-inf" if estimate.is_minus_infinity else estimate.value, "note": estimate.note}
 
 
 def cmd_pair_classify(args):
+    from . import kodaira
     coeffs = parse_coeffs(load_document(args))
     cls = kodaira.classify_pair_on_curve(coeffs)
     fano = kodaira.fano_pair_on_p1_check(coeffs) if all(0 <= c <= 1 for c in coeffs) else None

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product, repeat
+from itertools import combinations, groupby, product, repeat
 from math import lcm, prod
 from operator import mul
 
@@ -166,7 +166,7 @@ def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
     the hits of a run between wraps are one interval of steps and one range of points."""
     facets(cone)  # raises for a line or a cone that is not full-dimensional
     d = cone.rank
-    points = set(cone.rays)
+    points = list(cone.rays)
     for rays in combinations(cone.rays, d):
         diagonal = [col[k] for k, col in enumerate(linalg.column_hermite_form(rays))]
         det = prod(diagonal)
@@ -193,12 +193,13 @@ def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
                 lo, hi = 0 if total else 1, min(r, (det - total) // grow + 1)
                 if lo < hi:
                     p = [sum(n * s[j] for n, s in zip(nums, rays)) // det for j in range(d)]
-                    points.update(
+                    points.extend(
                         zip(*(range(x + lo * v, x + hi * v, v) if v else repeat(x, hi - lo) for x, v in zip(p, move)))
                     )
                 left -= r
                 nums = [(n + r * s) % det for n, s in zip(nums, steps)]
-    return sorted(points)
+    points.sort()  # merges the runs, each monotone in lex order
+    return [p for p, _ in groupby(points)]  # the subcones of a non-simplicial cone share points
 
 
 def classify_cone(cone: Cone) -> ToricClassification:

@@ -458,6 +458,59 @@ class TestSubprocessEntry:
         assert json.loads(proc.stdout)["chi"] == "1"
 
 
+LAYERS = {"linalg", "toric", "dualgraph", "surface", "kodaira"}
+
+# runs cli.main on its arguments in a fresh interpreter, then prints the exit
+# code, what main wrote and the mmpkit modules that were loaded
+FRESH_MAIN = """
+import contextlib, io, json, sys
+from mmpkit import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+loaded = sorted(n.split(".")[1] for n in sys.modules if n.startswith("mmpkit."))
+print(json.dumps({"code": code, "out": out.getvalue(), "loaded": loaded}))
+"""
+
+
+def fresh_main(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    return result["code"], result["out"], set(result["loaded"]) & LAYERS
+
+
+class TestLazyImports:
+    """A subcommand in a fresh process imports its own layer and what that
+    layer uses, and no other."""
+
+    def test_toric_classify_loads_only_toric(self):
+        argv = GOLDEN_RUNS[0] + ["--format", "machine"]
+        code, out, layers = fresh_main(argv)
+        assert (code, out) == (0, (GOLDEN / "machine" / "00-toric-classify.out").read_text("utf-8"))
+        assert layers == {"toric", "linalg"}
+
+    def test_graph_discrepancies_loads_dualgraph_not_surface(self):
+        code, _, layers = fresh_main(GOLDEN_RUNS[7])
+        assert code == 0
+        assert layers == {"dualgraph", "linalg"}
+
+    def test_help_loads_no_layer_and_lists_every_command(self):
+        code, out, layers = fresh_main(["--help"])
+        assert (code, layers) == (0, set())
+        text = " ".join(out.split())  # argparse may wrap a long name onto its own line
+        for name, row in COMMANDS.items():
+            assert f"{name} {row.help}" in text, name
+
+
 # -- the error contract ----------------------------------------------------------
 
 CONE = {"rank": 2, "rays": [[0, 1], [3, -1]]}
