@@ -107,7 +107,8 @@ def _eliminate(a, symmetric=False):
     """Fraction-free (Bareiss) elimination of a: (m, order, den).
 
     a is scaled by den, the lcm of its denominators, into the int rows m,
-    which changes neither the rank nor the solution set; order is the
+    which changes neither the rank nor the solution set; a matrix of
+    exact ints (no bool) has den = 1 and is only copied.  order is the
     (row, column) of each pivot.  The echelon rule pivots on the first
     column with a nonzero in a live row, in its first such row.  The
     symmetric rule pivots on a nonzero diagonal entry; with none left, the
@@ -122,8 +123,11 @@ def _eliminate(a, symmetric=False):
     or a tree costs O(n^2), not O(n^3).  A pivot row is brought to scale
     and then kept; only its entries in the columns live then are read.
     """
-    den = lcm(*(x.denominator for row in a for x in row))
-    m = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    if all(type(x) is int for row in a for x in row):
+        den, m = 1, [list(row) for row in a]
+    else:
+        den = lcm(*(x.denominator for row in a for x in row))
+        m = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     rows, at, order, prev = list(range(len(m))), [1] * len(m), [], 1
     cols = rows if symmetric else range(len(m[0]) if m else 0)
     while rows:
@@ -286,28 +290,47 @@ def integer_kernel(a) -> list[IntVector]:
     return [col[nr:] for col in column_hermite_form(stacked) if not any(col[:nr])]
 
 
-def coordinates_in_basis(columns, v) -> IntVector:
-    """Integer coordinates of v in an echelon (column Hermite form) basis.
+def column_supports(columns) -> list[list[tuple[int, int]]]:
+    """The (row, entry) pairs of the nonzeros of each column of an echelon
+    basis, read once for any number of coordinates_in_supports calls.
 
-    Raises ValueError when v is not in the lattice the columns span.
+    Raises ValueError on a zero column.
     """
+    supports = [[(i, x) for i, x in enumerate(col) if x] for col in columns]
+    if not all(supports):
+        raise ValueError("zero column in basis")
+    return supports
+
+
+def coordinates_in_supports(supports, v) -> IntVector:
+    """coordinates_in_basis on the column_supports of the basis, without
+    the length check."""
     work = list(v)
     coeffs = []
-    for col in columns:
-        # a Hermite column is zero above its pivot, and often below it too
-        support = [(i, x) for i, x in enumerate(col) if x]
-        if not support:
-            raise ValueError("zero column in basis")
-        q, rem = divmod(work[support[0][0]], support[0][1])
+    # a Hermite column is zero above its pivot, and often below it too
+    for support in supports:
+        p, piv = support[0]
+        q, rem = divmod(work[p], piv)
         if rem != 0:
             raise ValueError("vector is not in the lattice spanned by the basis")
         coeffs.append(q)
         if q:
             for i, x in support:
                 work[i] -= q * x
-    if any(w != 0 for w in work):
+    if any(work):
         raise ValueError("vector is not in the lattice spanned by the basis")
     return tuple(coeffs)
+
+
+def coordinates_in_basis(columns, v) -> IntVector:
+    """Integer coordinates of v in an echelon (column Hermite form) basis.
+
+    Raises ValueError when v and the columns differ in length, or when v
+    is not in the lattice the columns span.
+    """
+    if columns and len(v) != len(columns[0]):
+        raise ValueError("dimension mismatch")
+    return coordinates_in_supports(column_supports(columns), v)
 
 
 def _signature(a) -> tuple[int, int, int]:

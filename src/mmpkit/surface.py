@@ -16,7 +16,11 @@ exactly (Fincke-Pohst).  Anything else needs an explicit coordinate
 bound; blow-ups of the plane in 9 or more points have K^2 <= 0 and
 infinitely many (-1)-classes.  The unbounded MMP searches once, as the
 classes orthogonal to a contracted class are all those of the contracted
-lattice; with a bound, each step scans its own box again.
+lattice.  It keeps them in the input's coordinates: a Hermite basis maps
+coordinates lex-monotonically and keeps the pairing, so each step's
+lex-smallest class is the first one orthogonal to all contracted so far,
+and only it is mapped into the step's coordinates.  With a bound, each
+step scans its own box again.
 """
 
 from __future__ import annotations
@@ -69,20 +73,23 @@ class SurfaceLattice:
         for k, row in enumerate(gram):
             if len(row) != rank:
                 raise InvalidInputError(f"expected {rank} entries", "gram_not_square", f"gram[{k}]")
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                if gram[i][j] != gram[j][i]:
-                    raise NotSymmetricError(
-                        f"gram[{i}][{j}] = {gram[i][j]} differs from gram[{j}][{i}] = {gram[j][i]}",
-                        "gram_not_symmetric",
-                        f"gram[{i}][{j}]",
-                    )
+        # the transpose is compared in one pass; only a mismatch is located
+        if tuple(zip(*gram)) != gram:
+            i, j = next((i, j) for i in range(rank) for j in range(i + 1, rank) if gram[i][j] != gram[j][i])
+            raise NotSymmetricError(
+                f"gram[{i}][{j}] = {gram[i][j]} differs from gram[{j}][{i}] = {gram[j][i]}",
+                "gram_not_symmetric",
+                f"gram[{i}][{j}]",
+            )
         if len(self.K) != rank:
             raise InvalidInputError(f"K must have length {rank}", "k_length", "K")
+        # C^2 = sum G_ii c_i^2 + 2 sum_{i<j} G_ij c_i c_j has the parity of
+        # sum G_ii c_i, so C.(C+K) has the parity of w.c, w_i = G_ii + (G K)_i
+        w = [row[i] + sum(map(mul, row, self.K)) for i, row in enumerate(gram)]
         for idx, c in enumerate(self.curves):
             if len(c) != rank:
                 raise InvalidInputError(f"curve must have length {rank}", "curve_length", f"curves[{idx}]")
-            if (self.pair(c, c) + self.pair(c, self.K)) % 2 != 0:
+            if sum(map(mul, w, c)) % 2 != 0:
                 raise NonIntegralGenusError(
                     f"curve {idx} violates adjunction parity: C.(C+K) is odd", "curve_parity", "curves"
                 )
@@ -250,21 +257,24 @@ def enumerate_minus_one_classes(s: SurfaceLattice, bound: int | None = None) -> 
     )
 
 
-def _contraction_basis(s: SurfaceLattice, c: IntVector) -> list[IntVector]:
-    return linalg.integer_kernel((_gram_times(s, c),))
-
-
-def _check_minus_one(s: SurfaceLattice, c: IntVector):
-    if s.pair(c, c) != -1 or s.pair(s.K, c) != -1:
+def _minus_one_functional(s: SurfaceLattice, c: IntVector) -> IntVector:
+    """G c, once c is checked to be a (-1)-class."""
+    gc = _gram_times(s, c)
+    cc, kc = sum(map(mul, c, gc)), sum(map(mul, s.K, gc))
+    if cc != -1 or kc != -1:
         raise NotMinusOneClassError(
-            f"class {list(c)} has C^2 = {s.pair(c, c)}, K.C = {s.pair(s.K, c)};"
-            " need both equal to -1"
+            f"class {list(c)} has C^2 = {cc}, K.C = {kc}; need both equal to -1"
         )
+    return gc
 
 
-def _pushforward(s: SurfaceLattice, basis, c: IntVector, x) -> IntVector:
-    xc = s.pair(x, c)
-    return linalg.coordinates_in_basis(basis, tuple(xi + xc * ci for xi, ci in zip(x, c)))
+def _pushforward(supports, gc: IntVector, c: IntVector, x) -> IntVector:
+    """x + (x.C) C in the contraction basis, given by its column supports;
+    gc is G c."""
+    xc = sum(map(mul, x, gc))
+    if xc:
+        x = [xi + xc * ci for xi, ci in zip(x, c)]
+    return linalg.coordinates_in_supports(supports, x)
 
 
 def pushforward_class(s: SurfaceLattice, c, x) -> IntVector:
@@ -275,24 +285,29 @@ def pushforward_class(s: SurfaceLattice, c, x) -> IntVector:
     """
     c = _class(s, c, "c")
     x = _class(s, x, "x")
-    _check_minus_one(s, c)
-    return _pushforward(s, _contraction_basis(s, c), c, x)
+    gc = _minus_one_functional(s, c)
+    return _pushforward(linalg.column_supports(linalg.integer_kernel((gc,))), gc, c, x)
 
 
 def castelnuovo_contract(s: SurfaceLattice, c) -> SurfaceLattice:
     """Contract a (-1)-class: rank drops by one, K pulls back to K - C."""
     c = _class(s, c, "c")
-    _check_minus_one(s, c)
-    basis = _contraction_basis(s, c)
-    gb = [_gram_times(s, b) for b in basis]
-    new_gram = tuple(tuple(sum(map(mul, bi, gv)) for gv in gb) for bi in basis)
-    k_upstairs = tuple(k - ci for k, ci in zip(s.K, c))
-    new_k = linalg.coordinates_in_basis(basis, k_upstairs)
+    gc = _minus_one_functional(s, c)
+    # the Hermite columns are mostly zero: their supports are read once,
+    # for the Gram matrix, K and every curve
+    supports = linalg.column_supports(linalg.integer_kernel((gc,)))
+    g = s.gram
+    new_gram = tuple(
+        tuple(sum([v * w * g[i][j] for i, v in si for j, w in sj]) for sj in supports)
+        for si in supports
+    )
+    # K - C is orthogonal to C, so it is its own projection
+    new_k = linalg.coordinates_in_supports(supports, [k - ci for k, ci in zip(s.K, c)])
     return SurfaceLattice(
         rank=s.rank - 1,
         gram=new_gram,
         K=new_k,
-        curves=tuple(_pushforward(s, basis, c, x) for x in s.curves if x != c),
+        curves=tuple(_pushforward(supports, gc, c, x) for x in s.curves if x != c),
         label=s.label,
     )
 
@@ -328,29 +343,42 @@ def run_classical_mmp(s: SurfaceLattice, bound: int | None = None) -> MmpTrace:
     on the basis vector); a minimal model when K is nonnegative on every
     known class.
 
-    Without a bound the classes are searched for once.  Contracting c
-    splits the lattice as c^perp + Zc with K = pi^*K' + c, so the next
-    classes are the found ones orthogonal to c, in the contraction basis:
-    a complete list, since c^perp has K'^2 = K^2 + 1 > 0 and signature
-    (1, rank-2).  A bound is a box in each step's own coordinates, so that
-    path searches again at every step.
+    Without a bound the classes are searched for once, and the list stays
+    in the input's coordinates.  Contracting c splits the lattice as
+    c^perp + Zc with K = pi^*K' + c, so the classes of the contracted
+    lattice are the found ones orthogonal to c: a complete list, since
+    c^perp has K'^2 = K^2 + 1 > 0 and signature (1, rank-2).  Its basis B,
+    in column Hermite form, maps y to B y, which keeps the pairing and is
+    lex-monotone (the first coordinate where y and y' differ lands, times
+    a positive pivot, on the first row where B y and B y' differ).  So the
+    lex-smallest class of each step is the first found class orthogonal to
+    every contracted one, under the input Gram matrix, and only that class
+    is mapped into the step's coordinates, through the bases so far.  A
+    bound is a box in each step's own coordinates, so that path searches
+    again at every step.
     """
     steps = []
     cur = s
-    classes = enumerate_minus_one_classes(cur, bound=bound)
-    while classes:
-        chosen = classes[0]
+    # without a bound: the found classes orthogonal to every contracted one,
+    # in the input's coordinates, and the contraction bases so far
+    found = enumerate_minus_one_classes(s, bound=bound)
+    bases = []
+    while found:
+        chosen = found[0]
+        if bound is None:
+            ge = _gram_times(s, chosen)
+            found = [e for e in found if not sum(map(mul, e, ge))]
+            for basis in bases:
+                chosen = linalg.coordinates_in_basis(basis, chosen)
+            if found:
+                bases.append(linalg.integer_kernel((_gram_times(cur, chosen),)))
         nxt = castelnuovo_contract(cur, chosen)
         steps.append(
             MmpStep(contracted=chosen, rank_before=cur.rank, rank_after=nxt.rank)
         )
-        if bound is None:
-            # B y is lex-monotone in y on a Hermite basis B: the list stays sorted
-            basis, gc = _contraction_basis(cur, chosen), _gram_times(cur, chosen)
-            classes = [linalg.coordinates_in_basis(basis, e) for e in classes if not sum(map(mul, e, gc))]
-        else:
-            classes = enumerate_minus_one_classes(nxt, bound=bound)
         cur = nxt
+        if bound is not None:
+            found = enumerate_minus_one_classes(cur, bound=bound)
     notes = ["verdict relative to the supplied curve classes"]
     fibres = [
         f for f in cur.curves if cur.pair(f, f) == 0 and cur.pair(cur.K, f) < 0

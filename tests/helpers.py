@@ -243,6 +243,25 @@ def gauss_jordan(a):
     return m, order, late
 
 
+def entry_variants(rng, a):
+    """a, with its top-left entry set to 1, as plain ints, as Fractions, as
+    a random mix with at least one Fraction, and with that entry True: the
+    inputs on either side of the elimination kernel's branch for a matrix
+    of exact ints.  A symmetric a stays symmetric."""
+    a = [list(row) for row in a]
+    a[0][0] = 1
+    mixed = [[Fraction(x) if rng.random() < 0.5 else x for x in row] for row in a]
+    mixed[0][0] = Fraction(1)
+    with_bool = [row[:] for row in a]
+    with_bool[0][0] = True
+    return {
+        "int": a,
+        "fraction": [[Fraction(x) for x in row] for row in a],
+        "mixed": mixed,
+        "bool": with_bool,
+    }
+
+
 def leibniz_det(a):
     """det a as the sum over permutations s of sign(s) prod a[i][s(i)]:
     the reference for det_bareiss, for n <= 6."""

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     box_negdef_oracle,
     dense_inertia,
+    entry_variants,
     gauss_jordan,
     leading_minor_negdef,
     leibniz_det,
@@ -15,6 +16,7 @@ from helpers import (
 )
 from mmpkit.errors import NotSymmetricError, SingularMatrixError, ZeroVectorError
 from mmpkit.linalg import (
+    _eliminate,
     column_hermite_form,
     coordinates_in_basis,
     cross_normal,
@@ -122,6 +124,45 @@ class TestEchelonReaders:
                 assert isinstance(det, int) or any(isinstance(x, Fraction) for row in a for x in row)
         for key in ("fractions", "skipped, then reached", "odd order", "singular", "inconsistent", "unique", "free"):
             assert seen[key] >= 100, seen
+
+
+class TestIntegerInput:
+    def test_ints_fractions_mixed_and_bool_agree_with_the_fraction_oracles(self):
+        # a matrix of exact ints is eliminated as given; a Fraction or a bool
+        # anywhere sends it through the rescale, with the same answers
+        rng = random.Random(61)
+        seen = Counter()
+        for k in range(300):
+            n = rng.randint(1, 5)
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            a[0][0] = 1
+            if k % 2:
+                a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            if k % 3 == 0 and n > 1:
+                # the last row a copy of the first, and so the last column
+                # when a is symmetric: singular
+                a[-1] = a[0][:]
+                if k % 2:
+                    for row in a:
+                        row[-1] = row[0]
+            b = [rng.randint(-4, 4) for _ in range(n)]
+            for kind, m in entry_variants(rng, a).items():
+                _, order, _ = gauss_jordan(m)
+                assert matrix_rank(m) == len(order), (kind, m)
+                det = det_bareiss(m)
+                assert det == leibniz_det(m) and type(det) is int, (kind, m)
+                if det:
+                    assert solve_exact(m, b) == reference_solve(m, b)[0], (kind, m, b)
+                else:
+                    with pytest.raises(SingularMatrixError):
+                        solve_exact(m, b)
+                if k % 2:
+                    assert inertia(m) == dense_inertia(m), (kind, m)
+                rows, _, den = _eliminate(m)
+                # True in the first pivot row would survive a bare copy
+                assert den == 1 and all(type(x) is int for row in rows for x in row), kind
+                seen[kind, bool(det)] += 1
+        assert min(seen.values()) >= 30 and len(seen) == 8, seen
 
 
 #: shapes of random_echelon_matrix
@@ -307,6 +348,19 @@ class TestKernelAndHermite:
     def test_coordinates_reject_a_zero_column(self):
         with pytest.raises(ValueError, match="^zero column in basis$"):
             coordinates_in_basis([(1, 0), (0, 0)], (1, 0))
+
+    @pytest.mark.parametrize(
+        "basis, v",
+        [
+            ([(1, 0, 0), (0, 1, 0)], (1, 2)),
+            ([(1, 0), (0, 1)], (1, 2, 0)),
+            ([(1, 0, 0), (0, 1, 0)], (1,)),
+        ],
+    )
+    def test_coordinates_check_the_length(self, basis, v):
+        # neither truncated nor read past its end
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            coordinates_in_basis(basis, v)
 
 
 class TestInertia:

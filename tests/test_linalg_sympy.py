@@ -17,7 +17,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 
-from helpers import mat_vec  # noqa: E402
+from helpers import entry_variants, mat_vec  # noqa: E402
 from mmpkit.errors import SingularMatrixError  # noqa: E402
 from mmpkit.linalg import (  # noqa: E402
     det_bareiss,
@@ -80,6 +80,17 @@ def rational_vector(rng, n, fractions):
 def sign_changes(coeffs):
     signs = [c > 0 for c in coeffs if c != 0]
     return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def descartes_inertia(a):
+    """A symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs counts the positive roots of its characteristic polynomial p(x)
+    exactly, and those of p(-x) count the negative ones."""
+    p = to_sympy(a).charpoly(sympy.Symbol("x"))
+    low_first = p.all_coeffs()[::-1]
+    mirrored = [c * (-1) ** k for k, c in enumerate(low_first)]
+    zero = next(k for k, c in enumerate(low_first) if c != 0)
+    return sign_changes(low_first), sign_changes(mirrored), zero
 
 
 class TestAgainstSympy:
@@ -173,18 +184,28 @@ class TestAgainstSympy:
                 factors = invariant_factors(sympy.Matrix(basis), domain=ZZ)
                 assert [abs(int(f)) for f in factors] == [1] * len(basis), (a, basis)
 
+    def test_int_fraction_mixed_and_bool_entries(self):
+        # the branch for a matrix of exact ints and the rescale give sympy's
+        # answers, a bool entry taking the rescale
+        rng = random.Random(109)
+        for i in range(CASES):
+            n = rng.randint(1, 5)
+            a = random_symmetric(rng, n) if i % 2 else random_matrix(rng, n, n)
+            b = rational_vector(rng, n, fractions=False)
+            for kind, m in entry_variants(rng, a).items():
+                oracle = to_sympy(m)
+                det = det_bareiss(m)
+                assert det == oracle.det() and isinstance(det, int), (kind, m)
+                assert matrix_rank(m) == oracle.rank(), (kind, m)
+                if det:
+                    assert list(mat_vec(m, solve_exact(m, b))) == b, (kind, m, b)
+                if i % 2:
+                    assert is_negative_definite(m) == oracle.is_negative_definite, (kind, m)
+                    assert inertia(m) == descartes_inertia(m), (kind, m)
+
     def test_inertia(self):
-        # a symmetric matrix has only real eigenvalues, so Descartes' rule of
-        # signs counts the positive roots of its characteristic polynomial
-        # p(x) exactly, and those of p(-x) count the negative ones
         rng = random.Random(108)
-        x = sympy.Symbol("x")
         for i in range(CASES):
             n = rng.randint(1, 5)
             a = random_symmetric(rng, n, fractions=i % 2 == 1)
-            p = to_sympy(a).charpoly(x)
-            low_first = p.all_coeffs()[::-1]
-            mirrored = [c * (-1) ** k for k, c in enumerate(low_first)]
-            zero = next(k for k, c in enumerate(low_first) if c != 0)
-            expected = (sign_changes(low_first), sign_changes(mirrored), zero)
-            assert inertia(a) == expected, a
+            assert inertia(a) == descartes_inertia(a), a

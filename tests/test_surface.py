@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from helpers import disguise, multiset_minus_one_count, naive_minus_one_classes, naive_mmp_trace
-from mmpkit import surface
+from mmpkit import linalg, surface
 from mmpkit.errors import (
     DegenerateConeError,
     EmptyCurveListError,
@@ -19,7 +19,7 @@ from mmpkit.errors import (
     UnboundedSearchError,
     UndeterminedOutcomeError,
 )
-from mmpkit.linalg import det_bareiss, inertia
+from mmpkit.linalg import det_bareiss, inertia, integer_kernel
 from mmpkit.surface import (
     MmpOutcome,
     SurfaceLattice,
@@ -302,6 +302,21 @@ class TestCastelnuovoContract:
             expected = s.pair(x, y) + s.pair(x, c) * s.pair(y, c)
             assert contracted.pair(x_img, y_img) == expected
 
+    def test_contraction_basis_is_lex_monotone_and_keeps_the_pairing(self):
+        # the two facts the unbounded MMP's carried class list rests on
+        rng = random.Random(4242)
+        for k in range(120):
+            r = 1 + k % 8
+            s, _ = disguise(make_blowup_p2(r), rng, moves=rng.randint(0, 12))
+            c = rng.choice(enumerate_minus_one_classes(s))
+            basis = integer_kernel((tuple(sum(g * x for g, x in zip(row, c)) for row in s.gram),))
+            gram = castelnuovo_contract(s, c).gram
+            for _ in range(10):
+                y, z = sorted(tuple(rng.randint(-4, 4) for _ in range(r)) for _ in range(2))
+                by, bz = (tuple(sum(v * col[i] for v, col in zip(w, basis)) for i in range(r + 1)) for w in (y, z))
+                assert (by < bz) == (y < z) and (by == bz) == (y == z)
+                assert s.pair(by, bz) == sum(y[i] * gram[i][j] * z[j] for i in range(r) for j in range(r))
+
 
 def enumerate_minus_one_fibres(s):
     # fibre classes f with f^2 = 0 and K.f = -2 in a small box
@@ -413,7 +428,9 @@ class TestClassicalMmp:
 
         rng = random.Random(909)
         for k in range(200):
-            s, _ = disguise(make_blowup_p2(k % 9), rng, moves=rng.randint(1, 8))
+            r = k % 9
+            # heavier disguises where the search stays cheap
+            s, _ = disguise(make_blowup_p2(r), rng, moves=rng.randint(1, 16 if r <= 7 else 8))
             if k % 2:
                 s = SurfaceLattice(rank=s.rank, gram=s.gram, K=s.K)
             assert result(run_classical_mmp, s) == result(naive_mmp_trace, s)
@@ -440,6 +457,34 @@ class TestClassicalMmp:
         calls.update(search=0, contract=0)
         assert len(run_classical_mmp(make_blowup_p2(3), bound=1).steps) == 3
         assert calls == {"search": 4, "contract": 3}
+
+    def test_carried_classes_are_mapped_only_when_chosen(self, monkeypatch):
+        # the class contracted at step k goes through the k - 1 bases before
+        # it: 0 + 1 + ... + 7 = 28 mappings on the plane blown up in 8
+        # points, where mapping every orthogonal class at every step took
+        # 56 + 27 + 16 + 10 + 6 + 3 + 1 = 119
+        calls = {"inside": 0, "outside": 0}
+        depth = 0
+        coordinates = linalg.coordinates_in_basis
+
+        def counted_coordinates(basis, v):
+            calls["inside" if depth else "outside"] += 1
+            return coordinates(basis, v)
+
+        def counted_contract(s, c):
+            nonlocal depth
+            depth += 1
+            try:
+                return castelnuovo_contract(s, c)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(linalg, "coordinates_in_basis", counted_coordinates)
+        monkeypatch.setattr(surface, "castelnuovo_contract", counted_contract)
+        trace = run_classical_mmp(make_blowup_p2(8))
+        assert len(trace.steps) == 8
+        assert 0 < calls["outside"] <= 28
+        assert trace == naive_mmp_trace(make_blowup_p2(8))
 
     def test_ruled_above_rank_two_is_flagged_heuristic(self):
         # quadric-like fibre inside a rank-3 lattice
