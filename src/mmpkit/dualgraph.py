@@ -216,6 +216,9 @@ def discrepancies(graph: DualGraph, boundary: Boundary | None = None) -> Discrep
     Definiteness is tested once.  With no boundary detect_du_val tests it on
     a connected graph of genus-0 (-2)-curves with simple edges, and names the
     graph exactly when it passes; every other graph goes to check_contractible.
+    The right-hand side is the int vector of canonical degrees plus coeff * mult
+    at each vertex a boundary component meets, so with no component meeting the
+    graph the solve runs on ints throughout.
     """
     boundary = boundary or EMPTY_BOUNDARY
     boundary.validate_against(graph)
@@ -225,10 +228,12 @@ def discrepancies(graph: DualGraph, boundary: Boundary | None = None) -> Discrep
         not_definite = not boundary.components and _minus_two_curves(graph) and graph.is_connected()
         if not_definite or not check_contractible(graph):
             raise NotContractibleError("intersection matrix is not negative definite")
-    m = graph.intersection_matrix()
     k_deg = graph.canonical_degrees()
-    rhs = [Fraction(k) + boundary.intersection_with(j) for j, k in enumerate(k_deg)]
-    d = linalg.solve_exact(m, rhs)
+    rhs = list(k_deg)  # validate_against has put every met vertex in range
+    for comp in boundary.components:
+        for vertex, mult in comp.meets:
+            rhs[vertex] += comp.coeff * mult
+    d = linalg.solve_exact(graph.intersection_matrix(), rhs)
     return DiscrepancyReport(
         discrepancies=d,
         singularity_class=_classify(d, boundary.touching_coefficients()),

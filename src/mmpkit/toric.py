@@ -17,10 +17,13 @@ progression, so the cost is rows + wraps + points, not sum |det S|:
 * extra points, all m = 1  -> canonical,
 * some point with m < 1    -> klt only (Q-Gorenstein toric is always klt).
 
-One kernel and one normals pass decide both checks on a cone: completed
-by a basis of the orthogonal complement of its span, which adds no line,
-a cone has no line exactly when its facet normals span the space (its dual
-cone is then full-dimensional).
+The walk needs no facets: d independent rays span the space, and with m
+equal to 1 on every ray no positive combination of rays is 0, so the first
+independent S whose m is 1 on every ray proves the cone valid.  Facets run
+only to name an error, or for membership.  There one kernel and one normals
+pass decide both checks on a cone: completed by a basis of the orthogonal
+complement of its span, which adds no line, a cone has no line exactly when
+its facet normals span the space (its dual cone is then full-dimensional).
 
 Smoothness means the generators extend to a basis of the lattice, i.e. the
 cone is simplicial and its ray matrix has determinant +-1.
@@ -158,15 +161,17 @@ def contains(cone: Cone, point) -> bool:
 
 def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
     """Nonzero lattice points P of the cone with m(P) <= 1, in lex order, for m
-    the support functional; NotQGorensteinError when there is none.  In the cone on
+    the support functional.  Raises for a line, then for a lower dimension, then
+    NotQGorensteinError for no m; facets runs only to name the first two, since the
+    first independent S with m = 1 on every ray rules both out.  In the cone on
     d independent rays S, P is a ray or z - S floor(S^-1 z) whose numerators n_i = a_i.z
     mod |det S| sum to at most |det S|, a_i the cross_normal rows of |det S| S^-1, for z in
     the Hermite box 0 <= z_k < h_kk.  z_k += 1 on its longest side adds a_i[k] mod |det S|
     to n_i and e_k - S floor(S^-1 e_k) to P.  Until some n_i wraps, both grow linearly, so
     the hits of a run between wraps are one interval of steps and one range of points."""
-    facets(cone)  # raises for a line or a cone that is not full-dimensional
     d = cone.rank
     points = list(cone.rays)
+    m = None  # |det S| m of the first independent S, once it is |det S| on every ray
     for rays in combinations(cone.rays, d):
         diagonal = [col[k] for k, col in enumerate(linalg.column_hermite_form(rays))]
         det = prod(diagonal)
@@ -174,9 +179,11 @@ def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
             continue  # a dependent subset, whose box is empty
         adj = [linalg.cross_normal(rays[:i] + rays[i + 1 :], d) for i in range(d)]
         adj = [a if linalg.dot(a, s) > 0 else tuple(-x for x in a) for a, s in zip(adj, rays)]
-        m = [sum(col) for col in zip(*adj)]  # |det S| m, if m exists: |det S| on every ray
-        if any(linalg.dot(m, r) != det for r in cone.rays):
-            raise NotQGorensteinError("cone has no support functional; m(P) <= 1 is undefined")
+        if m is None:  # m is unique once found, so no later S needs the check
+            m = [sum(col) for col in zip(*adj)]
+            if any(linalg.dot(m, r) != det for r in cone.rays):
+                facets(cone)  # the rays span, so this raises only for a line, which comes first
+                raise NotQGorensteinError("cone has no support functional; m(P) <= 1 is undefined")
         if det == 1:
             continue  # a unimodular S, whose one coset adds no point
         k = diagonal.index(max(diagonal))
@@ -198,7 +205,11 @@ def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
                     )
                 left -= r
                 nums = [(n + r * s) % det for n, s in zip(nums, steps)]
+    if m is None:
+        facets(cone)  # no d rays are independent: raises for a line, else for the dimension
     points.sort()  # merges the runs, each monotone in lex order
+    if len(cone.rays) == d:
+        return points  # one simplex: its nonzero cosets and its rays are distinct points
     return [p for p, _ in groupby(points)]  # the subcones of a non-simplicial cone share points
 
 
@@ -207,7 +218,7 @@ def classify_cone(cone: Cone) -> ToricClassification:
     q_factorial = len(cone.rays) == cone.rank
     m = q_gorenstein_functional(cone)
     if m is None:
-        facets(cone)  # a cone with m has no line (m = 1 on every ray); the points call validates it
+        facets(cone)  # raises for a line or a lower dimension before the class is named
         return ToricClassification(
             kind=ConeClass.NOT_Q_GORENSTEIN,
             q_factorial=q_factorial,

@@ -291,6 +291,53 @@ class TestBoundary:
         rhs = tuple(k + met.intersection_with(j) for j, k in enumerate(graph.canonical_degrees()))
         assert mat_vec(graph.intersection_matrix(), report.discrepancies) == rhs
 
+    def test_right_hand_side_pinned(self):
+        # K.E_j plus coeff * mult over every component meeting E_j, solved by hand
+        minus_three, minus_four, a2 = single_vertex(0, -3), single_vertex(0, -4), dynkin_graph("A", 2)
+        cases = [
+            # two components meeting one vertex: -3 d = 1 + 1/2 + 1/3
+            (minus_three, [(Fraction(1, 2), ((0, 1),)), (Fraction(1, 3), ((0, 1),))], (Fraction(-11, 18),)),
+            # a meet of multiplicity 2, given once or as two meets: -4 d = 2 + 2/3
+            (minus_four, [(Fraction(1, 3), ((0, 2),))], (Fraction(-2, 3),)),
+            (minus_four, [(Fraction(1, 3), ((0, 1), (0, 1)))], (Fraction(-2, 3),)),
+            # integral coefficients on a met vertex: 0 adds nothing, 1 adds 1 to K.E_0 = 0
+            (a2, [(0, ((0, 1),))], (0, 0)),
+            (a2, [(1, ((0, 1),))], (Fraction(-2, 3), Fraction(-1, 3))),
+            (a2, [(0, ((1, 2),)), (1, ((0, 1),))], (Fraction(-2, 3), Fraction(-1, 3))),
+        ]
+        for graph, comps, expected in cases:
+            boundary = Boundary(tuple(BoundaryComponent(coeff=c, meets=meets) for c, meets in comps))
+            assert discrepancies(graph, boundary).discrepancies == expected, comps
+
+    def test_met_vertex_out_of_range_raises_before_any_solve(self, monkeypatch):
+        # a negative index would otherwise charge the last vertex of the right-hand side
+        def refuse(*args):
+            raise AssertionError("reached linear algebra")
+
+        for name in ("solve_exact", "is_negative_definite"):
+            monkeypatch.setattr(dualgraph.linalg, name, refuse)
+        for vertex, position in ((-1, 0), (2, 1), (-2, 0)):
+            boundary = Boundary((BoundaryComponent(coeff=Fraction(1, 2), meets=((vertex, 1), (1, 1))),))
+            with pytest.raises(ValueError) as info:
+                discrepancies(dynkin_graph("A", 2), boundary)
+            assert (info.value.code, info.value.field) == ("meets_bad_index", f"boundary[0].meets[{position}]")
+
+    def test_solve_gets_ints_when_no_component_meets_the_graph(self, monkeypatch):
+        seen = []
+
+        def spy(a, b, _solve=linalg.solve_exact):
+            seen.append([type(x) for x in b])
+            return _solve(a, b)
+
+        monkeypatch.setattr(dualgraph.linalg, "solve_exact", spy)
+        rng = random.Random(61)
+        aloof = Boundary((BoundaryComponent(coeff=Fraction(1, 2)), BoundaryComponent(coeff=1)))
+        for k in range(60):
+            graph = random_negdef_graph(rng)
+            seen.clear()
+            discrepancies(graph, (None, Boundary(), aloof)[k % 3])
+            assert seen == [[int] * len(graph.vertices)], graph
+
 
 class TestBlowupBookkeeping:
     def test_free_point_on_a1(self):

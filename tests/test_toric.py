@@ -252,7 +252,10 @@ class TestLatticePoints:
         for cone in cones:
             m = q_gorenstein_functional(cone)
             if m is not None:
-                assert lattice_points_at_or_below_one(cone) == naive_points_at_or_below_one(cone, m), cone.rays
+                points = lattice_points_at_or_below_one(cone)
+                assert points == naive_points_at_or_below_one(cone, m), cone.rays
+                # a simplicial cone's list skips the de-duplication, so it must have none to drop
+                assert len(cone.rays) > cone.rank or len(set(points)) == len(points), cone.rays
         non_simplicial = [c for c in cones if len(c.rays) > c.rank]
         assert len(cones) >= 400 and len(non_simplicial) >= 250
         # a ray is not extremal when the facets through it span less than a hyperplane
@@ -337,12 +340,12 @@ class TestLatticePoints:
         monkeypatch.setattr(toric.linalg, "dot", counted)
         points = lattice_points_at_or_below_one(quotient_cone(20000))
         assert points == [(0, 1)] + [(x, 0) for x in range(1, 10001)] + [(20000, -1)]
-        # facets: 2 normals x 2 rays; 2 adjugate signs; m on 2 rays; 1 row x 2 numerators
-        assert calls == Counter({2: 2 * 2 + 2 + 2 + 1 * 2})
+        # 2 adjugate signs; m on 2 rays; 1 row x 2 numerators; no facets pass on a valid cone
+        assert calls == Counter({2: 2 + 2 + 1 * 2})
         # (1,0,0),(1,2,0),(1,0,2): diagonal (1, 2, 2), walked along k = 1, so 2 rows of 2 cosets
         calls.clear()
         lattice_points_at_or_below_one(cone_from_rays([[1, 0, 0], [1, 2, 0], [1, 0, 2]]))
-        assert calls == Counter({3: 3 * 3 + 3 + 3 + 2 * 3})
+        assert calls == Counter({3: 3 + 3 + 2 * 3})
 
     def test_walk_adds_a_row_without_wraps_in_one_run(self, monkeypatch):
         # (0,1),(20000,-1): steps (1, 1) never wrap in the row of 20000 cosets,
@@ -398,11 +401,12 @@ class TestClassification:
             return facets(cone)
 
         monkeypatch.setattr(toric, "facets", counted)
-        for name, kind in (("cone_odp", ConeClass.TERMINAL), ("cone_not_qgor", ConeClass.NOT_Q_GORENSTEIN)):
+        # a cone with m has no line and its first independent d rays span: facets only names errors
+        for name, kind, passes in (("cone_odp", ConeClass.TERMINAL, 0), ("cone_not_qgor", ConeClass.NOT_Q_GORENSTEIN, 1)):
             calls.clear()
             cone = cone_from_rays(json.loads((GOLDEN / f"{name}.json").read_text())["rays"])
             assert classify_cone(cone).kind is kind
-            assert calls == [cone]
+            assert calls == [cone] * passes
 
     def test_random_rank2_family(self):
         rng = random.Random(13)
@@ -601,6 +605,70 @@ class TestStrongConvexity:
             assert (info.value.code, info.value.field) == ("not_full_dimensional", None)
             seen[rank] += 1
         assert min(seen[rank] for rank in range(1, 5)) >= 5, seen
+
+
+class TestErrorOrder:
+    def test_errors_match_the_oracle(self):
+        # seeded cones of rank 1-3 on 1-5 rays: lower-dimensional ones and ones with a
+        # line (random_cone), valid ones (random_q_gorenstein_cone), valid cones of one
+        # rank less in the hyperplane x_d = 0, and rays drawn at random, often without m.
+        # The Caratheodory scan, the rank and whether m exists name the error each
+        # entry point raises: a line, then the dimension, then no m
+        rng = random.Random(59)
+        seen = Counter()
+        for k in range(1000):
+            d, source = 1 + k // 4 % 3, k % 4
+            if source == 0:
+                cone = random_cone(rng, d)
+            elif source == 1 and d > 1:
+                cone = random_q_gorenstein_cone(rng, d, rng.randint(0, 2))
+            elif source == 2 and d > 1:
+                flat = random_q_gorenstein_cone(rng, d - 1, rng.randint(0, 2) if d > 2 else 0)
+                cone = cone_from_rays([ray + (0,) for ray in flat.rays])
+            else:
+                rays = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(1, 5))]
+                cone = cone_from_rays(sorted({linalg.primitive(r) for r in rays if any(r)}) or [[1] * d])
+            if len(cone.rays) > 5:
+                continue
+            m = q_gorenstein_functional(cone)
+            if not naive_is_strongly_convex(cone):
+                expected = NotStronglyConvexError
+            elif matrix_rank(cone.rays) < d:
+                expected = NotFullDimensionalError
+            else:
+                expected = NotQGorensteinError if m is None else None
+            simplicial = "simplicial" if len(cone.rays) == d else "fewer rays" if len(cone.rays) < d else "not simplicial"
+            seen[expected.__name__ if expected else "valid", simplicial] += 1
+
+            def outcome(call):
+                try:
+                    return call()
+                except (NotStronglyConvexError, NotFullDimensionalError, NotQGorensteinError) as error:
+                    return type(error)
+
+            points = outcome(lambda: lattice_points_at_or_below_one(cone))
+            assert (points if isinstance(points, type) else None) is expected, cone.rays
+            result = outcome(lambda: classify_cone(cone))
+            if expected is NotQGorensteinError:
+                assert (result.kind, result.points_at_or_below_one) == (ConeClass.NOT_Q_GORENSTEIN, ()), cone.rays
+            elif expected is None:
+                assert (result.support_functional, result.points_at_or_below_one) == (m, tuple(points)), cone.rays
+            else:
+                assert result is expected, cone.rays
+            v = linalg.primitive([sum(col) for col in zip(*cone.rays)]) if expected is None else cone.rays[0]
+            value = outcome(lambda: toric_discrepancy(cone, v))
+            assert value == (expected or fraction_discrepancy(m, v)), (cone.rays, v)
+        for key in (
+            ("NotStronglyConvexError", "simplicial"),
+            ("NotStronglyConvexError", "not simplicial"),
+            ("NotFullDimensionalError", "fewer rays"),
+            ("NotFullDimensionalError", "simplicial"),
+            ("NotFullDimensionalError", "not simplicial"),
+            ("NotQGorensteinError", "not simplicial"),
+            ("valid", "simplicial"),
+            ("valid", "not simplicial"),
+        ):
+            assert seen[key] >= 10, seen
 
 
 class TestUnimodularInvariance:
