@@ -217,8 +217,9 @@ def discrepancies(graph: DualGraph, boundary: Boundary | None = None) -> Discrep
     a connected graph of genus-0 (-2)-curves with simple edges, and names the
     graph exactly when it passes; every other graph goes to check_contractible.
     The right-hand side is the int vector of canonical degrees plus coeff * mult
-    at each vertex a boundary component meets, so with no component meeting the
-    graph the solve runs on ints throughout.
+    at each vertex a boundary component meets, an integral coeff added as an int,
+    so with no fractional component meeting the graph the solve runs on ints
+    throughout.
     """
     boundary = boundary or EMPTY_BOUNDARY
     boundary.validate_against(graph)
@@ -231,8 +232,9 @@ def discrepancies(graph: DualGraph, boundary: Boundary | None = None) -> Discrep
     k_deg = graph.canonical_degrees()
     rhs = list(k_deg)  # validate_against has put every met vertex in range
     for comp in boundary.components:
+        coeff = comp.coeff.numerator if comp.coeff.denominator == 1 else comp.coeff
         for vertex, mult in comp.meets:
-            rhs[vertex] += comp.coeff * mult
+            rhs[vertex] += coeff * mult
     d = linalg.solve_exact(graph.intersection_matrix(), rhs)
     return DiscrepancyReport(
         discrepancies=d,

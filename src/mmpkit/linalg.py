@@ -7,15 +7,15 @@ tuples of ints (or Fractions), matrices are tuples of row tuples.
 The routines cover what the geometric layers need.  One fraction-free
 (Bareiss) elimination, which leaves alone the rows a pivot does not
 reach, serves two pivot rules.  The echelon rule, the first column with
-a nonzero and its first such row, gives exact solving, rank and
-determinants; the symmetric rule, a nonzero diagonal entry, gives the
-signature of a form and so decides its negative-definiteness.  One
-column Hermite form serves integer kernels in a canonical basis and the
-coset boxes of ``toric``.  Beside them sits the toolkit's one rule for
-integer input (``as_int``, ``as_vector``, ``as_rows``): an int that is
-not a bool, in a list or tuple, is kept as given, and anything else is
-``wrong_type``.  A rational slot (``as_fraction``) takes such an int or
-a ``Fraction``.
+a nonzero and its first such row, gives exact solving of square
+nonsingular systems, rank and determinants; the symmetric rule, a
+nonzero diagonal entry, gives the signature of a form and so decides its
+negative-definiteness.  One column Hermite form serves integer kernels
+in a canonical basis and the coset boxes of ``toric``.  Beside them sits
+the toolkit's one rule for integer input (``as_int``, ``as_vector``,
+``as_rows``): an int that is not a bool, in a list or tuple, is kept as
+given, and anything else is ``wrong_type``.  A rational slot
+(``as_fraction``) takes such an int or a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -160,49 +160,30 @@ def _eliminate(a, symmetric=False):
     return m, order, den
 
 
-def _solve(a, b, cols):
-    """(x, unique) for A x = b with the free variables 0, or None when the
-    echelon form of [A | b] has a pivot in the column of b."""
-    if len(b) != len(a):
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    m, order, _ = _eliminate([list(row) + [y] for row, y in zip(a, b)])
-    if order and order[-1][1] == cols:
-        return None
-    # by Cramer's rule den * x is integral, den the last pivot (the minor
-    # on the pivot rows and columns), so back-substitution stays in ints
-    den = m[order[-1][0]][order[-1][1]] if order else 1
-    y = [0] * cols
-    for p, c in reversed(order):
-        row = m[p]
-        y[c] = (den * row[cols] - sum(map(mul, row[c + 1:cols], y[c + 1:]))) // row[c]
-    return tuple(Fraction(v, den) for v in y), len(order) == cols
-
-
 def solve_exact(a, b) -> RatVector:
     """Solve A x = b exactly over the rationals.
 
     A must be square and nonsingular; entries may be ints or Fractions.
-    Raises SingularMatrixError when det(A) = 0.
+    Raises ValueError when A is not square, then when b is not of its
+    length, and SingularMatrixError when det(A) = 0.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    sol = _solve(a, b, n)
-    if sol is None or not sol[1]:
+    if len(b) != n:
+        raise ValueError("dimension mismatch between matrix and right-hand side")
+    m, order, _ = _eliminate([list(row) + [y] for row, y in zip(a, b)])
+    # A is singular when [A | b] has fewer than n pivots, or n with the last in the column of b
+    if len(order) < n or order and order[-1][1] == n:
         raise SingularMatrixError("matrix is singular")
-    return sol[0]
-
-
-def solve_possibly_singular(a, b):
-    """Solve A x = b allowing rectangular / singular systems.
-
-    Returns (solution, unique) where free variables are set to 0, or None
-    when the system is inconsistent.
-    """
-    cols = len(a[0]) if a else 0
-    if any(len(row) != cols for row in a):
-        raise ValueError("matrix rows have unequal lengths")
-    return _solve(a, b, cols)
+    # by Cramer's rule den * x is integral, den the last pivot (the minor
+    # on the pivot rows and columns), so back-substitution stays in ints
+    den = m[order[-1][0]][n - 1] if n else 1
+    x = [0] * n
+    for p, c in reversed(order):
+        row = m[p]
+        x[c] = (den * row[n] - sum(map(mul, row[c + 1 : n], x[c + 1 :]))) // row[c]
+    return tuple(Fraction(v, den) for v in x)
 
 
 def matrix_rank(a) -> int:

@@ -339,9 +339,9 @@ def run_classical_mmp(s: SurfaceLattice, bound: int | None = None) -> MmpTrace:
 
     Outcomes: a ruled fibre space when a known class has f^2 = 0 and
     K.f < 0; a plane-like fibre space at rank 1 when a known curve has
-    C^2 > 0 and K.C < 0 (with no nonzero known curve: when K is negative
-    on the basis vector); a minimal model when K is nonnegative on every
-    known class.
+    C^2 > 0 and K.C < 0; a minimal model when K is nonnegative on every
+    known class, noted as conditional when no known class is nonzero, since
+    the lattice alone does not fix the sign of K on a curve.
 
     Without a bound the classes are searched for once, and the list stays
     in the input's coordinates.  Contracting c splits the lattice as
@@ -388,15 +388,11 @@ def run_classical_mmp(s: SurfaceLattice, bound: int | None = None) -> MmpTrace:
         outcome = MmpOutcome.MORI_FIBRE_RULED
         if cur.rank > 2:
             notes.append("fibre extremality not certified above rank 2; heuristic")
-    elif cur.rank == 1 and (
-        any(cur.pair(c, c) > 0 and cur.pair(cur.K, c) < 0 for c in known)
-        if known
-        else cur.pair(cur.K, (1,)) < 0
-    ):
+    elif cur.rank == 1 and any(cur.pair(c, c) > 0 and cur.pair(cur.K, c) < 0 for c in known):
         outcome = MmpOutcome.MORI_FIBRE_P2LIKE
     elif all(cur.pair(cur.K, c) >= 0 for c in cur.curves):
         outcome = MmpOutcome.MINIMAL_MODEL
-        if not cur.curves:
+        if not known:
             notes.append("curve list is empty; minimal-model verdict is conditional")
     else:
         raise UndeterminedOutcomeError(

@@ -17,6 +17,10 @@ progression, so the cost is rows + wraps + points, not sum |det S|:
 * extra points, all m = 1  -> canonical,
 * some point with m < 1    -> klt only (Q-Gorenstein toric is always klt).
 
+q_gorenstein_functional and the walk read m by one rule: the rows of
+|det S| S^-1 sum to |det S| m, S the first d independent rays.  Rays that
+span less than the space leave m not unique, and get none.
+
 The walk needs no facets: d independent rays span the space, and with m
 equal to 1 on every ray no positive combination of rays is 0, so the first
 independent S whose m is 1 on every ray proves the cone valid.  Facets run
@@ -136,18 +140,27 @@ def facets(cone: Cone) -> tuple[IntVector, ...]:
     return tuple(sorted(normals))
 
 
-def q_gorenstein_functional(cone: Cone) -> RatVector | None:
-    """The rational functional with m(ray) = 1 for all rays, if consistent.
+def _adjugate(rays, d) -> list[IntVector]:
+    """The rows a_i of |det S| S^-1 for d rays S, as columns: a_i.s_j = 0 for j != i, and a_i
+    oriented so that a_i.s_i = |det S|.  Their sum is |det S| m_S, for m_S = 1 on S."""
+    adj = [linalg.cross_normal(rays[:i] + rays[i + 1 :], d) for i in range(d)]
+    return [a if linalg.dot(a, s) > 0 else tuple(-x for x in a) for a, s in zip(adj, rays)]
 
-    Unique for full-dimensional cones; for lower-dimensional input the free
-    coordinates are set to 0.  Returns None when no such functional exists.
-    """
-    system = [list(ray) for ray in cone.rays]
-    rhs = [1] * len(cone.rays)
-    sol = linalg.solve_possibly_singular(system, rhs)
-    if sol is None:
-        return None
-    return sol[0]
+
+def q_gorenstein_functional(cone: Cone) -> RatVector | None:
+    """The rational functional m with m(ray) = 1 for all rays, read off the first d
+    independent rays as the walk reads it; None when the rays miss it, or span
+    less than the space, where it is not unique."""
+    d = cone.rank
+    for rays in combinations(cone.rays, d):
+        adj = _adjugate(rays, d)
+        det = linalg.dot(adj[0], rays[0])
+        if det:
+            m = [sum(col) for col in zip(*adj)]
+            if any(linalg.dot(m, r) != det for r in cone.rays):
+                return None
+            return tuple(Fraction(x, det) for x in m)
+    return None
 
 
 def gorenstein_index(m: RatVector) -> int:
@@ -177,8 +190,7 @@ def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
         det = prod(diagonal)
         if not det:
             continue  # a dependent subset, whose box is empty
-        adj = [linalg.cross_normal(rays[:i] + rays[i + 1 :], d) for i in range(d)]
-        adj = [a if linalg.dot(a, s) > 0 else tuple(-x for x in a) for a, s in zip(adj, rays)]
+        adj = _adjugate(rays, d)
         if m is None:  # m is unique once found, so no later S needs the check
             m = [sum(col) for col in zip(*adj)]
             if any(linalg.dot(m, r) != det for r in cone.rays):

@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 from math import gcd, isqrt, lcm, prod
 
 from mmpkit.dualgraph import Boundary, BoundaryComponent, DualGraph, Vertex
-from mmpkit.linalg import dot, matrix_rank, solve_possibly_singular
+from mmpkit.linalg import dot, matrix_rank
 from mmpkit.toric import ConeClass, cone_from_rays, facets
 
 #: positions in the implication chain smooth => terminal => canonical => klt
@@ -243,6 +243,26 @@ def gauss_jordan(a):
     return m, order, late
 
 
+def reference_solve(a, b):
+    """A solution of A x = b read off the Gauss-Jordan form of [A | b], with
+    the free variables 0, as (x, unique); None when the system is inconsistent."""
+    cols = len(a[0])
+    m, order, _ = gauss_jordan([list(row) + [y] for row, y in zip(a, b)])
+    if order and order[-1][1] == cols:
+        return None
+    x = [Fraction(0)] * cols
+    for p, c in order:
+        x[c] = m[p][cols]
+    return tuple(x), len(order) == cols
+
+
+def reference_functional(cone):
+    """The m with m(ray) = 1 on every ray, from reference_solve, when the rays
+    determine it; None when no such m exists or the rays span less than the space."""
+    sol = reference_solve(cone.rays, [1] * len(cone.rays))
+    return sol[0] if sol and sol[1] else None
+
+
 def entry_variants(rng, a):
     """a, with its top-left entry set to 1, as plain ints, as Fractions, as
     a random mix with at least one Fraction, and with that entry True: the
@@ -299,7 +319,7 @@ def naive_is_strongly_convex(cone) -> bool:
             system = [[Fraction(r[i]) for r in subset] for i in range(d)]
             system.append([Fraction(1)] * size)
             rhs = [Fraction(0)] * d + [Fraction(1)]
-            sol = solve_possibly_singular(system, rhs)
+            sol = reference_solve(system, rhs)
             if sol is None:
                 continue
             coeffs, unique = sol

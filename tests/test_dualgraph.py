@@ -332,11 +332,23 @@ class TestBoundary:
         monkeypatch.setattr(dualgraph.linalg, "solve_exact", spy)
         rng = random.Random(61)
         aloof = Boundary((BoundaryComponent(coeff=Fraction(1, 2)), BoundaryComponent(coeff=1)))
-        for k in range(60):
+        for k in range(80):
             graph = random_negdef_graph(rng)
+            n = len(graph.vertices)
+            # components of integral coefficient 0 and 1 that meet the graph add ints too
+            integral = Boundary(
+                (
+                    BoundaryComponent(coeff=0, meets=((rng.randrange(n), 1),)),
+                    BoundaryComponent(coeff=Fraction(1), meets=((rng.randrange(n), rng.randint(1, 2)), (0, 1))),
+                )
+            )
             seen.clear()
-            discrepancies(graph, (None, Boundary(), aloof)[k % 3])
-            assert seen == [[int] * len(graph.vertices)], graph
+            discrepancies(graph, (None, Boundary(), aloof, integral)[k % 4])
+            assert seen == [[int] * n], graph
+        # a met component of coefficient 1/2 still puts a Fraction where it meets
+        seen.clear()
+        discrepancies(graph, Boundary((BoundaryComponent(coeff=Fraction(1, 2), meets=((0, 1),)),)))
+        assert seen == [[Fraction] + [int] * (n - 1)], graph
 
 
 class TestBlowupBookkeeping:

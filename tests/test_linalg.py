@@ -13,6 +13,7 @@ from helpers import (
     leibniz_det,
     mat_vec,
     random_tree_edges,
+    reference_solve,
 )
 from mmpkit.errors import NotSymmetricError, SingularMatrixError, ZeroVectorError
 from mmpkit.linalg import (
@@ -27,7 +28,6 @@ from mmpkit.linalg import (
     matrix_rank,
     primitive,
     solve_exact,
-    solve_possibly_singular,
 )
 
 
@@ -47,8 +47,24 @@ class TestSolveExact:
             solve_exact([[1, 2], [2, 4]], [1, 1])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_exact([[1, 2], [3, 4]], [1])
+        # a right-hand side one entry short or long is an error, not a system
+        # with the surplus rows or entries dropped
+        message = "^dimension mismatch between matrix and right-hand side$"
+        for b in ([1], [1, 5, 0]):
+            with pytest.raises(ValueError, match=message):
+                solve_exact([[1, 2], [3, 4]], b)
+
+    def test_errors_come_in_order(self):
+        # not square, then the length of b, then singular
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            solve_exact([[1, 0]], [1, 5])
+        with pytest.raises(ValueError, match="^dimension mismatch"):
+            solve_exact([[1, 1], [1, 1]], [1])
+        with pytest.raises(SingularMatrixError):
+            solve_exact([[1, 1], [1, 1]], [0, 1])
+
+    def test_empty_system(self):
+        assert solve_exact([], []) == ()
 
     def test_rational_entries(self):
         a = [[Fraction(1, 2), 0], [0, Fraction(3)]]
@@ -103,26 +119,27 @@ class TestEchelonReaders:
             _, order, late = gauss_jordan(a)
             assert matrix_rank(a) == len(order), a
             seen["skipped, then reached"] += late > 0
-            b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows)]
-            for rhs in (b, list(mat_vec(a, [rng.randint(-3, 3) for _ in range(cols)]))):
-                expected = reference_solve(a, rhs)
-                assert solve_possibly_singular(a, rhs) == expected, (a, rhs)
-                seen["inconsistent" if expected is None else "unique" if expected[1] else "free"] += 1
             if rows != cols:
                 continue
+            # any right-hand side, and one in the image of A, so consistent when A is singular
+            b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows)]
+            rhss = (b, list(mat_vec(a, [rng.randint(-3, 3) for _ in range(cols)])))
             if len(order) < rows:
                 seen["singular"] += 1
-                with pytest.raises(SingularMatrixError):
-                    solve_exact(a, b)
+                for rhs in rhss:
+                    with pytest.raises(SingularMatrixError):
+                        solve_exact(a, rhs)
             else:
-                assert solve_exact(a, b) == reference_solve(a, b)[0], (a, b)
+                seen["solved"] += 1
+                for rhs in rhss:
+                    assert solve_exact(a, rhs) == reference_solve(a, rhs)[0], (a, rhs)
                 perm = [p for p, _ in order]
                 seen["odd order"] += sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:]) % 2
             if rows <= 6:
                 det = det_bareiss(a)
                 assert det == leibniz_det(a), a
                 assert isinstance(det, int) or any(isinstance(x, Fraction) for row in a for x in row)
-        for key in ("fractions", "skipped, then reached", "odd order", "singular", "inconsistent", "unique", "free"):
+        for key in ("fractions", "skipped, then reached", "odd order", "singular", "solved"):
             assert seen[key] >= 100, seen
 
 
@@ -212,18 +229,6 @@ def random_echelon_matrix(rng, kind):
         right = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(inner)]
         a = [[sum(x * r[j] for x, r in zip(row, right)) for j in range(cols)] for row in left]
     return a
-
-
-def reference_solve(a, b):
-    """solve_possibly_singular's answer read off the Gauss-Jordan form of [A | b]."""
-    cols = len(a[0])
-    m, order, _ = gauss_jordan([list(row) + [y] for row, y in zip(a, b)])
-    if order and order[-1][1] == cols:
-        return None
-    x = [Fraction(0)] * cols
-    for p, c in order:
-        x[c] = m[p][cols]
-    return tuple(x), len(order) == cols
 
 
 class TestNegativeDefinite:
@@ -489,20 +494,3 @@ class TestSmallHelpers:
                 expected = tuple((-1) ** i * det_bareiss(minor) for i, minor in enumerate(minors))
                 assert cross_normal(rows, dim) == expected, rows
                 assert all(type(x) is int for x in cross_normal(rows, dim)), rows
-
-    def test_solve_possibly_singular_inconsistent(self):
-        assert solve_possibly_singular([[1, 1], [1, 1]], [0, 1]) is None
-
-    def test_solve_possibly_singular_underdetermined(self):
-        sol = solve_possibly_singular([[1, 1]], [2])
-        assert sol is not None and sol[1] is False
-
-    def test_solve_possibly_singular_checks_rhs_length(self):
-        # a right-hand side one entry short or long is an error, as in solve_exact,
-        # not a system with the surplus rows or entries dropped
-        message = "^dimension mismatch between matrix and right-hand side$"
-        for a, b in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 5])):
-            with pytest.raises(ValueError, match=message):
-                solve_possibly_singular(a, b)
-        with pytest.raises(ValueError, match=message):
-            solve_exact([[1, 2], [3, 4]], [1])

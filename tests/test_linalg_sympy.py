@@ -17,7 +17,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 
-from helpers import entry_variants, mat_vec  # noqa: E402
+from helpers import entry_variants, mat_vec, random_q_gorenstein_cone  # noqa: E402
 from mmpkit.errors import SingularMatrixError  # noqa: E402
 from mmpkit.linalg import (  # noqa: E402
     det_bareiss,
@@ -26,9 +26,8 @@ from mmpkit.linalg import (  # noqa: E402
     is_negative_definite,
     matrix_rank,
     solve_exact,
-    solve_possibly_singular,
 )
-from mmpkit.toric import ConeClass, classify_cone, cone_from_rays  # noqa: E402
+from mmpkit.toric import ConeClass, classify_cone, cone_from_rays, q_gorenstein_functional  # noqa: E402
 
 CASES = 100
 
@@ -124,25 +123,32 @@ class TestAgainstSympy:
                 assert all(isinstance(v, Fraction) for v in x)
                 assert list(mat_vec(a, x)) == b, (a, b)
 
-    def test_solve_possibly_singular(self):
+    def test_q_gorenstein_functional(self):
+        # full-dimensional cones of rank 1-4, Q-Gorenstein or on random rays (up
+        # to two more than the rank), simplicial or not: m is sympy's unique
+        # solution of rays . m = 1, or None when that system is inconsistent
         rng = random.Random(104)
-        for i in range(CASES):
-            rows, cols = rng.randint(1, 5), rng.randint(1, 6)
-            fractions = i % 2 == 1
-            a = random_matrix(rng, rows, cols, fractions)
-            b = rational_vector(rng, rows, fractions)
-            if i % 3 == 0:
-                # consistent by construction
-                b = list(mat_vec(a, rational_vector(rng, cols, fractions)))
-            rank = to_sympy(a).rank()
-            augmented = to_sympy([row + [y] for row, y in zip(a, b)]).rank()
-            sol = solve_possibly_singular(a, b)
-            if augmented > rank:
-                assert sol is None, (a, b)
+        seen = Counter()
+        for k in range(2 * CASES):
+            d = rng.randint(1, 4)
+            if k % 2 or d == 1:
+                cone = random_q_gorenstein_cone(rng, d, rng.randint(0, 2) if d > 1 else 0)
             else:
-                x, unique = sol
-                assert list(mat_vec(a, x)) == b, (a, b)
-                assert unique == (rank == cols), (a, b)
+                rays = {tuple(x // gcd(*r) for x in r) for r in random_matrix(rng, rng.randint(d, d + 2), d) if any(r)}
+                if not rays or matrix_rank(list(rays)) < d:
+                    continue
+                cone = cone_from_rays(sorted(rays))
+            try:
+                solution, free = sympy.Matrix(cone.rays).gauss_jordan_solve(sympy.ones(len(cone.rays), 1))
+            except ValueError:
+                expected = None
+            else:
+                assert free.shape[0] == 0, cone.rays
+                expected = tuple(Fraction(int(x.p), int(x.q)) for x in solution)
+            assert q_gorenstein_functional(cone) == expected, cone.rays
+            seen[expected is not None, len(cone.rays) > d] += 1
+        # a simplicial full-dimensional cone always has m
+        assert seen[False, False] == 0 and min(seen[True, False], seen[True, True], seen[False, True]) >= 20, seen
 
     def test_is_negative_definite(self):
         rng = random.Random(105)

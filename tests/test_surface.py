@@ -393,15 +393,31 @@ class TestClassicalMmp:
         assert trace.final.pair(trace.final.K, trace.final.K) == 9
 
     def test_plane_like_rule_at_rank_one(self):
-        # no nonzero known curve: K negative on the basis vector
+        # no nonzero known curve: the lattice does not fix the sign of K on a
+        # curve, so the verdict is a minimal model, noted as conditional
+        note = "curve list is empty; minimal-model verdict is conditional"
         s = SurfaceLattice(rank=1, gram=((1,),), K=(-3,), curves=())
-        assert run_classical_mmp(s).outcome is MmpOutcome.MORI_FIBRE_P2LIKE
+        trace = run_classical_mmp(s)
+        assert trace.outcome is MmpOutcome.MINIMAL_MODEL and note in trace.notes
         # the plane with its basis vector negated: -e_0 is the known line
-        flipped =SurfaceLattice(rank=1, gram=((1,),), K=(3,), curves=((-1,),))
+        flipped = SurfaceLattice(rank=1, gram=((1,),), K=(3,), curves=((-1,),))
         assert run_classical_mmp(flipped).outcome is MmpOutcome.MORI_FIBRE_P2LIKE
         # a zero class (the image of a multiple of a contracted class) is no curve
         zero = SurfaceLattice(rank=1, gram=((1,),), K=(-3,), curves=((0,),))
-        assert run_classical_mmp(zero).outcome is MmpOutcome.MORI_FIBRE_P2LIKE
+        trace = run_classical_mmp(zero)
+        assert trace.outcome is MmpOutcome.MINIMAL_MODEL and note in trace.notes
+        # e -> -e is an isometry, so it must carry K, the curves and the verdict along
+        seen = set()
+        for k in (-3, -1, 1, 3):
+            for curves in ((), ((0,),), ((1,),), ((-1,),), ((1,), (-2,))):
+                verdicts = []
+                for e in (1, -1):
+                    lattice = SurfaceLattice(rank=1, gram=((1,),), K=(e * k,), curves=tuple((e * c,) for (c,) in curves))
+                    trace = run_classical_mmp(lattice)
+                    verdicts.append((trace.outcome, trace.notes))
+                assert verdicts[0] == verdicts[1], (k, curves)
+                seen.add(verdicts[0][0])
+        assert seen == {MmpOutcome.MINIMAL_MODEL, MmpOutcome.MORI_FIBRE_P2LIKE}
 
     def test_rank_one_end_is_plane_like_in_any_basis(self):
         rng = random.Random(2026)

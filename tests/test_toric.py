@@ -18,6 +18,8 @@ from helpers import (
     random_cone,
     random_q_gorenstein_cone,
     random_unimodular,
+    reference_functional,
+    reference_solve,
 )
 from mmpkit import linalg, toric
 from mmpkit.dualgraph import DualGraph, Vertex, discrepancies
@@ -179,6 +181,39 @@ class TestSupportFunctional:
             for ray in cone.rays:
                 assert sum(c * x for c, x in zip(m, ray)) == 1
 
+    def test_matches_gauss_jordan(self):
+        # seeded cones of rank 1-4: lower-dimensional ones and ones with a line
+        # (random_cone), Q-Gorenstein ones (random_q_gorenstein_cone) and random
+        # rays, simplicial or not.  On a full-dimensional cone m is the
+        # Gauss-Jordan solution of rays . m = 1, or None when there is none; a
+        # lower-dimensional cone gets None, also where rays . m = 1 has solutions
+        rng = random.Random(5)
+        seen = Counter()
+        for k in range(1200):
+            d, source = 1 + k // 3 % 4, k % 3
+            if source == 0:
+                cone = random_cone(rng, d)
+            elif source == 1:
+                cone = random_q_gorenstein_cone(rng, d, rng.randint(0, 2) if d > 1 else 0)
+            else:
+                rays = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(d, d + 2))]
+                cone = cone_from_rays(sorted({linalg.primitive(r) for r in rays if any(r)}) or [[1] * d])
+            m = q_gorenstein_functional(cone)
+            if matrix_rank(cone.rays) < d:
+                assert m is None, cone.rays
+                seen["lower"] += 1
+                seen["lower, consistent"] += reference_solve(cone.rays, [1] * len(cone.rays)) is not None
+                continue
+            assert m == reference_functional(cone), cone.rays
+            assert m is None or all(type(x) is Fraction for x in m), cone.rays
+            simplicial = len(cone.rays) == d
+            seen["m" if m else "no m", "simplicial" if simplicial else "not simplicial"] += 1
+            seen["rank", d] += 1
+        assert seen["no m", "simplicial"] == 0, seen  # d independent rays always have one
+        wanted = ("lower", "lower, consistent", ("m", "simplicial"), ("m", "not simplicial"), ("no m", "not simplicial"))
+        assert min(seen[key] for key in wanted) >= 50, seen
+        assert min(seen["rank", d] for d in range(1, 5)) >= 50, seen
+
 
 class TestLatticePoints:
     def test_smooth_cone_only_generators(self):
@@ -236,7 +271,7 @@ class TestLatticePoints:
                 raised = False
             except NotQGorensteinError:
                 raised = True
-            assert raised == (q_gorenstein_functional(cone) is None), cone.rays
+            assert raised == (reference_functional(cone) is None), cone.rays
             seen[raised] += 1
         assert min(seen[True], seen[False]) >= 20
 
@@ -250,7 +285,7 @@ class TestLatticePoints:
         cones = [random_q_gorenstein_cone(rng, r, e) for r, e, count in plan for _ in range(count)]
         cones += [cone_from_rays(json.loads(p.read_text())["rays"]) for p in sorted(GOLDEN.glob("cone_*.json"))]
         for cone in cones:
-            m = q_gorenstein_functional(cone)
+            m = reference_functional(cone)
             if m is not None:
                 points = lattice_points_at_or_below_one(cone)
                 assert points == naive_points_at_or_below_one(cone, m), cone.rays
@@ -290,7 +325,7 @@ class TestLatticePoints:
         runs = count_runs(monkeypatch)
         seen = Counter()
         for cone in cones:
-            m = q_gorenstein_functional(cone)
+            m = reference_functional(cone)
             runs.clear()
             assert lattice_points_at_or_below_one(cone) == naive_points_at_or_below_one(cone, m), cone.rays
             walked = len(runs)
@@ -630,7 +665,7 @@ class TestErrorOrder:
                 cone = cone_from_rays(sorted({linalg.primitive(r) for r in rays if any(r)}) or [[1] * d])
             if len(cone.rays) > 5:
                 continue
-            m = q_gorenstein_functional(cone)
+            m = reference_functional(cone)
             if not naive_is_strongly_convex(cone):
                 expected = NotStronglyConvexError
             elif matrix_rank(cone.rays) < d:
