@@ -3,15 +3,19 @@
 Each subcommand is one row of ``COMMANDS``: its handler, help line, rule
 text and own flags.  ``build_parser`` turns the table into one parser,
 built on the first call and shared by every later call in the process.
-A handler reads its flags and any JSON document and returns a report body
-of library values as they are (Fractions, Enums, tuples, the library's
-records); ``main`` puts the row's name first as "command" and its rule
-last as "rule", and ``emit`` renders the report by the one rule of
-``serialize``: canonical JSON for --format machine (identical inputs give
-byte-identical reports), or one "key: value" line per top-level field, in
-order, for --format text.  A parser or handler imports the library layer
-it calls in its own body, so a process imports only the layer of the
-subcommand it runs (of the mode, for ``rr``), and ``--help`` imports none.
+``parse_arguments`` hands an argv led by a command name to that command's
+subparser, so each argument is classified once; any other argv (``--help``,
+an empty one, a typo) goes through the top-level parser, and both ways
+print, exit and parse as ``build_parser().parse_args`` does.  A handler
+reads its flags and any JSON document and returns a report body of library
+values as they are (Fractions, Enums, tuples, the library's records);
+``main`` puts the row's name first as "command" and its rule last as
+"rule", and ``emit`` renders the report by the one rule of ``serialize``:
+canonical JSON for --format machine (identical inputs give byte-identical
+reports), or one "key: value" line per top-level field, in order, for
+--format text.  A parser or handler imports the library layer it calls in
+its own body, so a process imports only the layer of the subcommand it
+runs (of the mode, for ``rr``), and ``--help`` imports none.
 
 The parsers here only pick the fields out of the document, walk its
 lists of objects (``vertices``, ``boundary``) and read its rationals
@@ -449,11 +453,29 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=row.help)
         for flag, keywords in (COMMON_FLAGS | row.flags).items():
             p.add_argument(flag, **keywords)
+    parser.subcommands = sub.choices  # name -> that command's parser
     return parser
 
 
+def parse_arguments(argv=None) -> argparse.Namespace:
+    """The namespace that build_parser().parse_args(argv) gives, with the same
+    output and exit on an error or --help.  An argv led by a command name goes
+    straight to that command's parser, so each argument is classified once;
+    any other argv goes through the top-level parser."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_arguments(argv)
     row = COMMANDS[args.command]
     fmt = args.format
     try:

@@ -9,6 +9,12 @@ no type for is a ``TypeError``.  Machine reports therefore never contain
 floating point, and every report is dumped with sorted keys and fixed
 separators so identical inputs produce byte-identical output and reports
 round-trip through any JSON parser.
+
+The encoder calls ``plain`` once for every such value in a report, so
+``plain`` tests for a ``Fraction`` first and writes it with
+``Fraction.__str__``, and reads a record class's field names once per
+class.  Rationals are read by one ASCII grammar, ``[+-]?[0-9]+(/[0-9]+)?``,
+matched in full.
 """
 
 from __future__ import annotations
@@ -18,15 +24,10 @@ import re
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
-def fraction_to_str(value) -> str:
-    f = value if isinstance(value, Fraction) else Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+# [0-9], not \d, which takes any Unicode digit
+_FRACTION_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_fraction(value) -> Fraction:
@@ -36,7 +37,7 @@ def parse_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _FRACTION_RE.match(value):
+        if not _FRACTION_RE.fullmatch(value):
             raise ValueError(f"not a rational: {value!r}")
         num, _, den = value.partition("/")
         if den == "":
@@ -47,16 +48,23 @@ def parse_fraction(value) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...] | None:
+    """The field names of a dataclass, None for any other class."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
 def plain(value):
     """The JSON value of a library value: a Fraction as "p/q", an Enum as its
     value, a dataclass record as a dict of its fields, which the encoder renders."""
     if isinstance(value, Fraction):
-        return fraction_to_str(value)
+        return Fraction.__str__(value)  # "p" or "p/q", also for a subclass with its own __str__
     if isinstance(value, Enum):
         return value.value
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: getattr(value, f.name) for f in fields(value)}
-    raise TypeError(f"no JSON rendering for {type(value).__name__}: {value!r}")
+    names = _field_names(type(value))
+    if names is None:
+        raise TypeError(f"no JSON rendering for {type(value).__name__}: {value!r}")
+    return {name: getattr(value, name) for name in names}
 
 
 def canonical_json(obj) -> str:

@@ -17,6 +17,15 @@ CLASS_CHAIN_ORDER = {
 }
 
 
+def fraction_to_str(value) -> str:
+    """The reference "p" or "p/q" form of a rational, lowest terms with a
+    positive denominator, written from its numerator and denominator."""
+    f = value if isinstance(value, Fraction) else Fraction(value)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
 def mat_vec(a, x):
     return tuple(dot(row, x) for row in a)
 

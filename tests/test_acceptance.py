@@ -13,6 +13,7 @@ from pathlib import Path
 
 from helpers import (
     dynkin_graph,
+    fraction_to_str,
     multiset_minus_one_count,
     naive_minus_one_classes,
     random_boundary,
@@ -53,8 +54,6 @@ def report(criterion, ok):
 def test_criterion_01_rational_cone_family():
     import json
     from math import gcd
-
-    from mmpkit.serialize import fraction_to_str
 
     expected_class = {1: SingularityClass.TERMINAL_REL, 2: SingularityClass.CANONICAL}
     ok = True

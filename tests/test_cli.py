@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -12,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import fraction_to_str
 from mmpkit.cli import COMMANDS, build_parser, emit, main
-from mmpkit.serialize import canonical_json, fraction_to_str, parse_fraction, plain
+from mmpkit.serialize import canonical_json, parse_fraction, plain
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -66,13 +69,14 @@ def run_machine(argv):
 class TestSerialize:
     def test_fraction_roundtrip(self):
         for text in ["0", "7", "-3", "2/3", "-1/3", "22/7"]:
-            assert fraction_to_str(parse_fraction(text)) == text
+            assert plain(parse_fraction(text)) == text
 
     def test_reduction(self):
-        assert fraction_to_str(parse_fraction("4/6")) == "2/3"
+        assert plain(parse_fraction("4/6")) == "2/3"
 
     def test_fraction_to_str_renders_each_input_type(self):
-        # a Fraction is rendered as it is, any other input as Fraction(value)
+        # the reference renders a Fraction as it is, any other input as
+        # Fraction(value); plain renders every Fraction the same way
         cases = [
             (Fraction(3, 4), "3/4"),
             (Fraction(10, -4), "-5/2"),
@@ -86,9 +90,11 @@ class TestSerialize:
         ]
         for value, text in cases:
             assert fraction_to_str(value) == text, value
+            if isinstance(value, Fraction):
+                assert plain(value) == text, value
 
     def test_rejects_garbage(self):
-        for bad in ["1.5", "a", "1/0", "", "1/-2", True, None, [1]]:
+        for bad in ["1.5", "a", "1/0", "", "1/-2", True, None, [1], "1/2\n", "\u0663/\u0664", "\uff13", "1_0", " 1"]:
             with pytest.raises(ValueError):
                 parse_fraction(bad)
 
@@ -140,6 +146,66 @@ class TestRenderingRule:
         with redirect_stdout(buffer):
             emit(report, "machine")
         assert buffer.getvalue() == '{"chi":"3","class":"Red","d":"-1/3","s":"x","v":["1/2"]}\n'
+
+
+def reference_json(obj) -> str:
+    """canonical_json by the rule as written: fraction_to_str for every
+    Fraction, dataclasses.fields read afresh for every record."""
+
+    def default(value):
+        if isinstance(value, Fraction):
+            return fraction_to_str(value)
+        if isinstance(value, Enum):
+            return value.value
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        raise TypeError(type(value).__name__)
+
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=default)
+
+
+class Loud(Fraction):
+    """A Fraction subclass whose str is not its "p/q" form."""
+
+    def __str__(self):
+        return "loud"
+
+
+class TestRendererMatchesTheRule:
+    """canonical_json's fast paths write what the rule as written does."""
+
+    def test_seeded_fractions(self):
+        rng = random.Random(20261019)
+        values = [Fraction(0), Fraction(-7), Fraction(12, 4), Fraction(-1, 3)]
+        for _ in range(200):
+            num = rng.getrandbits(rng.choice((3, 64, 5000))) * rng.choice((1, -1))
+            den = rng.choice((1, 1, rng.getrandbits(rng.choice((3, 64, 5000))) + 1))
+            values.append(Fraction(num, den))
+        assert {v.denominator == 1 for v in values} == {True, False}
+        assert any(v < 0 for v in values) and max(abs(v.numerator) for v in values).bit_length() > 4990
+        for value in values:
+            assert canonical_json([value, {"v": (value,)}]) == reference_json([value, {"v": (value,)}])
+
+    def test_a_fraction_subclass_keeps_its_p_q_form(self):
+        report = {"a": Loud(-6, 4), "b": [Loud(3)]}
+        assert canonical_json(report) == reference_json(report) == '{"a":"-3/2","b":["3"]}'
+
+    def test_every_record_and_enum_a_report_holds(self):
+        from mmpkit import dualgraph, surface, toric
+
+        trace = surface.run_classical_mmp(surface.SurfaceLattice(**json.loads((GOLDEN / "surface_bl2.json").read_text())))
+        assert trace.steps
+        graph = dualgraph.DualGraph(
+            vertices=(dualgraph.Vertex(genus=0, self_int=-2), dualgraph.Vertex(genus=1, self_int=-3)),
+            edges=((0, 1, 1),),
+        )
+        component = dualgraph.BoundaryComponent(coeff=Fraction(1, 2), meets=((0, 1),))
+        values = [trace, trace.steps, trace.final, graph, graph.vertices, component, list(toric.ConeClass)]
+        values += [list(surface.MmpOutcome), {"graph": {**plain(graph), "boundary": (component,)}}]
+        for value in values:
+            assert canonical_json(value) == reference_json(value)
+        # all of them in one report, each record class's field names cached by now
+        assert canonical_json(values) == reference_json(values)
 
 
 class TestSubcommandResults:
@@ -703,6 +769,11 @@ ERROR_CONTRACT = [
     (_samples(samples=[[1, 2], [2, 4.9]]), 2, "wrong_type", "samples[1][1]"),
     (["toric-discrepancy", "--inline", _doc(CONE), "--point", "[1.0,0]"], 2, "wrong_type", "--point[0]"),
     (_surface("nef-check", "--divisor", "[1,0.5]"), 2, "wrong_type", "--divisor[1]"),
+    # a rational is ASCII digits matched in full: no other Unicode digit, no final newline
+    (["pair-classify", "--inline", json.dumps({"coeffs": ["1/2", "1/2\n"]})], 2, "coeff_bad", "coeffs[1]"),
+    (["pair-classify", "--inline", json.dumps({"coeffs": ["\u0663/\u0664"]})], 2, "coeff_bad", "coeffs[0]"),
+    (["pair-classify", "--inline", json.dumps({"coeffs": ["\uff13"]})], 2, "coeff_bad", "coeffs[0]"),
+    (_boundary({"coeff": "1/2\n", "meets": [[0, 1]]}), 2, "coeff_bad", "boundary[0].coeff"),
 ]
 
 
@@ -809,3 +880,90 @@ class TestParserReuse:
         assert (status, err["code"], err.get("field")) == (exit_code, code, field)
         check_pinned(reversed(runs))
         assert build_parser() is build_parser()
+
+
+# -- a seeded fuzz of main: one leaf of one golden document changed per case ------
+
+#: the flags whose value is a JSON document
+JSON_FLAGS = ("--input", "--point", "--divisor")
+
+
+def _leaf_paths(doc, path=()):
+    if not isinstance(doc, (dict, list)):
+        yield path
+        return
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield from _leaf_paths(value, path + (key,))
+
+
+def _replaced(text, path, value):
+    doc = json.loads(text)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
+def fuzz_cases(seed):
+    """Every golden run with one leaf of one of its JSON documents replaced by
+    each of: small integers and seeded ones within +-100, a seeded rational,
+    and a value of each other JSON type.  A document read from --input goes
+    in by --inline."""
+    rng = random.Random(seed)
+    cases = []
+    for argv in GOLDEN_RUNS:
+        for k, flag in enumerate(argv):
+            if flag not in JSON_FLAGS:
+                continue
+            text = Path(argv[k + 1]).read_text("utf-8") if flag == "--input" else argv[k + 1]
+            for path in _leaf_paths(json.loads(text)):
+                values = [0, 1, -1, 2, -2, *(rng.randint(-100, 100) for _ in range(4))]
+                values += [f"{rng.randint(-100, 100)}/{rng.randint(0, 100)}", "x", None, True, 2.5, [], {}, [0]]
+                for value in values:
+                    mutant = ["--inline" if flag == "--input" else flag, _replaced(text, path, value)]
+                    cases.append(argv[:k] + mutant + argv[k + 2 :] + ["--format", "machine"])
+    return cases
+
+
+def fuzz_fault(argv):
+    """What is wrong with main's answer to argv, or None: it must exit 0, 2 or
+    3 with one line on stdout and none on stderr, and an error must carry a
+    code, and a field when it exits 2 unless its code is invalid_value."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = main(argv)
+        except (Exception, SystemExit) as exc:  # an escape from main is a fault
+            return f"raised {type(exc).__name__}: {exc}"
+    text = out.getvalue()
+    if status not in (0, 2, 3) or text.count("\n") != 1 or not text.endswith("\n") or err.getvalue():
+        return f"exit {status}, stdout {text[:200]!r}, stderr {err.getvalue()[-200:]!r}"
+    if status:
+        error = json.loads(text).get("error", {})
+        if not error.get("code") or (status == 2 and "field" not in error and error["code"] != "invalid_value"):
+            return f"exit {status} with error {error}"
+    return None
+
+
+class TestFuzz:
+    def test_every_mutant_ends_in_one_line_with_a_code(self):
+        cases = fuzz_cases(seed=20261019)
+        assert len(cases) > 5000
+        faults = [(argv, fault) for argv in cases for fault in [fuzz_fault(argv)] if fault]
+        assert faults == []
+
+    def test_the_checks_catch_an_escape_and_a_stderr_line(self, monkeypatch):
+        argv = GOLDEN_RUNS[0] + ["--format", "machine"]
+        assert fuzz_fault(argv) is None
+
+        def crash(args):
+            raise KeyError("x")
+
+        def warn(args):
+            sys.stderr.write("warning\n")
+            return {}
+
+        for handler, fault in ((crash, "raised KeyError"), (warn, "exit 0")):
+            monkeypatch.setitem(COMMANDS, "toric-classify", COMMANDS["toric-classify"]._replace(handler=handler))
+            assert fuzz_fault(argv).startswith(fault)
