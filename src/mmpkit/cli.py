@@ -28,7 +28,8 @@ and, with code ``invalid_value`` and no field, for a report that cannot
 be printed because it holds an integer over Python's int-to-decimal
 digit limit (the discrepancies of two 3000-digit self-intersections); 3
 for an error without a field (a mathematical precondition failed), and
-for a MemoryError or RecursionError (code ``resource_exhausted``).
+for a MemoryError, RecursionError or OverflowError (code
+``resource_exhausted``).
 """
 
 from __future__ import annotations
@@ -492,7 +493,7 @@ def main(argv=None) -> int:
         # a report holding an integer too long to print, or any other stray ValueError
         emit_error("validation", "invalid_value", str(exc), fmt)
         return 2
-    except (MemoryError, RecursionError) as exc:
+    except (MemoryError, RecursionError, OverflowError) as exc:
         # last net: an input too large to compute on ends without a trace
         emit_error("precondition", "resource_exhausted", f"{type(exc).__name__}: the input is too large", fmt)
         return 3

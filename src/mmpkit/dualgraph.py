@@ -309,38 +309,26 @@ def blowup_vertex(
 ) -> tuple[DualGraph, Boundary]:
     """Blow up a point of the resolution surface at the given site.
 
-    Appends a new genus-0 vertex with self-intersection -1, drops the
-    self-intersection of each curve through the point by 1, and rewires
-    edge or boundary incidences through the new vertex.
+    One rule serves every site: each curve E through the point has strict
+    transform E' = pi^*E - F, so E'^2 = E^2 - 1 and E'.F = 1, and the new
+    vertex F is a genus-0 (-1)-curve (Hartshorne V.3.2 and V.3.6).  The point
+    takes one unit of the edge or boundary meeting it; a boundary component
+    blown up at a point meets F once.
     """
     boundary = boundary or EMPTY_BOUNDARY
     boundary.validate_against(graph)
     n = len(graph.vertices)
-    verts = list(graph.vertices)
-    edges = [list(e) for e in graph.edges]
+    edges = {(i, j): mult for i, j, mult in graph.edges}
     comps = list(boundary.components)
-    new = n
-
-    def drop_self_int(i):
-        verts[i] = Vertex(genus=verts[i].genus, self_int=verts[i].self_int - 1)
-
     if isinstance(site, FreePoint):
         if not 0 <= linalg.as_int(site.vertex, "vertex") < n:
             raise InvalidSiteError(f"no vertex {site.vertex}")
-        drop_self_int(site.vertex)
-        edges.append([site.vertex, new, 1])
+        through = (site.vertex,)
     elif isinstance(site, EdgePoint):
-        i, j = sorted((linalg.as_int(site.i, "i"), linalg.as_int(site.j, "j")))
-        hit = next((e for e in edges if (e[0], e[1]) == (i, j)), None)
-        if hit is None:
-            raise InvalidSiteError(f"no edge between {i} and {j}")
-        hit[2] -= 1
-        if hit[2] == 0:
-            edges.remove(hit)
-        drop_self_int(i)
-        drop_self_int(j)
-        edges.append([i, new, 1])
-        edges.append([j, new, 1])
+        through = tuple(sorted((linalg.as_int(site.i, "i"), linalg.as_int(site.j, "j"))))
+        if through not in edges:
+            raise InvalidSiteError(f"no edge between {through[0]} and {through[1]}")
+        edges[through] -= 1
     elif isinstance(site, BoundaryPoint):
         if not 0 <= linalg.as_int(site.component, "component") < len(comps):
             raise InvalidSiteError(f"no boundary component {site.component}")
@@ -350,18 +338,14 @@ def blowup_vertex(
             raise InvalidSiteError(
                 f"boundary component {site.component} does not meet vertex {site.vertex}"
             )
+        through = (site.vertex,)
         meets[site.vertex] -= 1
-        if meets[site.vertex] == 0:
-            del meets[site.vertex]
-        meets[new] = meets.get(new, 0) + 1
-        comps[site.component] = BoundaryComponent(
-            coeff=comp.coeff, meets=tuple(meets.items())
-        )
-        drop_self_int(site.vertex)
-        edges.append([site.vertex, new, 1])
+        meets[n] = 1
+        comps[site.component] = BoundaryComponent(comp.coeff, tuple((v, m) for v, m in meets.items() if m))
     else:
         raise InvalidSiteError(f"unrecognized blow-up site {site!r}")
-
+    verts = [Vertex(v.genus, v.self_int - 1) if k in through else v for k, v in enumerate(graph.vertices)]
     verts.append(Vertex(genus=0, self_int=-1))
-    new_graph = DualGraph(vertices=tuple(verts), edges=tuple(tuple(e) for e in edges))
+    edges.update({(k, n): 1 for k in through})
+    new_graph = DualGraph(tuple(verts), tuple((i, j, m) for (i, j), m in edges.items() if m))
     return new_graph, Boundary(tuple(comps))

@@ -774,6 +774,8 @@ ERROR_CONTRACT = [
     (["pair-classify", "--inline", json.dumps({"coeffs": ["\u0663/\u0664"]})], 2, "coeff_bad", "coeffs[0]"),
     (["pair-classify", "--inline", json.dumps({"coeffs": ["\uff13"]})], 2, "coeff_bad", "coeffs[0]"),
     (_boundary({"coeff": "1/2\n", "meets": [[0, 1]]}), 2, "coeff_bad", "boundary[0].coeff"),
+    # a coordinate too large for the lattice-point scan's ranges ends in the last net
+    (_cone(rays=[[0, 1], [10**30, -1]]), 3, "resource_exhausted", None),
 ]
 
 
@@ -807,7 +809,7 @@ class TestErrorContract:
 
 
 class TestLastNet:
-    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError, OverflowError])
     def test_exhaustion_is_a_precondition_error_without_a_trace(self, monkeypatch, error):
         # a handler that raises in place of a real exhaustion, which no test may cause
         def handler(args):

@@ -387,6 +387,67 @@ class TestBlowupBookkeeping:
             blowup_vertex(graph, None, BoundaryPoint(0, 0))
 
 
+def every_site(graph, boundary):
+    """Each vertex as a FreePoint, each edge as an EdgePoint in both orders,
+    and each meeting of a boundary component with a vertex as a BoundaryPoint."""
+    yield from (FreePoint(v) for v in range(len(graph.vertices)))
+    for i, j, _ in graph.edges:
+        yield from (EdgePoint(i, j), EdgePoint(j, i))
+    for k, comp in enumerate(boundary.components):
+        yield from (BoundaryPoint(vertex=v, component=k) for v, _ in comp.meets)
+
+
+def meet_matrix(graph, boundary):
+    """Components x vertices: the multiplicity with which component k meets vertex v."""
+    rows = [[0] * len(graph.vertices) for _ in boundary.components]
+    for row, comp in zip(rows, boundary.components):
+        for v, mult in comp.meets:
+            row[v] += mult
+    return rows
+
+
+class TestBlowupStrictTransform:
+    """A curve E through the blown-up point pulls back as E' + F, so with t the
+    0/1 vector of the curves through the point the new intersection matrix is
+    [[M - t t^T, t], [t^T, -1]]; with s the 0/1 vector of the blown-up boundary
+    component the new meet matrix is [N - s t^T, s]."""
+
+    def check(self, graph, boundary, site):
+        n = len(graph.vertices)
+        through = {site.i, site.j} if isinstance(site, EdgePoint) else {site.vertex}
+        t = [int(v in through) for v in range(n)]
+        s = [int(isinstance(site, BoundaryPoint) and k == site.component) for k in range(len(boundary.components))]
+        m = graph.intersection_matrix()
+        new_graph, new_boundary = blowup_vertex(graph, boundary, site)
+        expected_m = [[m[a][b] - t[a] * t[b] for b in range(n)] + [t[a]] for a in range(n)] + [t + [-1]]
+        assert [list(row) for row in new_graph.intersection_matrix()] == expected_m, site
+        assert [v.genus for v in new_graph.vertices] == [v.genus for v in graph.vertices] + [0]
+        expected_n = [[row[v] - s[k] * t[v] for v in range(n)] + [s[k]] for k, row in enumerate(meet_matrix(graph, boundary))]
+        assert meet_matrix(new_graph, new_boundary) == expected_n, site
+        assert [c.coeff for c in new_boundary.components] == [c.coeff for c in boundary.components]
+        return new_graph
+
+    def test_seeded_graphs_at_every_site(self):
+        rng = random.Random(2503)
+        kinds = set()
+        for _ in range(120):
+            graph = random_negdef_graph(rng)
+            boundary = random_boundary(rng, graph)
+            for site in every_site(graph, boundary):
+                self.check(graph, boundary, site)
+                kinds.add(type(site))
+        assert kinds == {FreePoint, EdgePoint, BoundaryPoint}
+
+    def test_double_edge_and_genus_one(self):
+        graph = DualGraph(vertices=(Vertex(1, -3), Vertex(0, -3), Vertex(0, -2)), edges=((0, 1, 2), (1, 2, 1)))
+        boundary = Boundary((BoundaryComponent(coeff=Fraction(1, 3), meets=((0, 2), (2, 1))),))
+        for site in every_site(graph, boundary):
+            self.check(graph, boundary, site)
+        # a point of a double edge takes one of its two meetings
+        new_graph = self.check(graph, boundary, EdgePoint(1, 0))
+        assert new_graph.edges == ((0, 1, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1))
+
+
 def random_site(rng, graph, boundary):
     options = [FreePoint(rng.randrange(len(graph.vertices)))]
     if graph.edges:
