@@ -8,7 +8,10 @@ The routines cover what the geometric layers need.  One fraction-free
 (Bareiss) elimination, which leaves alone the rows a pivot does not
 reach, serves two pivot rules.  The echelon rule, the first column with
 a nonzero and its first such row, gives exact solving of square
-nonsingular systems, rank and determinants; the symmetric rule, a
+nonsingular systems, rank, determinants and the rows of
+``ellipsoid_points``, the Fincke-Pohst search for the integer points on a
+positive-definite ellipsoid (its oracle, ``naive_ellipsoid_points`` in
+the tests, scans a box proven to hold them all); the symmetric rule, a
 nonzero diagonal entry, gives the signature of a form and so decides its
 negative-definiteness.  One column Hermite form serves integer kernels
 in a canonical basis and the coset boxes of ``toric``.  Beside them sits
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import InvalidInputError, NotSymmetricError, SingularMatrixError, ZeroVectorError
@@ -62,10 +65,8 @@ def as_rows(rows, field: str, code: str = "wrong_type") -> IntMatrix:
 
 
 def is_symmetric(a) -> bool:
-    n = len(a)
-    return all(len(row) == n for row in a) and all(
-        a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n)
-    )
+    # zip stops at the shortest row, so only a square a can equal its transpose
+    return list(zip(*a)) == list(map(tuple, a))
 
 
 def vector_gcd(v) -> int:
@@ -338,6 +339,55 @@ def is_negative_definite(a) -> bool:
     if not is_symmetric(a):
         raise NotSymmetricError("negative-definiteness test needs a symmetric matrix")
     return _signature(a) == (0, len(a), 0)
+
+
+def ellipsoid_points(a, b, r) -> list[IntVector]:
+    """Every integer w with w^T A w - 2 b.w = r, in search order, for A a
+    symmetric positive-definite int matrix and b, r ints (Fincke-Pohst).
+
+    With m = A^-1 b, row_k the Bareiss rows of A and D_k its leading minors,
+    that is sum_k (row_k . (w - m))^2 / (D_k D_{k+1}) = R, and det(A) m,
+    row_k . m and det(A) R are integral: scaled by N = lcm of the D_k D_{k+1},
+    each bound on w_k is an integer test, and w_0 is solved for.  Raises
+    ValueError unless A is square, symmetric and positive definite (Sylvester:
+    its pivots fall on the diagonal in order, each > 0) and b is of its length."""
+    d = len(a)
+    if not is_symmetric(a):
+        raise ValueError("matrix is not square and symmetric")
+    m, order, _ = _eliminate(a)
+    minors = [1] + [m[k][k] for k in range(d)]
+    if order != [(k, k) for k in range(d)] or min(minors) <= 0:
+        raise ValueError("matrix is not positive definite")
+    det = minors[d]
+    det_m = [c.numerator * (det // c.denominator) for c in solve_exact(a, b)]
+    det_radius = det * r + sum(map(mul, b, det_m))
+    shifts = [sum(map(mul, m[k][k:], det_m[k:])) // det for k in range(d)]
+    scale = lcm(*(minors[k] * minors[k + 1] for k in range(d)))
+    weights = [scale // (minors[k] * minors[k + 1]) for k in range(d)]
+    w, out = [0] * d, []
+
+    def descend(k, budget, c):
+        # c = row_k . (w - m) without the w_k term
+        piv, weight = minors[k + 1], weights[k]
+        h = isqrt(budget // weight)
+        if k == 0:
+            # the last coordinate must use up the budget exactly
+            for t in {h, -h} if weight * h * h == budget else ():
+                w[0], off = divmod(t - c, piv)
+                if off == 0:
+                    out.append(tuple(w))
+            return
+        row, lo = m[k - 1], -((h + c) // piv)
+        cc = sum(map(mul, row[k + 1 :], w[k + 1 :])) - shifts[k - 1] + lo * row[k]
+        for wk in range(lo, (h - c) // piv + 1):
+            t = piv * wk + c
+            w[k] = wk
+            descend(k - 1, budget - weight * t * t, cc)
+            cc += row[k]
+
+    if d and det_radius >= 0:
+        descend(d - 1, det_radius * (scale // det), -shifts[d - 1])
+    return out if d else [()] if r == 0 else []
 
 
 def cross_normal(rows, dim) -> IntVector:

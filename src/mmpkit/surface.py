@@ -11,8 +11,8 @@ identical traces.
 
 Without a search bound, (-1)-class enumeration is complete on lattices
 of signature (1, rank-1) with K^2 > 0, in any basis: there the classes
-are the integer points of one positive-definite ellipsoid, enumerated
-exactly (Fincke-Pohst).  Anything else needs an explicit coordinate
+are the integer points of one positive-definite ellipsoid, listed by
+``linalg.ellipsoid_points``.  Anything else needs an explicit coordinate
 bound; blow-ups of the plane in 9 or more points have K^2 <= 0 and
 infinitely many (-1)-classes.  The unbounded MMP searches once, as the
 classes orthogonal to a contracted class are all those of the contracted
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm
 from operator import mul
 
 from . import linalg
@@ -159,17 +158,9 @@ def _gram_times(s: SurfaceLattice, v) -> IntVector:
 
 
 def _ellipsoid_classes(s: SurfaceLattice) -> list[IntVector]:
-    """Fincke-Pohst enumeration of C^2 = K.C = -1 when K^2 > 0 and the
-    form has signature (1, rank-1).
-
-    K.x = -1 is x = x0 + B w with B a basis of the K-orthogonal part, so
-    x^2 = -1 becomes (w - m)^T A (w - m) = R with A = -B^T G B positive
-    definite.  The Bareiss rows of A give Q(y) = sum_k (row_k . y)^2 /
-    (D_k D_{k+1}) with D_k its leading principal minors; row_k . m is an
-    integer, so the depth-first bounds on w_{d-1}, ..., w_0 are integer
-    tests after scaling by N = lcm of the D_k D_{k+1}, a multiple of
-    D_d = det(A).
-    """
+    """C^2 = K.C = -1 when K^2 > 0 and the form has signature (1, rank-1):
+    x = x0 + B w, x0 and a basis B of K^perp from the Hermite form of
+    [G K ; I], with w^T A w - 2 beta.w = x0^2 + 1, A = -B^T G B and beta = B^T G x0."""
     n = s.rank
     cols = [[g] + [0] * n for g in _gram_times(s, s.K)]
     for j, col in enumerate(cols):
@@ -182,55 +173,14 @@ def _ellipsoid_classes(s: SurfaceLattice) -> list[IntVector]:
     gb = [_gram_times(s, v) for v in basis]
     a = [[-sum(map(mul, u, gv)) for u in basis] for gv in gb]
     beta = [sum(map(mul, x0, gv)) for gv in gb]
-    m, order, _ = linalg._eliminate(a)
-    rows = [m[p] for p, _ in order]
-    d = len(basis)
-    minors = [1] + [rows[k][k] for k in range(d)]
-    # det(A) m is integral (Cramer), and so are row_k . m and det(A) R
-    det = minors[d]
-    det_m = [c.numerator * (det // c.denominator) for c in linalg.solve_exact(a, beta)]
-    shifts = [sum(map(mul, rows[k][k:], det_m[k:])) // det for k in range(d)]
-    det_radius = det * (s.pair(x0, x0) + 1) + sum(map(mul, beta, det_m))
-    scale = lcm(*(minors[k] * minors[k + 1] for k in range(d)))
-    weights = [scale // (minors[k] * minors[k + 1]) for k in range(d)]
-    w = [0] * d
-    # x = x0 + B w, updated in place; Hermite columns are mostly zero
-    support = [[(i, v) for i, v in enumerate(col) if v] for col in basis]
-    x = list(x0)
-    out: list[IntVector] = []
-
-    def descend(k, budget, c):
-        # c = row_k . (w - m) without the w_k term
-        piv, weight, nz = minors[k + 1], weights[k], support[k]
-        h = isqrt(budget // weight)
-        if k == 0:
-            # the last coordinate must use up the budget exactly
-            if weight * h * h == budget:
-                for t in (h, -h) if h else (0,):
-                    wk, off = divmod(t - c, piv)
-                    if off == 0:
-                        y = x[:]
-                        for i, v in nz:
-                            y[i] += wk * v
-                        out.append(tuple(y))
-            return
-        lo, hi = -((h + c) // piv), (h - c) // piv
-        row = rows[k - 1]
-        cc = sum(map(mul, row[k + 1:], w[k + 1:])) - shifts[k - 1] + lo * row[k]
-        for i, v in nz:
-            x[i] += lo * v
-        for wk in range(lo, hi + 1):
-            t = piv * wk + c
-            w[k] = wk
-            descend(k - 1, budget - weight * t * t, cc)
-            cc += row[k]
-            for i, v in nz:
-                x[i] += v
-        for i, v in nz:
-            x[i] -= (hi + 1) * v
-
-    if d:
-        descend(d - 1, det_radius * (scale // det), -shifts[d - 1])
+    # x = x0 + B w, over the nonzero entries of the Hermite columns of B
+    entries = [(k, i, v) for k, col in enumerate(basis) for i, v in enumerate(col) if v]
+    out = []
+    for w in linalg.ellipsoid_points(a, beta, s.pair(x0, x0) + 1):
+        x = x0[:]
+        for k, i, v in entries:
+            x[i] += w[k] * v
+        out.append(tuple(x))
     return sorted(out)
 
 
@@ -238,9 +188,8 @@ def enumerate_minus_one_classes(s: SurfaceLattice, bound: int | None = None) -> 
     """All classes C with C^2 = -1 and K.C = -1, lexicographically sorted.
 
     With an explicit bound, every coordinate box cell is tested.  Without
-    one, the search is complete on lattices of signature (1, rank-1) with
-    K^2 > 0, where the classes are the integer points of one ellipsoid;
-    any other lattice needs a bound.
+    one, a lattice of signature (1, rank-1) with K^2 > 0 is searched
+    completely, on one ellipsoid (linalg.ellipsoid_points); any other needs a bound.
     """
     if bound is not None:
         if linalg.as_int(bound, "bound") < 0:

@@ -265,6 +265,42 @@ def reference_solve(a, b):
     return tuple(x), len(order) == cols
 
 
+def naive_ellipsoid_points(a, b, r) -> list:
+    """The integer w with w^T A w - 2 b.w = r, A positive definite, by a scan
+    of a box that holds them all, in Fractions: the reference for
+    linalg.ellipsoid_points.  With m = A^-1 b and R = r + b.m the equation
+    is y^T A y = R for y = w - m, and Cauchy-Schwarz in the inner product
+    of A^-1 gives y_i^2 = (e_i^T A^-1 (A y))^2 <= (A^-1)_ii y^T A y, so
+    |w_i - m_i|^2 <= R (A^-1)_ii."""
+    d = len(a)
+    m = reference_solve(a, b)[0] if d else ()
+    radius = r + sum(x * y for x, y in zip(b, m))
+    if radius < 0:
+        return []
+    ranges = []
+    for i in range(d):
+        inv_ii = reference_solve(a, [int(k == i) for k in range(d)])[0][i]
+        reach = radius * inv_ii
+        half = isqrt(reach.numerator // reach.denominator) + 1
+        lo, hi = int(m[i]) - half - 1, int(m[i]) + half + 1
+        ranges.append([w for w in range(lo, hi + 1) if (w - m[i]) ** 2 <= reach])
+    return [
+        w
+        for w in product(*ranges)
+        if sum(w[i] * a[i][j] * w[j] for i in range(d) for j in range(d)) - 2 * dot(b, w) == r
+    ]
+
+
+def random_positive_definite(rng, d, spread=1):
+    """M^T M + I for a random int M with entries in [-spread, spread]: a
+    positive-definite form, its smallest eigenvalue at least 1."""
+    mat = [[rng.randint(-spread, spread) for _ in range(d)] for _ in range(d)]
+    return [
+        [sum(mat[k][i] * mat[k][j] for k in range(d)) + (i == j) for j in range(d)]
+        for i in range(d)
+    ]
+
+
 def reference_functional(cone):
     """The m with m(ray) = 1 on every ray, from reference_solve, when the rays
     determine it; None when no such m exists or the rays span less than the space."""

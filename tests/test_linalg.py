@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -12,6 +13,8 @@ from helpers import (
     leading_minor_negdef,
     leibniz_det,
     mat_vec,
+    naive_ellipsoid_points,
+    random_positive_definite,
     random_tree_edges,
     reference_solve,
 )
@@ -22,6 +25,7 @@ from mmpkit.linalg import (
     coordinates_in_basis,
     cross_normal,
     det_bareiss,
+    ellipsoid_points,
     inertia,
     integer_kernel,
     is_negative_definite,
@@ -467,6 +471,81 @@ def random_sparse_form(rng, kind):
         return m
     order = rng.sample(range(n), n)
     return [[m[i][j] for j in order] for i in order]
+
+
+class TestEllipsoidPoints:
+    def test_matches_the_box_oracle_on_seeded_forms(self):
+        # forms M^T M + I of rank 1 to 5, centres A^-1 b integral and
+        # rational, and values r through a lattice point next to the centre,
+        # off it by 1, or below every value the form takes
+        rng = random.Random(26)
+        seen = Counter()
+        for k in range(400):
+            d = 1 + k % 5
+            a = random_positive_definite(rng, d, spread=2 if d <= 3 else 1)
+            b = mat_vec(a, [rng.randint(-4, 4) for _ in range(d)])
+            if k % 2:
+                b = [x + rng.randint(-2, 2) for x in b]
+            centre = reference_solve(a, b)[0]
+            p = [round(x) for x in centre]
+            # the oracle's box grows with the radius, so rank 4 and 5 move one coordinate
+            for i in range(d) if d <= 3 else [rng.randrange(d)]:
+                p[i] += rng.randint(-1, 1)
+            r = sum(map(mul, p, mat_vec(a, p))) - 2 * sum(map(mul, b, p))
+            r += (0, 0, 0, 1, -1, -(10**4))[k % 6]
+            got = ellipsoid_points(a, b, r)
+            assert len(set(got)) == len(got), (a, b, r)
+            assert sorted(got) == sorted(naive_ellipsoid_points(a, b, r)), (a, b, r)
+            assert all(type(x) is int for w in got for x in w)
+            seen["rational centre"] += any(x.denominator != 1 for x in centre)
+            seen["below the minimum"] += r + sum(map(mul, b, centre)) < 0
+            seen[d, min(len(got), 2)] += 1
+        assert seen["rational centre"] and seen["below the minimum"], seen
+        # every rank has forms with no point, one point and several
+        assert all(seen[d, n] for d in range(1, 6) for n in range(3)), seen
+
+    def test_exactly_one_point_at_an_integral_centre(self):
+        a = [[2, 1], [1, 2]]
+        b = mat_vec(a, [1, -2])
+        # (w - c)^T A (w - c) = r + c^T A c = 0 holds at the centre c alone
+        assert ellipsoid_points(a, b, -6) == [(1, -2)]
+        assert naive_ellipsoid_points(a, b, -6) == [(1, -2)]
+
+    def test_rational_centre(self):
+        # 2 w^2 - 2 w = r: the centre is 1/2, r = 4 is met at -1 and 2, and r = 1 at no integer
+        assert sorted(ellipsoid_points([[2]], [1], 4)) == [(-1,), (2,)]
+        assert ellipsoid_points([[2]], [1], 1) == []
+
+    def test_below_the_minimum_is_empty(self):
+        # R < 0: the radius has no square root, and no point is searched for
+        assert ellipsoid_points([[1, 0], [0, 1]], [0, 0], -1) == []
+        assert ellipsoid_points([[3]], [1], -1) == []
+        assert naive_ellipsoid_points([[3]], [1], -1) == []
+
+    def test_rank_zero(self):
+        assert ellipsoid_points([], [], 0) == [()]
+        for r in (1, -1):
+            assert ellipsoid_points([], [], r) == []
+        for r in (0, 1, -1):
+            assert naive_ellipsoid_points([], [], r) == ellipsoid_points([], [], r)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[2, 1], [0, 2]], [0, 0]),  # not symmetric
+            ([[1, 0]], [0]),  # not square
+            ([[1, 0], [0, -1]], [0, 0]),  # indefinite
+            ([[0, 1], [1, 0]], [0, 0]),  # a zero pivot, off the diagonal
+            ([[1, 1], [1, 1]], [0, 0]),  # semidefinite
+            ([[-1]], [0]),  # negative definite
+            ([[2, 1], [1, 2]], [0]),  # b too short
+            ([[2, 1], [1, 2]], [0, 0, 0]),  # b too long
+            ([], [1]),  # b too long for rank 0
+        ],
+    )
+    def test_bad_input_is_a_value_error(self, a, b):
+        with pytest.raises(ValueError):
+            ellipsoid_points(a, b, 1)
 
 
 class TestSmallHelpers:

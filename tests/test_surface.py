@@ -282,6 +282,15 @@ class TestCastelnuovoContract:
         with pytest.raises(NotMinusOneClassError):
             castelnuovo_contract(make_blowup_p2(1), (1, -1))
 
+    def test_one_wrong_number_is_enough_to_refuse(self):
+        # -E has C^2 = -1 but K.C = 1, so it is no (-1)-class
+        s, c = make_blowup_p2(1), (0, -1)
+        assert s.pair(c, c) == -1 and s.pair(s.K, c) == 1
+        with pytest.raises(NotMinusOneClassError):
+            castelnuovo_contract(s, c)
+        with pytest.raises(NotMinusOneClassError):
+            pushforward_class(s, c, (1, 0))
+
     def test_k_transform_orthogonality(self):
         s = make_blowup_p2(3)
         for c in enumerate_minus_one_classes(s):
