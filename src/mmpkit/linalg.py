@@ -13,12 +13,14 @@ nonsingular systems, rank, determinants and the rows of
 positive-definite ellipsoid (its oracle, ``naive_ellipsoid_points`` in
 the tests, scans a box proven to hold them all); the symmetric rule, a
 nonzero diagonal entry, gives the signature of a form and so decides its
-negative-definiteness.  One column Hermite form serves integer kernels
-in a canonical basis and the coset boxes of ``toric``.  Beside them sits
-the toolkit's one rule for integer input (``as_int``, ``as_vector``,
-``as_rows``): an int that is not a bool, in a list or tuple, is kept as
-given, and anything else is ``wrong_type``.  A rational slot
-(``as_fraction``) takes such an int or a ``Fraction``.
+negative-definiteness.  One column Hermite form serves the coset boxes
+of ``toric`` and integer kernels in a canonical basis, in which a
+vector's coordinates are read one way: ``column_supports`` of the basis
+once, then ``coordinates_in_supports``.  Beside them sits the toolkit's
+one rule for integer input (``as_int``, ``as_vector``, ``as_rows``): an
+int that is not a bool, in a list or tuple, is kept as given, and
+anything else is ``wrong_type``.  A rational slot (``as_fraction``)
+takes such an int or a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -285,8 +287,8 @@ def column_supports(columns) -> list[list[tuple[int, int]]]:
 
 
 def coordinates_in_supports(supports, v) -> IntVector:
-    """coordinates_in_basis on the column_supports of the basis, without
-    the length check."""
+    """Integer coordinates of v, of the columns' length, in the echelon basis
+    with these column_supports; a ValueError when it is not in their lattice."""
     work = list(v)
     coeffs = []
     # a Hermite column is zero above its pivot, and often below it too
@@ -302,17 +304,6 @@ def coordinates_in_supports(supports, v) -> IntVector:
     if any(work):
         raise ValueError("vector is not in the lattice spanned by the basis")
     return tuple(coeffs)
-
-
-def coordinates_in_basis(columns, v) -> IntVector:
-    """Integer coordinates of v in an echelon (column Hermite form) basis.
-
-    Raises ValueError when v and the columns differ in length, or when v
-    is not in the lattice the columns span.
-    """
-    if columns and len(v) != len(columns[0]):
-        raise ValueError("dimension mismatch")
-    return coordinates_in_supports(column_supports(columns), v)
 
 
 def _signature(a) -> tuple[int, int, int]:

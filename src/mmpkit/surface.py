@@ -19,8 +19,9 @@ classes orthogonal to a contracted class are all those of the contracted
 lattice.  It keeps them in the input's coordinates: a Hermite basis maps
 coordinates lex-monotonically and keeps the pairing, so each step's
 lex-smallest class is the first one orthogonal to all contracted so far,
-and only it is mapped into the step's coordinates.  With a bound, each
-step scans its own box again.
+and only it is mapped into the step's coordinates.  Each step's basis is
+computed once, by ``_contraction_basis``, for that mapping and for the
+contraction alike.  With a bound, each step scans its own box again.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import mul
 
@@ -217,6 +219,13 @@ def _minus_one_functional(s: SurfaceLattice, c: IntVector) -> IntVector:
     return gc
 
 
+@lru_cache(maxsize=1)
+def _contraction_basis(gc: IntVector) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Column supports of the Hermite basis of c^perp, gc = G c, as tuples;
+    the last is kept, so an MMP step and its contraction share it."""
+    return tuple(map(tuple, linalg.column_supports(linalg.integer_kernel((gc,)))))
+
+
 def _pushforward(supports, gc: IntVector, c: IntVector, x) -> IntVector:
     """x + (x.C) C in the contraction basis, given by its column supports;
     gc is G c."""
@@ -235,7 +244,7 @@ def pushforward_class(s: SurfaceLattice, c, x) -> IntVector:
     c = _class(s, c, "c")
     x = _class(s, x, "x")
     gc = _minus_one_functional(s, c)
-    return _pushforward(linalg.column_supports(linalg.integer_kernel((gc,))), gc, c, x)
+    return _pushforward(_contraction_basis(gc), gc, c, x)
 
 
 def castelnuovo_contract(s: SurfaceLattice, c) -> SurfaceLattice:
@@ -244,7 +253,7 @@ def castelnuovo_contract(s: SurfaceLattice, c) -> SurfaceLattice:
     gc = _minus_one_functional(s, c)
     # the Hermite columns are mostly zero: their supports are read once,
     # for the Gram matrix, K and every curve
-    supports = linalg.column_supports(linalg.integer_kernel((gc,)))
+    supports = _contraction_basis(gc)
     g = s.gram
     new_gram = tuple(
         tuple(sum([v * w * g[i][j] for i, v in si for j, w in sj]) for sj in supports)
@@ -309,7 +318,7 @@ def run_classical_mmp(s: SurfaceLattice, bound: int | None = None) -> MmpTrace:
     steps = []
     cur = s
     # without a bound: the found classes orthogonal to every contracted one,
-    # in the input's coordinates, and the contraction bases so far
+    # in the input's coordinates, and the supports of the contraction bases so far
     found = enumerate_minus_one_classes(s, bound=bound)
     bases = []
     while found:
@@ -317,10 +326,9 @@ def run_classical_mmp(s: SurfaceLattice, bound: int | None = None) -> MmpTrace:
         if bound is None:
             ge = _gram_times(s, chosen)
             found = [e for e in found if not sum(map(mul, e, ge))]
-            for basis in bases:
-                chosen = linalg.coordinates_in_basis(basis, chosen)
-            if found:
-                bases.append(linalg.integer_kernel((_gram_times(cur, chosen),)))
+            for supports in bases:
+                chosen = linalg.coordinates_in_supports(supports, chosen)
+            bases.append(_contraction_basis(_gram_times(cur, chosen)))
         nxt = castelnuovo_contract(cur, chosen)
         steps.append(
             MmpStep(contracted=chosen, rank_before=cur.rank, rank_after=nxt.rank)

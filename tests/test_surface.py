@@ -326,6 +326,49 @@ class TestCastelnuovoContract:
                 assert (by < bz) == (y < z) and (by == bz) == (y == z)
                 assert s.pair(by, bz) == sum(y[i] * gram[i][j] * z[j] for i in range(r) for j in range(r))
 
+    def test_pushforward_is_the_image_under_the_contraction(self):
+        # both read the one contraction basis, from its memo or afresh
+        rng = random.Random(5150)
+        for k in range(60):
+            s, _ = disguise(make_blowup_p2(1 + k % 6), rng, moves=rng.randint(0, 12))
+            c = rng.choice(enumerate_minus_one_classes(s))
+            xs = []
+            while len(xs) < 4:
+                x = tuple(rng.randint(-3, 3) for _ in range(s.rank))
+                if x != c and (s.pair(x, x) + s.pair(x, s.K)) % 2 == 0:
+                    xs.append(x)
+            with_curves = SurfaceLattice(rank=s.rank, gram=s.gram, K=s.K, curves=tuple(xs))
+            if k % 2:
+                surface._contraction_basis.cache_clear()
+            images = tuple(pushforward_class(s, c, x) for x in xs)
+            if k % 2:
+                surface._contraction_basis.cache_clear()
+            assert castelnuovo_contract(with_curves, c).curves == images
+
+    def test_contraction_basis_reads_exactly_c_perp(self):
+        # rank - 1 columns orthogonal to C, reading back every class of C^perp
+        rng = random.Random(6021)
+        for k in range(60):
+            s, _ = disguise(make_blowup_p2(1 + k % 8), rng, moves=rng.randint(0, 12))
+            c = rng.choice(enumerate_minus_one_classes(s))
+            gc = tuple(sum(g * x for g, x in zip(row, c)) for row in s.gram)
+            supports = surface._contraction_basis(gc)
+            assert surface._contraction_basis(gc) is supports
+            columns = [[0] * s.rank for _ in supports]
+            for col, support in zip(columns, supports):
+                for i, x in support:
+                    col[i] = x
+            assert len(columns) == s.rank - 1
+            assert all(s.pair(col, c) == 0 for col in columns)
+            for _ in range(10):
+                y = tuple(rng.randint(-4, 4) for _ in range(s.rank))
+                # y + (y.C) C lies in C^perp, since C^2 = -1
+                x = tuple(a + s.pair(y, c) * b for a, b in zip(y, c))
+                coords = linalg.coordinates_in_supports(supports, x)
+                assert tuple(sum(q * col[i] for q, col in zip(coords, columns)) for i in range(s.rank)) == x
+                with pytest.raises(ValueError, match="^vector is not in the lattice spanned by the basis$"):
+                    linalg.coordinates_in_supports(supports, tuple(a + b for a, b in zip(x, c)))
+
 
 def enumerate_minus_one_fibres(s):
     # fibre classes f with f^2 = 0 and K.f = -2 in a small box
@@ -490,11 +533,11 @@ class TestClassicalMmp:
         # 56 + 27 + 16 + 10 + 6 + 3 + 1 = 119
         calls = {"inside": 0, "outside": 0}
         depth = 0
-        coordinates = linalg.coordinates_in_basis
+        coordinates = linalg.coordinates_in_supports
 
-        def counted_coordinates(basis, v):
+        def counted_coordinates(supports, v):
             calls["inside" if depth else "outside"] += 1
-            return coordinates(basis, v)
+            return coordinates(supports, v)
 
         def counted_contract(s, c):
             nonlocal depth
@@ -504,12 +547,33 @@ class TestClassicalMmp:
             finally:
                 depth -= 1
 
-        monkeypatch.setattr(linalg, "coordinates_in_basis", counted_coordinates)
+        monkeypatch.setattr(linalg, "coordinates_in_supports", counted_coordinates)
         monkeypatch.setattr(surface, "castelnuovo_contract", counted_contract)
         trace = run_classical_mmp(make_blowup_p2(8))
         assert len(trace.steps) == 8
         assert 0 < calls["outside"] <= 28
         assert trace == naive_mmp_trace(make_blowup_p2(8))
+
+    def test_one_kernel_per_step_without_a_bound(self, monkeypatch):
+        # a step maps its class and contracts through one contraction basis
+        calls = 0
+        kernel = linalg.integer_kernel
+
+        def counted_kernel(a):
+            nonlocal calls
+            calls += 1
+            return kernel(a)
+
+        monkeypatch.setattr(linalg, "integer_kernel", counted_kernel)
+        rng = random.Random(2718)
+        lattices = [make_blowup_p2(r) for r in range(1, 9)]
+        lattices += [disguise(make_blowup_p2(1 + k % 8), rng)[0] for k in range(20)]
+        for s in lattices:
+            surface._contraction_basis.cache_clear()
+            calls = 0
+            trace = run_classical_mmp(s)
+            assert len(trace.steps) >= 1 and calls == len(trace.steps)
+            assert trace == naive_mmp_trace(s)
 
     def test_ruled_above_rank_two_is_flagged_heuristic(self):
         # quadric-like fibre inside a rank-3 lattice
