@@ -7,7 +7,10 @@ classes.  Nef/ample/cone verdicts are always relative to the supplied
 curve list.  Contractions of (-1)-classes are computed exactly: the new
 lattice is the orthogonal complement of the contracted class in a
 canonical integer basis (column Hermite form), so repeated runs produce
-identical traces.
+identical traces.  A lattice from outside is validated when constructed;
+``make_blowup_p2``, ``make_quadric`` and each contraction build theirs
+from a proof instead, unchecked: parity carries over since the image x'
+of x has x'^2 + K'.x' = x^2 + K.x + (x.C)(x.C - 1).
 
 Without a search bound, (-1)-class enumeration is complete on lattices
 of signature (1, rank-1) with K^2 > 0, in any basis: there the classes
@@ -42,6 +45,7 @@ from .errors import (
     NotMinusOneClassError,
     NotRank2Error,
     NotSymmetricError,
+    ToolkitError,
     UnboundedSearchError,
     UndeterminedOutcomeError,
 )
@@ -50,7 +54,12 @@ from .linalg import IntMatrix, IntVector
 
 @dataclass(frozen=True)
 class SurfaceLattice:
-    """Neron-Severi-style lattice: rank, Gram matrix, canonical class, curves."""
+    """Neron-Severi-style lattice: rank, Gram matrix, canonical class, curves.
+
+    Constructing one validates every field.  The lattices of make_blowup_p2,
+    make_quadric and castelnuovo_contract skip that check, as they carry
+    their proof (castelnuovo_contract's docstring gives the contraction's).
+    """
 
     rank: int
     gram: IntMatrix
@@ -111,6 +120,13 @@ class SurfaceLattice:
         return tuple(notes)
 
 
+def _lattice(rank: int, gram: IntMatrix, K: IntVector, curves: tuple[IntVector, ...], label: str) -> SurfaceLattice:
+    """A SurfaceLattice whose fields its caller has proven valid: set, not checked."""
+    s = object.__new__(SurfaceLattice)
+    s.__dict__.update(rank=rank, gram=gram, K=K, curves=curves, label=label)
+    return s
+
+
 def make_blowup_p2(r: int) -> SurfaceLattice:
     """Blow-up of the plane at r points: basis (H, E_1, ..., E_r)."""
     if linalg.as_int(r, "r") < 0:
@@ -125,24 +141,14 @@ def make_blowup_p2(r: int) -> SurfaceLattice:
         tuple(1 if j == i else 0 for j in range(rank)) for i in range(1, rank)
     ]
     hyperplane = tuple([1] + [0] * r)
-    return SurfaceLattice(
-        rank=rank,
-        gram=gram,
-        K=K,
-        curves=tuple(exceptional + [hyperplane]),
-        label=f"blowup_p2({r})",
-    )
+    # H and each E_i have C.(C+K) = -2, which is even
+    return _lattice(rank, gram, K, tuple(exceptional + [hyperplane]), f"blowup_p2({r})")
 
 
 def make_quadric() -> SurfaceLattice:
-    """The quadric surface: two rulings with pairing [[0,1],[1,0]]."""
-    return SurfaceLattice(
-        rank=2,
-        gram=((0, 1), (1, 0)),
-        K=(-2, -2),
-        curves=((1, 0), (0, 1)),
-        label="quadric",
-    )
+    """The quadric surface: two rulings with pairing [[0,1],[1,0]], each
+    with f^2 = 0 and K.f = -2, so even f.(f+K)."""
+    return _lattice(2, ((0, 1), (1, 0)), (-2, -2), ((1, 0), (0, 1)), "quadric")
 
 
 def adjunction_genus(s: SurfaceLattice, c) -> int:
@@ -235,39 +241,52 @@ def _pushforward(supports, gc: IntVector, c: IntVector, x) -> IntVector:
     return linalg.coordinates_in_supports(supports, x)
 
 
+def _contracted_class(s: SurfaceLattice, c) -> IntVector:
+    """c as a class of s to contract; a rank-1 lattice is refused first, as
+    its contraction would have rank 0."""
+    if s.rank == 1:
+        raise ToolkitError("a rank-1 lattice cannot be contracted: nothing would be left", "rank_one_contraction")
+    return _class(s, c, "c")
+
+
 def pushforward_class(s: SurfaceLattice, c, x) -> IntVector:
     """Image of x under contracting the (-1)-class c, in the new basis.
 
     The projection is x + (x.C) C, expressed in the canonical integer
     basis of the orthogonal complement of C.
     """
-    c = _class(s, c, "c")
+    c = _contracted_class(s, c)
     x = _class(s, x, "x")
     gc = _minus_one_functional(s, c)
     return _pushforward(_contraction_basis(gc), gc, c, x)
 
 
 def castelnuovo_contract(s: SurfaceLattice, c) -> SurfaceLattice:
-    """Contract a (-1)-class: rank drops by one, K pulls back to K - C."""
-    c = _class(s, c, "c")
+    """Contract a (-1)-class: rank drops by one, K pulls back to K - C.
+
+    The result is built unchecked, from what the contraction proves of a
+    valid s.  With B the Hermite basis of C^perp, B^T G B is an integral
+    symmetric matrix; K' = K - C and each x' = x + (x.C) C lie in C^perp,
+    so they have rank - 1 integer coordinates; x'^2 + K'.x' = x^2 + K.x +
+    (x.C)(x.C - 1), an even change, so adjunction parity carries over; and
+    the rank s.rank - 1 is at least 1, as a rank-1 s is refused.
+    """
+    c = _contracted_class(s, c)
     gc = _minus_one_functional(s, c)
     # the Hermite columns are mostly zero: their supports are read once,
     # for the Gram matrix, K and every curve
     supports = _contraction_basis(gc)
     g = s.gram
-    new_gram = tuple(
-        tuple(sum([v * w * g[i][j] for i, v in si for j, w in sj]) for sj in supports)
-        for si in supports
-    )
+    # symmetric by construction: the upper triangle, mirrored
+    upper = [
+        [sum([v * w * g[i][j] for i, v in si for j, w in sj]) for sj in supports[k:]]
+        for k, si in enumerate(supports)
+    ]
+    new_gram = tuple(tuple([upper[j][k - j] for j in range(k)] + upper[k]) for k in range(len(upper)))
     # K - C is orthogonal to C, so it is its own projection
     new_k = linalg.coordinates_in_supports(supports, [k - ci for k, ci in zip(s.K, c)])
-    return SurfaceLattice(
-        rank=s.rank - 1,
-        gram=new_gram,
-        K=new_k,
-        curves=tuple(_pushforward(supports, gc, c, x) for x in s.curves if x != c),
-        label=s.label,
-    )
+    curves = tuple(_pushforward(supports, gc, c, x) for x in s.curves if x != c)
+    return _lattice(s.rank - 1, new_gram, new_k, curves, s.label)
 
 
 class MmpOutcome(Enum):

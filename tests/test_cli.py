@@ -776,6 +776,13 @@ ERROR_CONTRACT = [
     (_boundary({"coeff": "1/2\n", "meets": [[0, 1]]}), 2, "coeff_bad", "boundary[0].coeff"),
     # a coordinate too large for the lattice-point scan's ranges ends in the last net
     (_cone(rays=[[0, 1], [10**30, -1]]), 3, "resource_exhausted", None),
+    # a rank-1 lattice's (-1)-class is refused before it is contracted to rank 0
+    (
+        ["mmp-run", "--inline", '{"rank":1,"gram":[[-1]],"K":[1],"curves":[[1]]}', "--bound", "1"],
+        3,
+        "rank_one_contraction",
+        None,
+    ),
 ]
 
 

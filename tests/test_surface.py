@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -290,6 +291,23 @@ class TestCastelnuovoContract:
             castelnuovo_contract(s, c)
         with pytest.raises(NotMinusOneClassError):
             pushforward_class(s, c, (1, 0))
+
+    def test_rank_one_is_refused_before_any_work(self):
+        # its (-1)-class is real, but contracting it would leave rank 0: a
+        # precondition that names no field, checked before c or x is read
+        s = SurfaceLattice(rank=1, gram=((-1,),), K=(1,), curves=((1,),))
+        calls = [
+            lambda: castelnuovo_contract(s, (1,)),
+            lambda: castelnuovo_contract(s, (1, 0)),
+            lambda: castelnuovo_contract(s, "c"),
+            lambda: pushforward_class(s, (1,), (1,)),
+            lambda: pushforward_class(s, (1,), (1, 0)),
+            lambda: run_classical_mmp(s, bound=1),
+        ]
+        for call in calls:
+            with pytest.raises(ToolkitError) as info:
+                call()
+            assert (type(info.value), info.value.code, info.value.field) == (ToolkitError, "rank_one_contraction", None)
 
     def test_k_transform_orthogonality(self):
         s = make_blowup_p2(3)
@@ -586,6 +604,49 @@ class TestClassicalMmp:
         trace = run_classical_mmp(s)
         assert trace.outcome is MmpOutcome.MORI_FIBRE_RULED
         assert any("heuristic" in note for note in trace.notes)
+
+
+def _typed(v):
+    """v with the type of every tuple and entry beside it, so that a list or
+    a bool compares unequal to the tuple or int that validation makes."""
+    return type(v), tuple(map(_typed, v)) if isinstance(v, (tuple, list)) else v
+
+
+class TestUnvalidatedLattices:
+    # make_blowup_p2, make_quadric and castelnuovo_contract build their
+    # lattices without SurfaceLattice's checks; validation is the oracle
+    def assert_validation_agrees(self, s):
+        rebuilt = SurfaceLattice(rank=s.rank, gram=s.gram, K=s.K, curves=s.curves, label=s.label)
+        for field in fields(SurfaceLattice):
+            assert _typed(getattr(s, field.name)) == _typed(getattr(rebuilt, field.name)), field.name
+
+    def test_constructions(self):
+        for s in [make_blowup_p2(r) for r in range(10)] + [make_quadric()]:
+            self.assert_validation_agrees(s)
+
+    def test_every_contraction_of_the_mmp_traces(self, monkeypatch):
+        built = []
+
+        def recorded(s, c):
+            built.append(castelnuovo_contract(s, c))
+            return built[-1]
+
+        monkeypatch.setattr(surface, "castelnuovo_contract", recorded)
+        rng = random.Random(1728)
+        bases = [make_blowup_p2(r) for r in range(9)]
+        bases += [disguise(make_blowup_p2(rng.randint(1, 8)), rng, moves=rng.randint(0, 12))[0] for _ in range(40)]
+        for s in bases:
+            for lattice in (s, SurfaceLattice(rank=s.rank, gram=s.gram, K=s.K, label=s.label)):
+                for mmp in (run_classical_mmp, naive_mmp_trace):
+                    for bound in (None, 1):
+                        try:
+                            mmp(lattice, bound)
+                        except ToolkitError:
+                            pass
+        assert len(built) > 500
+        assert any(s.curves for s in built) and any(not s.curves for s in built)
+        for s in built:
+            self.assert_validation_agrees(s)
 
 
 class TestConeRays:
