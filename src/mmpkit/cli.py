@@ -156,10 +156,6 @@ def load_document(args) -> dict:
     return doc
 
 
-def parse_vector_flag(text, field):
-    return _load_json(text, field)
-
-
 # -- report rendering ----------------------------------------------------------
 
 
@@ -209,7 +205,7 @@ def cmd_toric_classify(args):
 def cmd_toric_discrepancy(args):
     from . import toric
     cone = parse_cone(load_document(args))
-    point = parse_vector_flag(args.point, "--point")
+    point = _load_json(args.point, "--point")
     with _inside("--"):
         value = toric.toric_discrepancy(cone, point)
     return {"point": point, "discrepancy": value}
@@ -295,7 +291,7 @@ def cmd_cone_rays(args):
 def cmd_nef_check(args):
     from . import surface
     s = parse_surface(load_document(args))
-    divisor = parse_vector_flag(args.divisor, "--divisor")
+    divisor = _load_json(args.divisor, "--divisor")
     with _inside("--"):
         nef = surface.is_nef(s, divisor)
         ample = surface.is_ample_kleiman(s, divisor)
@@ -327,7 +323,7 @@ def cmd_rr(args):
         from . import surface
         _expect(args.divisor is not None and args.chi0 is not None, "rr_mode", "--divisor", "need --divisor and --chi0")
         s = parse_surface(load_document(args))
-        divisor = parse_vector_flag(args.divisor, "--divisor")
+        divisor = _load_json(args.divisor, "--divisor")
         with _inside("--"):
             chi = surface.riemann_roch_surface(s, divisor, args.chi0)
         report = {"mode": "surface", "divisor": divisor, "chi0": args.chi0}

@@ -94,7 +94,6 @@ def _validate_samples(samples) -> list[tuple[int, int]]:
     samples = linalg.as_rows(samples, "samples", code="samples_empty")
     if not samples:
         raise InvalidInputError("expected a nonempty list of [m, P] pairs", "samples_empty", "samples")
-    pts = []
     seen = set()
     for k, pair in enumerate(samples):
         field = f"samples[{k}]"
@@ -108,8 +107,7 @@ def _validate_samples(samples) -> list[tuple[int, int]]:
         if m in seen:
             raise InvalidInputError(f"duplicate m = {m}", "sample_duplicate_m", field)
         seen.add(m)
-        pts.append((m, p))
-    return sorted(pts)
+    return sorted(samples)
 
 
 def _log_ratio(x: int, y: int) -> Decimal:

@@ -16,7 +16,8 @@ nonzero diagonal entry, gives the signature of a form and so decides its
 negative-definiteness.  One column Hermite form serves the coset boxes
 of ``toric`` and integer kernels in a canonical basis, in which a
 vector's coordinates are read one way: ``column_supports`` of the basis
-once, then ``coordinates_in_supports``.  Beside them sits the toolkit's
+once, which carry the columns' length, then ``coordinates_in_supports``,
+which checks it.  Beside them sits the toolkit's
 one rule for integer input (``as_int``, ``as_vector``, ``as_rows``): an
 int that is not a bool, in a list or tuple, is kept as given, and
 anything else is ``wrong_type``.  A rational slot (``as_fraction``)
@@ -71,17 +72,10 @@ def is_symmetric(a) -> bool:
     return list(zip(*a)) == list(map(tuple, a))
 
 
-def vector_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(v) -> IntVector:
     """v divided by the gcd of its entries.  Raises ZeroVectorError on 0."""
     v = as_vector(v, "v")
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ZeroVectorError("the zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -274,21 +268,29 @@ def integer_kernel(a) -> list[IntVector]:
     return [col[nr:] for col in column_hermite_form(stacked) if not any(col[:nr])]
 
 
-def column_supports(columns) -> list[list[tuple[int, int]]]:
+class _Supports(tuple):
+    """The supports of a basis's columns; ``length`` is the columns' length."""
+
+
+def column_supports(columns) -> _Supports:
     """The (row, entry) pairs of the nonzeros of each column of an echelon
-    basis, read once for any number of coordinates_in_supports calls.
+    basis, as tuples that record the columns' length, read once for any
+    number of coordinates_in_supports calls.
 
     Raises ValueError on a zero column.
     """
-    supports = [[(i, x) for i, x in enumerate(col) if x] for col in columns]
+    supports = _Supports([tuple([(i, x) for i, x in enumerate(col) if x]) for col in columns])
     if not all(supports):
         raise ValueError("zero column in basis")
+    supports.length = len(columns[0]) if supports else 0
     return supports
 
 
 def coordinates_in_supports(supports, v) -> IntVector:
-    """Integer coordinates of v, of the columns' length, in the echelon basis
-    with these column_supports; a ValueError when it is not in their lattice."""
+    """Integer coordinates of v in the echelon basis with these column_supports;
+    a ValueError when v is not of their columns' length or not in their lattice."""
+    if supports and len(v) != supports.length:
+        raise ValueError(f"vector of length {len(v)}, basis columns of length {supports.length}")
     work = list(v)
     coeffs = []
     # a Hermite column is zero above its pivot, and often below it too

@@ -31,21 +31,15 @@ _FRACTION_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_fraction(value) -> Fraction:
-    """Parse an int or a 'p/q' string into an exact Fraction."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    """Parse an int or a 'p/q' string into an exact Fraction; "p" is p/1."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        if not _FRACTION_RE.fullmatch(value):
-            raise ValueError(f"not a rational: {value!r}")
-        num, _, den = value.partition("/")
-        if den == "":
-            return Fraction(int(num))
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {value!r}")
-        return Fraction(int(num), int(den))
-    raise ValueError(f"not a rational: {value!r}")
+    if not (isinstance(value, str) and _FRACTION_RE.fullmatch(value)):
+        raise ValueError(f"not a rational: {value!r}")
+    num, _, den = value.partition("/")
+    if int(den or 1) == 0:
+        raise ValueError(f"zero denominator: {value!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 @cache

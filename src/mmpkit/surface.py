@@ -227,9 +227,9 @@ def _minus_one_functional(s: SurfaceLattice, c: IntVector) -> IntVector:
 
 @lru_cache(maxsize=1)
 def _contraction_basis(gc: IntVector) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Column supports of the Hermite basis of c^perp, gc = G c, as tuples;
-    the last is kept, so an MMP step and its contraction share it."""
-    return tuple(map(tuple, linalg.column_supports(linalg.integer_kernel((gc,)))))
+    """Column supports of the Hermite basis of c^perp, gc = G c; the last
+    is kept, so an MMP step and its contraction share it."""
+    return linalg.column_supports(linalg.integer_kernel((gc,)))
 
 
 def _pushforward(supports, gc: IntVector, c: IntVector, x) -> IntVector:
@@ -393,24 +393,18 @@ def cone_rays_rank2(s: SurfaceLattice) -> tuple[IntVector, IntVector]:
         raise NotRank2Error(f"cone rays need rank 2, got rank {s.rank}")
     if not s.curves:
         raise EmptyCurveListError("no curve classes supplied")
-    directions = sorted({linalg.primitive(c) for c in s.curves if any(c)})
-    if not directions:
+    found = {linalg.primitive(c) for c in s.curves if any(c)}
+    if not found:
         raise DegenerateConeError("every curve class is zero")
-
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    for u in directions:
-        for v in directions:
-            if cross(u, v) == 0 and u[0] * v[0] + u[1] * v[1] < 0:
-                raise DegenerateConeError("curve classes span opposite directions")
-    boundary = []
-    for d in directions:
-        signs = [cross(d, c) for c in directions]
-        if all(x >= 0 for x in signs) or all(x <= 0 for x in signs):
-            boundary.append(d)
+    # primitive directions on one line are equal or opposite
+    if any((-x, -y) in found for x, y in found):
+        raise DegenerateConeError("curve classes span opposite directions")
+    directions = sorted(found)
     if len(directions) == 1:
         return directions[0], directions[0]
+    # a boundary ray has every direction on one side of its line
+    crosses = [[x * v - y * u for u, v in directions] for x, y in directions]
+    boundary = [d for d, c in zip(directions, crosses) if min(c) >= 0 or max(c) <= 0]
     if len(boundary) != 2:
         raise DegenerateConeError("curve classes span a half-plane or more")
     return boundary[0], boundary[1]

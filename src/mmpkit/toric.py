@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, groupby, product, repeat
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from . import linalg
@@ -75,7 +75,7 @@ class Cone:
                 raise InvalidInputError(f"ray must have length {self.rank}", "rank_mismatch", field)
             if all(x == 0 for x in ray):
                 raise NotPrimitiveError("zero ray", "ray_zero", field)
-            if linalg.vector_gcd(ray) != 1:
+            if gcd(*ray) != 1:
                 raise NotPrimitiveError(f"ray {list(ray)} is not primitive", "ray_not_primitive", field)
         if len(set(self.rays)) != len(self.rays):
             raise InvalidInputError("duplicate ray generators", "duplicate_ray", "rays")
@@ -277,7 +277,7 @@ def toric_discrepancy(cone: Cone, v) -> Fraction:
         raise InvalidInputError(f"point must have length {cone.rank}", "point_length", "point")
     if all(x == 0 for x in v):
         raise NotPrimitiveError("the origin is not a valuation site")
-    if linalg.vector_gcd(v) != 1:
+    if gcd(*v) != 1:
         raise NotPrimitiveError(f"point {list(v)} is not primitive")
     if not contains(cone, v):
         raise NotInConeError(f"point {list(v)} is not in the cone")

@@ -26,6 +26,23 @@ def fraction_to_str(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def reference_fraction(value) -> Fraction:
+    """parse_fraction's contract, from Fraction and the grammar
+    [+-]?[0-9]+(/[0-9]+)? read character by character: an int that is not a
+    bool, or a string of the grammar with a nonzero denominator; anything
+    else is a ValueError with parse_fraction's message."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        parts = (value[1:] if value[:1] in ("+", "-") else value).split("/")
+        if len(parts) <= 2 and all(part and set(part) <= set("0123456789") for part in parts):
+            try:
+                return Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator: {value!r}") from None
+    raise ValueError(f"not a rational: {value!r}")
+
+
 def mat_vec(a, x):
     return tuple(dot(row, x) for row in a)
 
@@ -557,3 +574,34 @@ def naive_mmp_trace(s, bound=None):
     end = run_classical_mmp(cur, bound)
     assert end.steps == ()
     return replace(end, steps=tuple(steps))
+
+
+def naive_cone_rays_rank2(curves):
+    """cone_rays_rank2 on a rank-2 curve list by brute force: ("rays", (u, v))
+    or ("error", code, message).  The rays are the one pair of directions,
+    lex-ordered, of which every direction is a nonnegative combination
+    (Cramer's rule); with no such pair the directions span a half-plane or
+    more."""
+    if not curves:
+        return ("error", "empty_curve_list", "no curve classes supplied")
+    directions = {(x // gcd(x, y), y // gcd(x, y)) for x, y in curves if (x, y) != (0, 0)}
+    if not directions:
+        return ("error", "degenerate_cone", "every curve class is zero")
+    for u, v in product(directions, repeat=2):
+        if u[0] * v[1] == u[1] * v[0] and u[0] * v[0] + u[1] * v[1] < 0:
+            return ("error", "degenerate_cone", "curve classes span opposite directions")
+    if len(directions) == 1:
+        (d,) = directions
+        return ("rays", (d, d))
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    spanning = [
+        (u, v)
+        for u, v in combinations(sorted(directions), 2)
+        if cross(u, v) and all(cross(w, v) * cross(u, v) >= 0 and cross(u, w) * cross(u, v) >= 0 for w in directions)
+    ]
+    if len(spanning) == 1:
+        return ("rays", spanning[0])
+    return ("error", "degenerate_cone", "curve classes span a half-plane or more")

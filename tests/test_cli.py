@@ -10,11 +10,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from helpers import fraction_to_str
+from helpers import fraction_to_str, reference_fraction
 from mmpkit.cli import COMMANDS, build_parser, emit, main
 from mmpkit.serialize import canonical_json, parse_fraction, plain
 
@@ -97,6 +98,24 @@ class TestSerialize:
         for bad in ["1.5", "a", "1/0", "", "1/-2", True, None, [1], "1/2\n", "\u0663/\u0664", "\uff13", "1_0", " 1"]:
             with pytest.raises(ValueError):
                 parse_fraction(bad)
+
+    def test_parse_fraction_matches_its_oracle(self):
+        # every string of at most 4 characters over the grammar's alphabet and a space
+        texts = ["".join(t) for n in range(5) for t in product("+-0123456789/ ", repeat=n)]
+        seen = Counter()
+        for value in texts + [True, 1.5, None, [], 10**30]:
+            outcomes = []
+            for parse in (parse_fraction, reference_fraction):
+                try:
+                    got = parse(value)
+                    outcomes.append((type(got), got))
+                except ValueError as exc:
+                    outcomes.append((ValueError, str(exc)))
+            assert outcomes[0] == outcomes[1], value
+            kind, got = outcomes[0]
+            seen[got.partition(":")[0] if kind is ValueError else "value"] += 1
+        assert len(texts) == 41371
+        assert seen["value"] > 15000 and seen["zero denominator"] > 100 and seen["not a rational"] > 25000
 
 
 class Colour(Enum):

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
 from math import isqrt
 
 import pytest
@@ -125,6 +126,13 @@ class TestEstimateKappa:
             with pytest.raises(ValueError) as info:
                 estimate_kappa(*args, **kwargs)
             assert (info.value.code, info.value.field) == (code, field)
+
+    def test_sample_order_does_not_matter(self):
+        # the window is the last two samples by m: (2, 4) and (3, 9) give 2
+        samples = [[1, 5], [2, 4], [3, 9]]
+        assert estimate_kappa(samples).value == 2
+        for order in permutations(samples):
+            assert estimate_kappa(list(order)) == estimate_kappa(samples)
 
     def test_single_positive_sample_raises(self):
         with pytest.raises(InsufficientSamplesError):

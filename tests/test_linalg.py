@@ -355,6 +355,14 @@ class TestKernelAndHermite:
                         coordinates_in_supports(column_supports(basis), w)
         assert big_pivots >= 50 and dense >= 50
 
+    def test_coordinates_check_the_length(self):
+        # the supports record the length of the columns they were read from
+        supports = column_supports([(1, 0, -1), (0, 1, -1)])
+        assert coordinates_in_supports(supports, (1, 2, -3)) == (1, 2)
+        for v in [(1, 2, -3, 0), (1,), ()]:
+            with pytest.raises(ValueError, match=f"^vector of length {len(v)}, basis columns of length 3$"):
+                coordinates_in_supports(supports, v)
+
     def test_coordinates_reject_a_zero_column(self):
         with pytest.raises(ValueError, match="^zero column in basis$"):
             coordinates_in_supports(column_supports([(1, 0), (0, 0)]), (1, 0))

@@ -1,12 +1,19 @@
 import random
 import time
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from helpers import disguise, multiset_minus_one_count, naive_minus_one_classes, naive_mmp_trace
+from helpers import (
+    disguise,
+    multiset_minus_one_count,
+    naive_cone_rays_rank2,
+    naive_minus_one_classes,
+    naive_mmp_trace,
+)
 from mmpkit import linalg, surface
 from mmpkit.errors import (
     DegenerateConeError,
@@ -593,6 +600,17 @@ class TestClassicalMmp:
             assert len(trace.steps) >= 1 and calls == len(trace.steps)
             assert trace == naive_mmp_trace(s)
 
+    def test_ruled_at_rank_two_is_not_flagged(self):
+        trace = run_classical_mmp(make_quadric())
+        assert (trace.outcome, trace.fibre) == (MmpOutcome.MORI_FIBRE_RULED, (1, 0))
+        assert trace.notes == ("verdict relative to the supplied curve classes",)
+
+    def test_p2_like_needs_a_positive_curve(self):
+        # rank 1, K negative on a curve of square -2: neither P2-like nor minimal
+        s = SurfaceLattice(rank=1, gram=((-2,),), K=(1,), curves=((1,),))
+        with pytest.raises(UndeterminedOutcomeError):
+            run_classical_mmp(s, bound=1)
+
     def test_ruled_above_rank_two_is_flagged_heuristic(self):
         # quadric-like fibre inside a rank-3 lattice
         s = SurfaceLattice(
@@ -696,6 +714,36 @@ class TestConeRays:
         for curves in (((0, 0), (1, 0), (0, 1)), ((1, 0), (0, 0), (0, 1), (0, 0))):
             s = SurfaceLattice(rank=2, gram=q.gram, K=q.K, curves=curves)
             assert cone_rays_rank2(s) == ((0, 1), (1, 0))
+
+    def test_matches_the_brute_force_oracle(self):
+        # seeded lists of 1 to 6 classes, with entries in [-3, 3], some drawn
+        # as zero or as a multiple or the negative of an earlier class
+        q = make_quadric()
+        rng = random.Random(2029)
+        seen = Counter()
+        for _ in range(3000):
+            curves = []
+            for _ in range(rng.randint(1, 6)):
+                draw = rng.random()
+                if curves and draw < 0.3:
+                    x, y = rng.choice(curves)
+                    k = rng.choice([-3, -2, -1, 2, 3])
+                    curves.append((x * k, y * k) if max(abs(x * k), abs(y * k)) <= 3 else (-x, -y))
+                elif draw > 0.85:
+                    curves.append((0, 0))
+                else:
+                    curves.append((rng.randint(-3, 3), rng.randint(-3, 3)))
+            expected = naive_cone_rays_rank2(curves)
+            try:
+                got = ("rays", cone_rays_rank2(SurfaceLattice(rank=2, gram=q.gram, K=q.K, curves=tuple(curves))))
+            except ToolkitError as exc:
+                got = ("error", exc.code, str(exc))
+            assert got == expected, curves
+            seen[expected[-1] if got[0] == "error" else "two rays" if got[1][0] != got[1][1] else "one ray"] += 1
+            seen["zero class"] += (0, 0) in curves
+            seen["multiple"] += len({linalg.primitive(c) for c in curves if any(c)}) < sum(map(any, curves))
+        assert min(seen.values()) >= 100, seen
+        assert len(seen) == 7, seen
 
     def test_only_zero_classes_span_no_cone(self):
         q = make_quadric()
