@@ -277,12 +277,14 @@ def column_supports(columns) -> _Supports:
     basis, as tuples that record the columns' length, read once for any
     number of coordinates_in_supports calls.
 
-    Raises ValueError on a zero column.
+    Raises ValueError on a zero column, then on columns of different lengths.
     """
     supports = _Supports([tuple([(i, x) for i, x in enumerate(col) if x]) for col in columns])
     if not all(supports):
         raise ValueError("zero column in basis")
     supports.length = len(columns[0]) if supports else 0
+    if any(len(col) != supports.length for col in columns):
+        raise ValueError("basis columns of different lengths")
     return supports
 
 
@@ -343,13 +345,13 @@ def ellipsoid_points(a, b, r) -> list[IntVector]:
     row_k . m and det(A) R are integral: scaled by N = lcm of the D_k D_{k+1},
     each bound on w_k is an integer test, and w_0 is solved for.  Raises
     ValueError unless A is square, symmetric and positive definite (Sylvester:
-    its pivots fall on the diagonal in order, each > 0) and b is of its length."""
+    each D_k > 0; a pivot off the diagonal leaves its D_k = 0) and b is of its length."""
     d = len(a)
     if not is_symmetric(a):
         raise ValueError("matrix is not square and symmetric")
-    m, order, _ = _eliminate(a)
+    m = _eliminate(a)[0]
     minors = [1] + [m[k][k] for k in range(d)]
-    if order != [(k, k) for k in range(d)] or min(minors) <= 0:
+    if min(minors) <= 0:
         raise ValueError("matrix is not positive definite")
     det = minors[d]
     det_m = [c.numerator * (det // c.denominator) for c in solve_exact(a, b)]

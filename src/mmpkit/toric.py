@@ -17,13 +17,11 @@ progression, so the cost is rows + wraps + points, not sum |det S|:
 * extra points, all m = 1  -> canonical,
 * some point with m < 1    -> klt only (Q-Gorenstein toric is always klt).
 
-q_gorenstein_functional and the walk read m by one rule: the rows of
-|det S| S^-1 sum to |det S| m, S the first d independent rays.  Rays that
-span less than the space leave m not unique, and get none.
-
-The walk needs no facets: d independent rays span the space, and with m
-equal to 1 on every ray no positive combination of rays is 0, so the first
-independent S whose m is 1 on every ray proves the cone valid.  Facets run
+q_gorenstein_functional, memoised on its last cone, reads m by one rule: the
+rows of |det S| S^-1 sum to |det S| m, S the first d independent rays; rays
+that span less than the space leave m not unique, and get none.  The walk
+takes its proof of validity from it and needs no facets: rays with an m span,
+and as m is 1 on every ray no positive combination of rays is 0.  Facets run
 only to name an error, or for membership.  There one kernel and one normals
 pass decide both checks on a cone: completed by a basis of the orthogonal
 complement of its span, which adds no line, a cone has no line exactly when
@@ -39,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, groupby, product, repeat
 from math import gcd, lcm, prod
 from operator import mul
@@ -147,10 +146,11 @@ def _adjugate(rays, d) -> list[IntVector]:
     return [a if linalg.dot(a, s) > 0 else tuple(-x for x in a) for a, s in zip(adj, rays)]
 
 
+@lru_cache(maxsize=1)
 def q_gorenstein_functional(cone: Cone) -> RatVector | None:
-    """The rational functional m with m(ray) = 1 for all rays, read off the first d
-    independent rays as the walk reads it; None when the rays miss it, or span
-    less than the space, where it is not unique."""
+    """The rational functional m with m(ray) = 1 for all rays, read off the first d independent
+    rays; None when the rays miss it, or span less than the space, where it is not unique.
+    Memoised on the last cone: a Cone is frozen, and m, unique on rays that span, is unchanged by their order."""
     d = cone.rank
     for rays in combinations(cone.rays, d):
         adj = _adjugate(rays, d)
@@ -175,29 +175,26 @@ def contains(cone: Cone, point) -> bool:
 def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
     """Nonzero lattice points P of the cone with m(P) <= 1, in lex order, for m
     the support functional.  Raises for a line, then for a lower dimension, then
-    NotQGorensteinError for no m; facets runs only to name the first two, since the
-    first independent S with m = 1 on every ray rules both out.  In the cone on
+    NotQGorensteinError for no m; the memoised q_gorenstein_functional is the proof,
+    and facets runs only to name the first two, which an m rules out.  In the cone on
     d independent rays S, P is a ray or z - S floor(S^-1 z) whose numerators n_i = a_i.z
     mod |det S| sum to at most |det S|, a_i the cross_normal rows of |det S| S^-1, for z in
     the Hermite box 0 <= z_k < h_kk.  z_k += 1 on its longest side adds a_i[k] mod |det S|
     to n_i and e_k - S floor(S^-1 e_k) to P.  Until some n_i wraps, both grow linearly, so
     the hits of a run between wraps are one interval of steps and one range of points."""
+    if q_gorenstein_functional(cone) is None:
+        facets(cone)  # raises for a line, then for a lower dimension
+        raise NotQGorensteinError("cone has no support functional; m(P) <= 1 is undefined")
     d = cone.rank
     points = list(cone.rays)
-    m = None  # |det S| m of the first independent S, once it is |det S| on every ray
     for rays in combinations(cone.rays, d):
         diagonal = [col[k] for k, col in enumerate(linalg.column_hermite_form(rays))]
         det = prod(diagonal)
         if not det:
             continue  # a dependent subset, whose box is empty
-        adj = _adjugate(rays, d)
-        if m is None:  # m is unique once found, so no later S needs the check
-            m = [sum(col) for col in zip(*adj)]
-            if any(linalg.dot(m, r) != det for r in cone.rays):
-                facets(cone)  # the rays span, so this raises only for a line, which comes first
-                raise NotQGorensteinError("cone has no support functional; m(P) <= 1 is undefined")
         if det == 1:
             continue  # a unimodular S, whose one coset adds no point
+        adj = _adjugate(rays, d)
         k = diagonal.index(max(diagonal))
         steps = [a[k] % det for a in adj]
         move = [sum(t * s[j] for t, s in zip(steps, rays)) // det for j in range(d)]
@@ -217,8 +214,6 @@ def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
                     )
                 left -= r
                 nums = [(n + r * s) % det for n, s in zip(nums, steps)]
-    if m is None:
-        facets(cone)  # no d rays are independent: raises for a line, else for the dimension
     points.sort()  # merges the runs, each monotone in lex order
     if len(cone.rays) == d:
         return points  # one simplex: its nonzero cosets and its rays are distinct points

@@ -131,9 +131,8 @@ MUTANTS = (
            "a pivot is never 0, so prev < 0 is not prev > 0", equivalent=True),
     Mutant("linalg.py", "return _signature(a) == (0, len(a), 0)", "return _signature(a)[0] == 0",
            "negative semi-definite passes as definite"),
-    Mutant("linalg.py", "if order != [(k, k) for k in range(d)] or min(minors) <= 0:", "if min(minors) <= 0:",
-           "at the first pivot off the diagonal m[k][k] is 0 and stays 0, so min(minors) <= 0 refuses it",
-           equivalent=True),
+    Mutant("linalg.py", "if min(minors) <= 0:", "if min(minors) < 0:",
+           "a singular form passes as positive definite"),
     # the rules rewritten once: parse_fraction, cone_rays_rank2, the gcd of a
     # vector, the vector flags' loader, the sorted samples, the length check
     Mutant("serialize.py", "if isinstance(value, int) and not isinstance(value, bool):", "if isinstance(value, int):",
@@ -148,6 +147,14 @@ MUTANTS = (
            "samples are used in the order given"),
     Mutant("linalg.py", "if supports and len(v) != supports.length:", "if supports and len(v) > supports.length:",
            "a short vector is read past its end"),
+    Mutant("linalg.py", "if any(len(col) != supports.length for col in columns):",
+           "if any(len(col) > supports.length for col in columns):",
+           "a basis column shorter than the first is accepted"),
+    # toric.lattice_points_at_or_below_one: its head, the one proof that a cone is valid
+    Mutant("toric.py", "        facets(cone)  # raises for a line, then for a lower dimension\n", "",
+           "a cone with a line is named not Q-Gorenstein"),
+    Mutant("toric.py", "if q_gorenstein_functional(cone) is None:", "if q_gorenstein_functional(cone) is not None:",
+           "the walk refuses every valid cone and walks the rest"),
 )
 
 

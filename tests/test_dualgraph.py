@@ -386,6 +386,16 @@ class TestBlowupBookkeeping:
         with pytest.raises(InvalidSiteError):
             blowup_vertex(graph, None, BoundaryPoint(0, 0))
 
+    def test_boundary_point_off_its_component_and_a_foreign_site(self):
+        graph = chain_graph([-2, -2])
+        boundary = Boundary((BoundaryComponent(coeff=Fraction(1, 2), meets=((0, 1),)),))
+        with pytest.raises(InvalidSiteError, match="^boundary component 0 does not meet vertex 1$") as info:
+            blowup_vertex(graph, boundary, BoundaryPoint(vertex=1, component=0))
+        assert info.value.code == "invalid_site"
+        with pytest.raises(InvalidSiteError, match="^unrecognized blow-up site ") as info:
+            blowup_vertex(graph, boundary, (0, 1))
+        assert info.value.code == "invalid_site"
+
 
 def every_site(graph, boundary):
     """Each vertex as a FreePoint, each edge as an EdgePoint in both orders,

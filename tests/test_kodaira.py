@@ -13,6 +13,7 @@ from mmpkit.errors import (
     NegativeCoefficientError,
 )
 from mmpkit.kodaira import (
+    KappaEstimate,
     PairClass,
     classify_pair_on_curve,
     curve_kappa,
@@ -112,6 +113,10 @@ class TestEstimateKappa:
     def test_constant_sequence_is_zero(self):
         estimate = estimate_kappa([(1, 1), (2, 1), (4, 1), (8, 1)])
         assert estimate.value == 0
+
+    def test_str_names_minus_infinity(self):
+        assert str(KappaEstimate(None)) == "-inf"
+        assert str(KappaEstimate(0)) == "0"
 
     def test_input_faults_carry_code_and_field(self):
         cases = [

@@ -26,6 +26,7 @@ from mmpkit.linalg import (
     coordinates_in_supports,
     cross_normal,
     det_bareiss,
+    dot,
     ellipsoid_points,
     inertia,
     integer_kernel,
@@ -104,6 +105,10 @@ class TestDetBareiss:
             det = det_bareiss(a)
             assert isinstance(det, int)
             assert det_bareiss([[Fraction(x, k) for x in row] for row in a]) == Fraction(det, k**n), (a, k)
+
+    def test_not_square(self):
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            det_bareiss([[1, 2]])
 
 
 class TestEchelonReaders:
@@ -367,12 +372,25 @@ class TestKernelAndHermite:
         with pytest.raises(ValueError, match="^zero column in basis$"):
             coordinates_in_supports(column_supports([(1, 0), (0, 0)]), (1, 0))
 
+    def test_supports_reject_ragged_columns(self):
+        # the length recorded from the first column would let (0, 1) be read past its end
+        for columns in [[(1, 0), (0, 1, 5)], [(1, 0, 0), (0, 1)]]:
+            with pytest.raises(ValueError, match="^basis columns of different lengths$"):
+                column_supports(columns)
+
+    def test_hermite_form_of_no_columns(self):
+        assert column_hermite_form([]) == []
+
 
 class TestInertia:
     def test_diagonal(self):
         assert inertia([[1, 0], [0, -1]]) == (1, 1, 0)
         assert inertia([[-2]]) == (0, 1, 0)
         assert inertia([[0, 0], [0, 0]]) == (0, 0, 2)
+
+    def test_not_symmetric(self):
+        with pytest.raises(NotSymmetricError, match="^inertia needs a symmetric matrix$"):
+            inertia([[1, 2], [0, 1]])
 
     def test_hyperbolic_plane(self):
         assert inertia([[0, 1], [1, 0]]) == (1, 1, 0)
@@ -547,6 +565,14 @@ class TestEllipsoidPoints:
 class TestSmallHelpers:
     def test_cross_normal_2d(self):
         assert cross_normal([(0, 1)], 2) == (1, 0)
+
+    def test_cross_normal_needs_dim_minus_one_rows(self):
+        with pytest.raises(ValueError, match="^need exactly dim-1 vectors$"):
+            cross_normal([], 3)
+
+    def test_dot_needs_equal_lengths(self):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            dot((1,), (1, 2))
 
     def test_cross_normal_orthogonal(self):
         rows = [(1, 0, 1), (0, 1, 1)]

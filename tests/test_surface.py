@@ -775,6 +775,11 @@ class TestNefAndAmple:
             if is_ample_kleiman(s, d):
                 assert is_nef(s, d)
 
+    def test_ample_needs_curves(self):
+        q = make_quadric()
+        with pytest.raises(EmptyCurveListError, match="^no curve classes supplied$"):
+            is_ample_kleiman(SurfaceLattice(rank=2, gram=q.gram, K=q.K), (1, 1))
+
 
 class TestDivisorLength:
     @pytest.mark.parametrize("divisor", [(1,), (1, 0, 0)])

@@ -29,6 +29,7 @@ from mmpkit.errors import (
     NotPrimitiveError,
     NotQGorensteinError,
     NotStronglyConvexError,
+    ToolkitError,
 )
 from mmpkit.linalg import dot, matrix_rank
 from mmpkit.toric import (
@@ -63,6 +64,18 @@ def count_runs(monkeypatch):
 
     monkeypatch.setattr(toric, "min", counted, raising=False)
     return runs
+
+
+def count_dots(monkeypatch):
+    """The Counter of linalg.dot calls by vector length, from here on."""
+    calls = Counter()
+
+    def counted(u, v, _dot=linalg.dot):
+        calls[len(u)] += 1
+        return _dot(u, v)
+
+    monkeypatch.setattr(linalg, "dot", counted)
+    return calls
 
 
 def row_runs(det, steps, nums, length):
@@ -365,22 +378,37 @@ class TestLatticePoints:
 
     def test_walk_seeds_each_row_once(self, monkeypatch):
         # (0,1),(20000,-1) has Hermite diagonal (20000, 1): one row of 20000
-        # cosets, walked from one seed, so no coset costs a dot product
-        calls = Counter()
-
-        def counted(u, v, _dot=linalg.dot):
-            calls[len(u)] += 1
-            return _dot(u, v)
-
-        monkeypatch.setattr(toric.linalg, "dot", counted)
+        # cosets, walked from one seed, so no coset costs a dot product.  The
+        # functional is memoised first, as classify_cone leaves it for the walk
+        calls = count_dots(monkeypatch)
+        q_gorenstein_functional(quotient_cone(20000))
+        calls.clear()
         points = lattice_points_at_or_below_one(quotient_cone(20000))
         assert points == [(0, 1)] + [(x, 0) for x in range(1, 10001)] + [(20000, -1)]
-        # 2 adjugate signs; m on 2 rays; 1 row x 2 numerators; no facets pass on a valid cone
-        assert calls == Counter({2: 2 + 2 + 1 * 2})
+        # 2 adjugate signs; 1 row x 2 numerators; no facets pass on a valid cone
+        assert calls == Counter({2: 2 + 1 * 2})
         # (1,0,0),(1,2,0),(1,0,2): diagonal (1, 2, 2), walked along k = 1, so 2 rows of 2 cosets
+        cone = cone_from_rays([[1, 0, 0], [1, 2, 0], [1, 0, 2]])
+        q_gorenstein_functional(cone)
         calls.clear()
-        lattice_points_at_or_below_one(cone_from_rays([[1, 0, 0], [1, 2, 0], [1, 0, 2]]))
-        assert calls == Counter({3: 3 + 3 + 2 * 3})
+        lattice_points_at_or_below_one(cone)
+        assert calls == Counter({3: 3 + 2 * 3})
+
+    def test_cone_op_finds_the_functional_once(self, monkeypatch):
+        # classify_cone then toric_discrepancy, as the CLI and the bench call them:
+        # m is found once, in q_gorenstein_functional, and both walk and discrepancy
+        # read it from the memo.  Were it found again each time, they read 22 and 38
+        calls = count_dots(monkeypatch)
+        for rays, v, dots in [
+            ([[0, 1], [20000, -1]], (1, 0), 15),
+            ([[1, 0, 0], [1, 2, 0], [1, 0, 2]], (1, 1, 1), 28),
+        ]:
+            q_gorenstein_functional.cache_clear()
+            calls.clear()
+            cone = cone_from_rays(rays)
+            classify_cone(cone)
+            toric_discrepancy(cone, v)
+            assert sum(calls.values()) == dots, rays
 
     def test_walk_adds_a_row_without_wraps_in_one_run(self, monkeypatch):
         # (0,1),(20000,-1): steps (1, 1) never wrap in the row of 20000 cosets,
@@ -704,6 +732,81 @@ class TestErrorOrder:
             ("valid", "not simplicial"),
         ):
             assert seen[key] >= 10, seen
+
+
+class TestFunctionalMemo:
+    """q_gorenstein_functional is memoised on its last cone, and the walk takes
+    its proof that a cone is valid from it: whatever cone the memo holds, each
+    entry point answers as it does with the memo cleared."""
+
+    def test_answers_do_not_depend_on_the_memo(self):
+        # seeded cones of rank 2-4: valid ones, with and without extra rays, ones
+        # with a line or of a lower dimension (random_cone), and rays drawn at
+        # random, often without m.  Before each call the memo is primed with the
+        # same cone, an equal one built separately, its rays permuted, or another
+        # cone, by one of the four entry points
+        rng = random.Random(71)
+        pool = []
+        for k in range(120):
+            d, source = 2 + k % 3, k // 3 % 4
+            if source == 0:
+                cone = random_cone(rng, d)
+            elif source == 1:
+                cone = random_q_gorenstein_cone(rng, d, rng.randint(0, 2))
+            elif source == 2:
+                flat = random_q_gorenstein_cone(rng, d - 1, rng.randint(0, 1) if d > 2 else 0)
+                cone = cone_from_rays([ray + (0,) for ray in flat.rays])
+            else:
+                rays = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d + 2)]
+                cone = cone_from_rays(sorted({linalg.primitive(r) for r in rays if any(r)}) or [[1] * d])
+            if len(cone.rays) <= 6:
+                pool.append(cone)
+
+        def point(cone):
+            total = [sum(col) for col in zip(*cone.rays)]
+            return linalg.primitive(total) if any(total) else cone.rays[0]
+
+        calls = {
+            "functional": q_gorenstein_functional,
+            "walk": lattice_points_at_or_below_one,
+            "classify": classify_cone,
+            "discrepancy": lambda cone: toric_discrepancy(cone, point(cone)),
+        }
+
+        def outcome(call, cone):
+            try:
+                return call(cone)
+            except ToolkitError as error:
+                return type(error), error.code, str(error), error.field
+
+        seen = Counter()
+        for _ in range(1000):
+            cone = rng.choice(pool)
+            name = rng.choice(sorted(calls))
+            q_gorenstein_functional.cache_clear()
+            expected = outcome(calls[name], cone)
+            primer = rng.choice(["same", "equal", "permuted", "other"])
+            rays = list(cone.rays)
+            if primer == "equal":
+                other = cone_from_rays(rays)
+            elif primer == "permuted":
+                rng.shuffle(rays)
+                other = cone_from_rays(rays)
+            else:
+                other = cone if primer == "same" else rng.choice(pool)
+            q_gorenstein_functional.cache_clear()
+            outcome(calls[rng.choice(sorted(calls))], other)
+            hits = q_gorenstein_functional.cache_info().hits
+            assert outcome(calls[name], cone) == expected, (name, primer, cone.rays, other.rays)
+            memo = "hit" if q_gorenstein_functional.cache_info().hits > hits else "miss"
+            verdict = expected[0].__name__ if isinstance(expected, tuple) and isinstance(expected[0], type) else "answer"
+            seen[name, verdict] += 1
+            seen[cone.rank, memo] += 1
+        assert min(seen[d, memo] for d in (2, 3, 4) for memo in ("hit", "miss")) >= 50, seen
+        for name in ("walk", "classify", "discrepancy"):
+            for verdict in ("NotStronglyConvexError", "NotFullDimensionalError", "answer"):
+                assert seen[name, verdict] >= 10, seen
+        assert min(seen[name, "NotQGorensteinError"] for name in ("walk", "discrepancy")) >= 20, seen
 
 
 class TestUnimodularInvariance:
