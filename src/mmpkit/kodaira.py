@@ -90,8 +90,7 @@ def riemann_roch_curve(deg: int, g: int) -> int:
 
 def _validate_samples(samples) -> list[tuple[int, int]]:
     """The samples sorted by m; faults name ``samples`` or ``samples[k]``."""
-    # samples that are not a list have always been reported as empty
-    samples = linalg.as_rows(samples, "samples", code="samples_empty")
+    samples = linalg.as_rows(samples, "samples")
     if not samples:
         raise InvalidInputError("expected a nonempty list of [m, P] pairs", "samples_empty", "samples")
     seen = set()
@@ -190,6 +189,8 @@ def estimate_kappa(samples, max_dim: int | None = None) -> KappaEstimate:
 
 
 def _validate_coeffs(coeffs) -> list[Fraction]:
+    if not isinstance(coeffs, (list, tuple)):
+        raise InvalidInputError("expected a list of coefficients", "wrong_type", "coeffs")
     return [linalg.as_fraction(c, f"coeffs[{k}]") for k, c in enumerate(coeffs)]
 
 

@@ -60,10 +60,10 @@ def as_vector(v, field: str) -> IntVector:
     return tuple(x if type(x) is int else as_int(x, f"{field}[{k}]") for k, x in enumerate(v))
 
 
-def as_rows(rows, field: str, code: str = "wrong_type") -> IntMatrix:
-    """rows as a tuple of as_vector tuples; a rows that is no list or tuple is code on field."""
+def as_rows(rows, field: str) -> IntMatrix:
+    """rows as a tuple of as_vector tuples; a rows that is no list or tuple is wrong_type on field."""
     if not isinstance(rows, (list, tuple)):
-        raise InvalidInputError("expected a list", code, field)
+        raise InvalidInputError("expected a list", "wrong_type", field)
     return tuple(as_vector(row, f"{field}[{k}]") for k, row in enumerate(rows))
 
 

@@ -69,8 +69,7 @@ class SurfaceLattice:
 
     def __post_init__(self):
         rank = linalg.as_int(self.rank, "rank")
-        # a gram that is not a list has always been reported as not square
-        gram = linalg.as_rows(self.gram, "gram", code="gram_not_square")
+        gram = linalg.as_rows(self.gram, "gram")
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "K", linalg.as_vector(self.K, "K"))
         object.__setattr__(self, "curves", linalg.as_rows(self.curves, "curves"))
@@ -83,8 +82,7 @@ class SurfaceLattice:
         for k, row in enumerate(gram):
             if len(row) != rank:
                 raise InvalidInputError(f"expected {rank} entries", "gram_not_square", f"gram[{k}]")
-        # the transpose is compared in one pass; only a mismatch is located
-        if tuple(zip(*gram)) != gram:
+        if not linalg.is_symmetric(gram):  # only a mismatch is located here
             i, j = next((i, j) for i in range(rank) for j in range(i + 1, rank) if gram[i][j] != gram[j][i])
             raise NotSymmetricError(
                 f"gram[{i}][{j}] = {gram[i][j]} differs from gram[{j}][{i}] = {gram[j][i]}",

@@ -22,10 +22,11 @@ rows of |det S| S^-1 sum to |det S| m, S the first d independent rays; rays
 that span less than the space leave m not unique, and get none.  The walk
 takes its proof of validity from it and needs no facets: rays with an m span,
 and as m is 1 on every ray no positive combination of rays is 0.  Facets run
-only to name an error, or for membership.  There one kernel and one normals
-pass decide both checks on a cone: completed by a basis of the orthogonal
-complement of its span, which adds no line, a cone has no line exactly when
-its facet normals span the space (its dual cone is then full-dimensional).
+only to name an error, or for membership, which toric_discrepancy reads off
+their normals.  In facets one kernel and one normals pass decide both checks
+on a cone: completed by a basis of the orthogonal complement of its span,
+which adds no line, a cone has no line exactly when its facet normals span
+the space (its dual cone is then full-dimensional).
 
 Smoothness means the generators extend to a basis of the lattice, i.e. the
 cone is simplicial and its ray matrix has determinant +-1.
@@ -167,11 +168,6 @@ def gorenstein_index(m: RatVector) -> int:
     return lcm(*(Fraction(x).denominator for x in m)) if m else 1
 
 
-def contains(cone: Cone, point) -> bool:
-    point = linalg.as_vector(point, "point")
-    return all(linalg.dot(h, point) >= 0 for h in facets(cone))
-
-
 def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
     """Nonzero lattice points P of the cone with m(P) <= 1, in lex order, for m
     the support functional.  Raises for a line, then for a lower dimension, then
@@ -190,10 +186,8 @@ def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
     for rays in combinations(cone.rays, d):
         diagonal = [col[k] for k, col in enumerate(linalg.column_hermite_form(rays))]
         det = prod(diagonal)
-        if not det:
-            continue  # a dependent subset, whose box is empty
-        if det == 1:
-            continue  # a unimodular S, whose one coset adds no point
+        if det <= 1:
+            continue  # a dependent S has no box, a unimodular S only the zero coset
         adj = _adjugate(rays, d)
         k = diagonal.index(max(diagonal))
         steps = [a[k] % det for a in adj]
@@ -274,7 +268,7 @@ def toric_discrepancy(cone: Cone, v) -> Fraction:
         raise NotPrimitiveError("the origin is not a valuation site")
     if gcd(*v) != 1:
         raise NotPrimitiveError(f"point {list(v)} is not primitive")
-    if not contains(cone, v):
+    if any(linalg.dot(h, v) < 0 for h in facets(cone)):
         raise NotInConeError(f"point {list(v)} is not in the cone")
     m = q_gorenstein_functional(cone)
     if m is None:

@@ -437,14 +437,21 @@ def fraction_discrepancy(m, p):
 #: coordinate bound of random_q_gorenstein_cone per rank, so that the box
 #: oracle scans at most a few hundred cells
 CONE_BOX = {1: 1, 2: 5, 3: 2, 4: 2}
+#: draws before random_q_gorenstein_cone gives up on a request it cannot meet
+DRAWS = 1000
 
 
 def random_q_gorenstein_cone(rng, rank, extra=0):
     """A random full-dimensional cone on rank + extra primitive rays, all on
     one hyperplane w.x = k > 0: strongly convex, Q-Gorenstein with m = w / k,
-    and non-simplicial when extra > 0, often with a ray that is not extremal."""
+    and non-simplicial when extra > 0, often with a ray that is not extremal.
+    ValueError for a request it cannot meet: in rank 1 at most one primitive
+    point has w.x = k > 0, so extra > 0 is refused at once, and any other
+    request fails after DRAWS draws instead of looping."""
+    if rank == 1 and extra > 0:
+        raise ValueError("a rank-1 cone has one primitive ray; extra must be 0")
     box = range(-CONE_BOX[rank], CONE_BOX[rank] + 1)
-    while True:
+    for _ in range(DRAWS):
         w = [rng.randint(-2, 2) for _ in range(rank)]
         k = rng.randint(1, 3)
         level = [p for p in product(box, repeat=rank) if dot(w, p) == k and gcd(*p) == 1]
@@ -453,6 +460,7 @@ def random_q_gorenstein_cone(rng, rank, extra=0):
         rays = rng.sample(level, rank + extra)
         if matrix_rank(rays) == rank:
             return cone_from_rays(rays)
+    raise ValueError(f"no rank-{rank} cone on {rank + extra} rays in {DRAWS} draws")
 
 
 def naive_minus_one_classes(r) -> set:

@@ -155,6 +155,12 @@ MUTANTS = (
            "a cone with a line is named not Q-Gorenstein"),
     Mutant("toric.py", "if q_gorenstein_functional(cone) is None:", "if q_gorenstein_functional(cone) is not None:",
            "the walk refuses every valid cone and walks the rest"),
+    # toric_discrepancy's membership test and the walk's skip of a simplex
+    Mutant("toric.py", "if any(linalg.dot(h, v) < 0 for h in facets(cone)):",
+           "if any(linalg.dot(h, v) <= 0 for h in facets(cone)):",
+           "a point on a facet is called outside the cone"),
+    Mutant("toric.py", "if det <= 1:", "if det <= 2:",
+           "a simplex with |det S| = 2 loses its points"),
 )
 
 

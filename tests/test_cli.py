@@ -691,7 +691,7 @@ ERROR_CONTRACT = [
     (_boundary({"coeff": "1/2", "meets": [[0, 0]]}), 2, "meets_bad_mult", "boundary[0].meets[0]"),
     # surface lattices
     (_surface(rank=0), 2, "rank_out_of_range", "rank"),
-    (_surface(gram=5), 2, "gram_not_square", "gram"),
+    (_surface(gram=5), 2, "wrong_type", "gram"),
     (_surface(gram=[[0, 1]]), 2, "gram_not_square", "gram"),
     (_surface(gram=[[0, 1], [1]]), 2, "gram_not_square", "gram[1]"),
     (_surface(gram=[[0, 1], 5]), 2, "wrong_type", "gram[1]"),
@@ -704,7 +704,7 @@ ERROR_CONTRACT = [
     (_surface(label=5), 2, "wrong_type", "label"),
     (_surface("nef-check", "--divisor", "[1]", rank=1, gram=[[1]], K=[0], curves=[[1]]), 2, "curve_parity", "curves"),
     # plurigenus samples and pair coefficients
-    (_samples(samples=5), 2, "samples_empty", "samples"),
+    (_samples(samples=5), 2, "wrong_type", "samples"),
     (_samples(samples=[]), 2, "samples_empty", "samples"),
     (_samples(samples=[[1, 2], 5]), 2, "wrong_type", "samples[1]"),
     (_samples(samples=[[1, 2], [2]]), 2, "sample_malformed", "samples[1]"),

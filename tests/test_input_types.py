@@ -41,7 +41,7 @@ from mmpkit.surface import (
     pushforward_class,
     riemann_roch_surface,
 )
-from mmpkit.toric import Cone, classify_cone, cone_from_rays, contains, toric_discrepancy
+from mmpkit.toric import Cone, classify_cone, cone_from_rays, toric_discrepancy
 
 A3 = Cone(rank=2, rays=((0, 1), (3, -1)))
 QUADRIC = make_quadric()
@@ -60,7 +60,6 @@ INT_SLOTS = {
     "Cone.rank": (lambda x: Cone(rank=x, rays=((0, 1), (3, -1))), "rank"),
     "Cone.rays": (lambda x: Cone(rank=2, rays=((0, 1), (3, x))), "rays[1][1]"),
     "cone_from_rays": (lambda x: cone_from_rays([[x, 1], [3, -1]]), "rays[0][0]"),
-    "contains": (lambda x: contains(A3, (1, x)), "point[1]"),
     "toric_discrepancy": (lambda x: toric_discrepancy(A3, (x, 0)), "point[0]"),
     "SurfaceLattice.rank": (lambda x: _surface(rank=x), "rank"),
     "SurfaceLattice.gram": (lambda x: _surface(gram=((0, 1), (1, x))), "gram[1][1]"),
@@ -94,39 +93,39 @@ INT_SLOTS = {
     "integer_kernel": (lambda x: linalg.integer_kernel([[x, 1]]), "a[0][0]"),
 }
 
-# (entry point with x in a list slot, field, code)
+# (entry point with x in a list slot, field)
 LIST_SLOTS = {
-    "Cone.rays": (lambda x: Cone(rank=2, rays=x), "rays", "wrong_type"),
-    "Cone.ray": (lambda x: Cone(rank=2, rays=((0, 1), x)), "rays[1]", "wrong_type"),
-    "cone_from_rays": (lambda x: cone_from_rays(x), "rays", "wrong_type"),
-    "contains": (lambda x: contains(A3, x), "point", "wrong_type"),
-    "toric_discrepancy": (lambda x: toric_discrepancy(A3, x), "point", "wrong_type"),
-    # a gram and samples that are not lists keep their historical codes
-    "SurfaceLattice.gram": (lambda x: _surface(gram=x), "gram", "gram_not_square"),
-    "SurfaceLattice.gram_row": (lambda x: _surface(gram=((0, 1), x)), "gram[1]", "wrong_type"),
-    "SurfaceLattice.K": (lambda x: _surface(K=x), "K", "wrong_type"),
-    "SurfaceLattice.curves": (lambda x: _surface(curves=x), "curves", "wrong_type"),
-    "SurfaceLattice.curve": (lambda x: _surface(curves=(x,)), "curves[0]", "wrong_type"),
-    "adjunction_genus": (lambda x: adjunction_genus(QUADRIC, x), "c", "wrong_type"),
-    "pushforward_class.c": (lambda x: pushforward_class(BL1, x, (1, 0)), "c", "wrong_type"),
-    "pushforward_class.x": (lambda x: pushforward_class(BL1, (0, 1), x), "x", "wrong_type"),
-    "castelnuovo_contract": (lambda x: castelnuovo_contract(BL1, x), "c", "wrong_type"),
-    "is_nef": (lambda x: is_nef(QUADRIC, x), "divisor", "wrong_type"),
-    "is_ample_kleiman": (lambda x: is_ample_kleiman(QUADRIC, x), "divisor", "wrong_type"),
-    "riemann_roch_surface": (lambda x: riemann_roch_surface(QUADRIC, x, 1), "divisor", "wrong_type"),
-    "DualGraph.vertices": (lambda x: DualGraph(vertices=x, edges=()), "vertices", "wrong_type"),
-    "DualGraph.vertex": (lambda x: DualGraph(vertices=(V, x), edges=()), "vertices[1]", "wrong_type"),
-    "DualGraph.edges": (lambda x: DualGraph(vertices=(V, V), edges=x), "edges", "wrong_type"),
-    "DualGraph.edge": (lambda x: DualGraph(vertices=(V, V), edges=(x,)), "edges[0]", "wrong_type"),
-    "BoundaryComponent.meets": (lambda x: BoundaryComponent(coeff=HALF, meets=x), "meets", "wrong_type"),
-    "BoundaryComponent.meet": (lambda x: BoundaryComponent(coeff=HALF, meets=(x,)), "meets[0]", "wrong_type"),
-    "Boundary.components": (lambda x: Boundary(x), "components", "wrong_type"),
-    "Boundary.component": (lambda x: discrepancies(CHAIN, Boundary((x,))), "components[0]", "wrong_type"),
-    "estimate_kappa.samples": (lambda x: estimate_kappa(x), "samples", "samples_empty"),
-    "estimate_kappa.sample": (lambda x: estimate_kappa([[1, 1], x]), "samples[1]", "wrong_type"),
-    "primitive": (lambda x: linalg.primitive(x), "v", "wrong_type"),
-    "integer_kernel": (lambda x: linalg.integer_kernel(x), "a", "wrong_type"),
-    "integer_kernel.row": (lambda x: linalg.integer_kernel([[1, 2], x]), "a[1]", "wrong_type"),
+    "Cone.rays": (lambda x: Cone(rank=2, rays=x), "rays"),
+    "Cone.ray": (lambda x: Cone(rank=2, rays=((0, 1), x)), "rays[1]"),
+    "cone_from_rays": (lambda x: cone_from_rays(x), "rays"),
+    "toric_discrepancy": (lambda x: toric_discrepancy(A3, x), "point"),
+    "SurfaceLattice.gram": (lambda x: _surface(gram=x), "gram"),
+    "SurfaceLattice.gram_row": (lambda x: _surface(gram=((0, 1), x)), "gram[1]"),
+    "SurfaceLattice.K": (lambda x: _surface(K=x), "K"),
+    "SurfaceLattice.curves": (lambda x: _surface(curves=x), "curves"),
+    "SurfaceLattice.curve": (lambda x: _surface(curves=(x,)), "curves[0]"),
+    "adjunction_genus": (lambda x: adjunction_genus(QUADRIC, x), "c"),
+    "pushforward_class.c": (lambda x: pushforward_class(BL1, x, (1, 0)), "c"),
+    "pushforward_class.x": (lambda x: pushforward_class(BL1, (0, 1), x), "x"),
+    "castelnuovo_contract": (lambda x: castelnuovo_contract(BL1, x), "c"),
+    "is_nef": (lambda x: is_nef(QUADRIC, x), "divisor"),
+    "is_ample_kleiman": (lambda x: is_ample_kleiman(QUADRIC, x), "divisor"),
+    "riemann_roch_surface": (lambda x: riemann_roch_surface(QUADRIC, x, 1), "divisor"),
+    "DualGraph.vertices": (lambda x: DualGraph(vertices=x, edges=()), "vertices"),
+    "DualGraph.vertex": (lambda x: DualGraph(vertices=(V, x), edges=()), "vertices[1]"),
+    "DualGraph.edges": (lambda x: DualGraph(vertices=(V, V), edges=x), "edges"),
+    "DualGraph.edge": (lambda x: DualGraph(vertices=(V, V), edges=(x,)), "edges[0]"),
+    "BoundaryComponent.meets": (lambda x: BoundaryComponent(coeff=HALF, meets=x), "meets"),
+    "BoundaryComponent.meet": (lambda x: BoundaryComponent(coeff=HALF, meets=(x,)), "meets[0]"),
+    "Boundary.components": (lambda x: Boundary(x), "components"),
+    "Boundary.component": (lambda x: discrepancies(CHAIN, Boundary((x,))), "components[0]"),
+    "estimate_kappa.samples": (lambda x: estimate_kappa(x), "samples"),
+    "estimate_kappa.sample": (lambda x: estimate_kappa([[1, 1], x]), "samples[1]"),
+    "classify_pair_on_curve": (lambda x: classify_pair_on_curve(x), "coeffs"),
+    "fano_pair_on_p1_check": (lambda x: fano_pair_on_p1_check(x), "coeffs"),
+    "primitive": (lambda x: linalg.primitive(x), "v"),
+    "integer_kernel": (lambda x: linalg.integer_kernel(x), "a"),
+    "integer_kernel.row": (lambda x: linalg.integer_kernel([[1, 2], x]), "a[1]"),
 }
 
 # (entry point with x in a rational slot, field)
@@ -155,8 +154,8 @@ def test_integer_slot_rejects_non_int(name, bad):
 @pytest.mark.parametrize("bad", [5, "12", None], ids=["int", "string", "none"])
 @pytest.mark.parametrize("name", LIST_SLOTS)
 def test_list_slot_rejects_non_list(name, bad):
-    call, field, code = LIST_SLOTS[name]
-    assert _fault(lambda: call(bad)) == (code, field)
+    call, field = LIST_SLOTS[name]
+    assert _fault(lambda: call(bad)) == ("wrong_type", field)
 
 
 # Fraction() takes each of these, the float as its binary value

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     CLASS_CHAIN_ORDER,
+    CONE_BOX,
     fraction_discrepancy,
     mat_vec,
     naive_is_strongly_convex,
@@ -871,6 +872,16 @@ class TestRankOne:
             facets(cone)
         with pytest.raises(NotStronglyConvexError):
             classify_cone(cone)
+
+    def test_generator_refuses_what_it_cannot_draw(self):
+        # in rank 1 at most one primitive point lies on w.x = k > 0; in rank 2
+        # the box has fewer points than the rays asked for
+        rng = random.Random(3)
+        assert len(random_q_gorenstein_cone(rng, 1).rays) == 1
+        with pytest.raises(ValueError):
+            random_q_gorenstein_cone(rng, 1, extra=1)
+        with pytest.raises(ValueError):
+            random_q_gorenstein_cone(rng, 2, extra=(2 * CONE_BOX[2] + 1) ** 2)
 
 
 def continued_fraction_chain(a, q):
