@@ -6,9 +6,12 @@ built on the first call and shared by every later call in the process.
 ``parse_arguments`` hands an argv led by a command name to that command's
 subparser, so each argument is classified once; any other argv (``--help``,
 an empty one, a typo) goes through the top-level parser, and both ways
-print, exit and parse as ``build_parser().parse_args`` does.  A handler
-reads its flags and any JSON document and returns a report body of library
-values as they are (Fractions, Enums, tuples, the library's records);
+print, exit and parse as ``build_parser().parse_args`` does.  ``main``
+reads the call's document by ``load_document``, the one reader of --input
+and --inline, and reports its fault before any flag rule: a call names at
+most one (both is ``input_conflict``), and ``--r`` and rr's curve mode
+take none.  The row's handler takes (args, document) and returns a report
+body of library values as they are (Fractions, Enums, tuples, records);
 ``main`` puts the row's name first as "command" and its rule last as
 "rule", and ``emit`` renders the report by the one rule of ``serialize``:
 canonical JSON for --format machine (identical inputs give byte-identical
@@ -64,6 +67,11 @@ def _inside(prefix: str):
         raise
 
 
+def _document(doc) -> dict:
+    _expect(doc is not None, "missing_input", "--input", "supply --input PATH or --inline JSON")
+    return doc
+
+
 def _get(doc, key):
     _expect(isinstance(doc, dict), "not_object", "", "expected a JSON object")
     _expect(key in doc, "missing_field", key, f"missing required field '{key}'")
@@ -87,13 +95,13 @@ def _as_fraction(value, field) -> Fraction:
 
 def parse_cone(doc) -> toric.Cone:
     from . import toric
-    return toric.Cone(rank=_get(doc, "rank"), rays=_get(doc, "rays"))
+    return toric.Cone(rank=_get(_document(doc), "rank"), rays=_get(doc, "rays"))
 
 
 def parse_graph(doc) -> tuple[dualgraph.DualGraph, dualgraph.Boundary]:
     from . import dualgraph
     vertices = []
-    for k, v in enumerate(_as_list(_get(doc, "vertices"), "vertices")):
+    for k, v in enumerate(_as_list(_get(_document(doc), "vertices"), "vertices")):
         with _inside(f"vertices[{k}]."):
             vertices.append(dualgraph.Vertex(genus=_get(v, "genus"), self_int=_get(v, "self_int")))
     graph = dualgraph.DualGraph(vertices=tuple(vertices), edges=doc.get("edges", []))
@@ -108,7 +116,7 @@ def parse_graph(doc) -> tuple[dualgraph.DualGraph, dualgraph.Boundary]:
 def parse_surface(doc) -> surface.SurfaceLattice:
     from . import surface
     return surface.SurfaceLattice(
-        rank=_get(doc, "rank"),
+        rank=_get(_document(doc), "rank"),
         gram=_get(doc, "gram"),
         K=_get(doc, "K"),
         curves=doc.get("curves", []),
@@ -117,11 +125,11 @@ def parse_surface(doc) -> surface.SurfaceLattice:
 
 
 def parse_samples(doc):
-    return _get(doc, "samples"), doc.get("max_dim")
+    return _get(_document(doc), "samples"), doc.get("max_dim")
 
 
 def parse_coeffs(doc) -> list[Fraction]:
-    coeffs = _as_list(_get(doc, "coeffs"), "coeffs")
+    coeffs = _as_list(_get(_document(doc), "coeffs"), "coeffs")
     return [_as_fraction(c, f"coeffs[{k}]") for k, c in enumerate(coeffs)]
 
 
@@ -138,7 +146,9 @@ def _load_json(text, field):
         raise InvalidInputError("invalid JSON: nested too deeply", "bad_json", field) from exc
 
 
-def load_document(args) -> dict:
+def load_document(args) -> dict | None:
+    """The JSON object the call names by --input or --inline, or None if it names none."""
+    _expect(args.input is None or args.inline is None, "input_conflict", "--inline", "--inline excludes --input")
     if args.inline is not None:
         text = args.inline
         source = "--inline"
@@ -150,7 +160,7 @@ def load_document(args) -> dict:
             raise InvalidInputError(str(exc), "unreadable_input", "--input") from exc
         source = args.input
     else:
-        raise InvalidInputError("supply --input PATH or --inline JSON", "missing_input", "--input")
+        return None
     doc = _load_json(text, source)
     _expect(isinstance(doc, dict), "not_object", source, "top-level JSON value must be an object")
     return doc
@@ -190,9 +200,9 @@ def emit_error(kind: str, code: str, message: str, fmt: str, field: str | None =
 # -- subcommand handlers: each returns its report body -------------------------
 
 
-def cmd_toric_classify(args):
+def cmd_toric_classify(args, doc):
     from . import toric
-    result = toric.classify_cone(parse_cone(load_document(args)))
+    result = toric.classify_cone(parse_cone(doc))
     return {
         "class": result.kind,
         "q_factorial": result.q_factorial,
@@ -202,18 +212,18 @@ def cmd_toric_classify(args):
     }
 
 
-def cmd_toric_discrepancy(args):
+def cmd_toric_discrepancy(args, doc):
     from . import toric
-    cone = parse_cone(load_document(args))
+    cone = parse_cone(doc)
     point = _load_json(args.point, "--point")
     with _inside("--"):
         value = toric.toric_discrepancy(cone, point)
     return {"point": point, "discrepancy": value}
 
 
-def cmd_graph_discrepancies(args):
+def cmd_graph_discrepancies(args, doc):
     from . import dualgraph
-    result = dualgraph.discrepancies(*parse_graph(load_document(args)))
+    result = dualgraph.discrepancies(*parse_graph(doc))
     return {
         "contractible": True,
         "discrepancies": result.discrepancies,
@@ -237,9 +247,9 @@ def _parse_site(args) -> dualgraph.BlowupSite:
     return dualgraph.FreePoint(vertex=args.vertex)
 
 
-def cmd_graph_blowup(args):
+def cmd_graph_blowup(args, doc):
     from . import dualgraph
-    graph, boundary = parse_graph(load_document(args))
+    graph, boundary = parse_graph(doc)
     site = _parse_site(args)
     new_graph, new_boundary = dualgraph.blowup_vertex(graph, boundary, site)
     flags = {"edge": args.edge, "vertex": args.vertex, "boundary": args.boundary}
@@ -249,9 +259,9 @@ def cmd_graph_blowup(args):
     }
 
 
-def cmd_mmp_run(args):
+def cmd_mmp_run(args, doc):
     from . import surface
-    s = parse_surface(load_document(args))
+    s = parse_surface(doc)
     with _inside("--"):
         trace = surface.run_classical_mmp(s, bound=args.bound)
     return {
@@ -262,19 +272,15 @@ def cmd_mmp_run(args):
     }
 
 
-def cmd_delpezzo_lines(args):
+def cmd_delpezzo_lines(args, doc):
     from . import surface
-    if args.r is not None:
+    if args.r is None:
+        _expect(doc is not None, "missing_input", "--r", "supply --r or a surface via --input/--inline")
+        s = parse_surface(doc)
+    else:
+        _expect(doc is None, "input_conflict", "--r", "--r excludes --input/--inline")
         with _inside("--"):
             s = surface.make_blowup_p2(args.r)
-    else:
-        _expect(
-            args.input is not None or args.inline is not None,
-            "missing_input",
-            "--r",
-            "supply --r or a surface via --input/--inline",
-        )
-        s = parse_surface(load_document(args))
     with _inside("--"):
         classes = surface.enumerate_minus_one_classes(s, bound=args.bound)
     report = {"count": len(classes), "classes": classes}
@@ -283,14 +289,14 @@ def cmd_delpezzo_lines(args):
     return report
 
 
-def cmd_cone_rays(args):
+def cmd_cone_rays(args, doc):
     from . import surface
-    return {"rays": surface.cone_rays_rank2(parse_surface(load_document(args)))}
+    return {"rays": surface.cone_rays_rank2(parse_surface(doc))}
 
 
-def cmd_nef_check(args):
+def cmd_nef_check(args, doc):
     from . import surface
-    s = parse_surface(load_document(args))
+    s = parse_surface(doc)
     divisor = _load_json(args.divisor, "--divisor")
     with _inside("--"):
         nef = surface.is_nef(s, divisor)
@@ -304,9 +310,9 @@ def cmd_nef_check(args):
     }
 
 
-def cmd_rr(args):
+def cmd_rr(args, doc):
     curve_mode = args.deg is not None or args.genus is not None
-    surface_mode = args.divisor is not None or args.chi0 is not None
+    surface_mode = doc is not None or args.divisor is not None or args.chi0 is not None
     _expect(
         curve_mode != surface_mode,
         "rr_mode",
@@ -322,7 +328,7 @@ def cmd_rr(args):
     else:
         from . import surface
         _expect(args.divisor is not None and args.chi0 is not None, "rr_mode", "--divisor", "need --divisor and --chi0")
-        s = parse_surface(load_document(args))
+        s = parse_surface(doc)
         divisor = _load_json(args.divisor, "--divisor")
         with _inside("--"):
             chi = surface.riemann_roch_surface(s, divisor, args.chi0)
@@ -331,16 +337,16 @@ def cmd_rr(args):
     return {**report, "chi": Fraction(chi), "integral": isinstance(chi, int)}
 
 
-def cmd_kappa_estimate(args):
+def cmd_kappa_estimate(args, doc):
     from . import kodaira
-    samples, max_dim = parse_samples(load_document(args))
+    samples, max_dim = parse_samples(doc)
     estimate = kodaira.estimate_kappa(samples, max_dim=max_dim)
     return {"kappa": "-inf" if estimate.is_minus_infinity else estimate.value, "note": estimate.note}
 
 
-def cmd_pair_classify(args):
+def cmd_pair_classify(args, doc):
     from . import kodaira
-    coeffs = parse_coeffs(load_document(args))
+    coeffs = parse_coeffs(doc)
     cls = kodaira.classify_pair_on_curve(coeffs)
     fano = kodaira.fano_pair_on_p1_check(coeffs) if all(0 <= c <= 1 for c in coeffs) else None
     return {"coeffs": coeffs, "class": cls, "fano_on_p1": fano}
@@ -350,7 +356,7 @@ class Command(NamedTuple):
     """One subcommand: handler, help line, the rule its report states (one text
     per value of the report's "mode" if it has modes) and argparse flags."""
 
-    handler: Callable[[argparse.Namespace], dict]
+    handler: Callable[[argparse.Namespace, dict | None], dict]
     help: str
     rule: str | dict[str, str]
     flags: dict[str, dict] = {}
@@ -476,7 +482,7 @@ def main(argv=None) -> int:
     row = COMMANDS[args.command]
     fmt = args.format
     try:
-        body = row.handler(args)
+        body = row.handler(args, load_document(args))
         rule = row.rule if isinstance(row.rule, str) else row.rule[body["mode"]]
         emit({"command": args.command, **body, "rule": rule}, fmt)
     except ToolkitError as exc:

@@ -264,8 +264,8 @@ def castelnuovo_contract(s: SurfaceLattice, c) -> SurfaceLattice:
 
     The result is built unchecked, from what the contraction proves of a
     valid s.  With B the Hermite basis of C^perp, B^T G B is an integral
-    symmetric matrix; K' = K - C and each x' = x + (x.C) C lie in C^perp,
-    so they have rank - 1 integer coordinates; x'^2 + K'.x' = x^2 + K.x +
+    symmetric matrix; each x' = x + (x.C) C lies in C^perp (K' = K - C, as
+    K.C = -1), so it has rank - 1 integer coordinates; x'^2 + K'.x' = x^2 + K.x +
     (x.C)(x.C - 1), an even change, so adjunction parity carries over; and
     the rank s.rank - 1 is at least 1, as a rank-1 s is refused.
     """
@@ -281,10 +281,8 @@ def castelnuovo_contract(s: SurfaceLattice, c) -> SurfaceLattice:
         for k, si in enumerate(supports)
     ]
     new_gram = tuple(tuple([upper[j][k - j] for j in range(k)] + upper[k]) for k in range(len(upper)))
-    # K - C is orthogonal to C, so it is its own projection
-    new_k = linalg.coordinates_in_supports(supports, [k - ci for k, ci in zip(s.K, c)])
     curves = tuple(_pushforward(supports, gc, c, x) for x in s.curves if x != c)
-    return _lattice(s.rank - 1, new_gram, new_k, curves, s.label)
+    return _lattice(s.rank - 1, new_gram, _pushforward(supports, gc, c, s.K), curves, s.label)
 
 
 class MmpOutcome(Enum):

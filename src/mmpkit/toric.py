@@ -220,26 +220,20 @@ def classify_cone(cone: Cone) -> ToricClassification:
     m = q_gorenstein_functional(cone)
     if m is None:
         facets(cone)  # raises for a line or a lower dimension before the class is named
-        return ToricClassification(
-            kind=ConeClass.NOT_Q_GORENSTEIN,
-            q_factorial=q_factorial,
-            gorenstein_index=None,
-            support_functional=None,
-            points_at_or_below_one=(),
-        )
-    points = tuple(lattice_points_at_or_below_one(cone))
-    r = gorenstein_index(m)
-    rm = [int(x * r) for x in m]  # rm(P) == r is m(P) == 1 in integers
-    # the points call has checked the rays span: a square ray matrix is invertible here
-    smooth = q_factorial and abs(linalg.det_bareiss(cone.rays)) == 1
-    if smooth:
-        kind = ConeClass.SMOOTH
-    elif len(points) == len(cone.rays):  # the points hold every ray, each with m = 1
-        kind = ConeClass.TERMINAL
-    elif all(sum(map(mul, rm, p)) == r for p in points):
-        kind = ConeClass.CANONICAL
+        kind, r, points = ConeClass.NOT_Q_GORENSTEIN, None, ()
     else:
-        kind = ConeClass.KLT_ONLY
+        points = tuple(lattice_points_at_or_below_one(cone))
+        r = gorenstein_index(m)
+        rm = [int(x * r) for x in m]  # rm(P) == r is m(P) == 1 in integers
+        # the points call has checked the rays span: a square ray matrix is invertible here
+        if q_factorial and abs(linalg.det_bareiss(cone.rays)) == 1:
+            kind = ConeClass.SMOOTH
+        elif len(points) == len(cone.rays):  # the points hold every ray, each with m = 1
+            kind = ConeClass.TERMINAL
+        elif all(sum(map(mul, rm, p)) == r for p in points):
+            kind = ConeClass.CANONICAL
+        else:
+            kind = ConeClass.KLT_ONLY
     return ToricClassification(
         kind=kind,
         q_factorial=q_factorial,

@@ -64,8 +64,8 @@ MUTANTS = (
     Mutant("dualgraph.py", "and all(c <= 1 for c in touching):", "and all(c < 1 for c in touching):",
            "lc refuses a boundary coefficient of 1"),
     # toric.classify_cone
-    Mutant("toric.py", "smooth = q_factorial and abs(linalg.det_bareiss(cone.rays)) == 1",
-           "smooth = q_factorial and linalg.det_bareiss(cone.rays) == 1",
+    Mutant("toric.py", "if q_factorial and abs(linalg.det_bareiss(cone.rays)) == 1:",
+           "if q_factorial and linalg.det_bareiss(cone.rays) == 1:",
            "smoothness reads the sign of the determinant"),
     Mutant("toric.py", "elif len(points) == len(cone.rays):", "elif len(points) <= len(cone.rays) + 1:",
            "terminal admits one point besides the rays"),
@@ -161,6 +161,10 @@ MUTANTS = (
            "a point on a facet is called outside the cone"),
     Mutant("toric.py", "if det <= 1:", "if det <= 2:",
            "a simplex with |det S| = 2 loses its points"),
+    # cli.cmd_rr: a named document is surface mode, never ignored
+    Mutant("cli.py", "surface_mode = doc is not None or args.divisor is not None",
+           "surface_mode = args.divisor is not None",
+           "curve mode answers a call that named a surface"),
 )
 
 

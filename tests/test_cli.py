@@ -802,6 +802,15 @@ ERROR_CONTRACT = [
         "rank_one_contraction",
         None,
     ),
+    # a call names at most one document, and --r and rr's curve mode take none
+    (
+        ["toric-classify", "--input", str(GOLDEN / "cone_a3.json"), "--inline", '{"rank":2,"rays":[[1,0],[0,1]]}'],
+        2,
+        "input_conflict",
+        "--inline",
+    ),
+    (["delpezzo-lines", "--r", "2", "--input", str(GOLDEN / "surface_bl2.json")], 2, "input_conflict", "--r"),
+    (["rr", "--deg", "1", "--genus", "0", "--input", str(GOLDEN / "surface_bl2.json")], 2, "rr_mode", "--deg"),
 ]
 
 
@@ -825,6 +834,18 @@ class TestErrorContract:
         assert (status, err["code"], err.get("field")) == (exit_code, code, field)
         assert err["kind"] == ("validation" if exit_code == 2 else "precondition")
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_both_inputs_are_a_conflict_in_every_command(self, command):
+        # each required flag gets a value, so that the call reaches main
+        flags = [a for flag, kw in COMMANDS[command].flags.items() if kw.get("required") for a in (flag, "[1]")]
+        argv = [command, "--input", str(GOLDEN / "cone_a3.json"), "--inline", _doc(CONE), *flags]
+        stderr = io.StringIO()
+        with redirect_stderr(stderr):
+            status, out = run_machine(argv)
+        err = json.loads(out)["error"]
+        assert (status, err["code"], err["field"]) == (2, "input_conflict", "--inline")
+        assert stderr.getvalue() == ""
+
     def test_input_file_faults(self, tmp_path):
         for text, code in (("{not json", "bad_json"), (DEEP, "bad_json"), ("[1]", "not_object")):
             path = tmp_path / "doc.json"
@@ -838,7 +859,7 @@ class TestLastNet:
     @pytest.mark.parametrize("error", [MemoryError, RecursionError, OverflowError])
     def test_exhaustion_is_a_precondition_error_without_a_trace(self, monkeypatch, error):
         # a handler that raises in place of a real exhaustion, which no test may cause
-        def handler(args):
+        def handler(args, doc):
             raise error()
 
         monkeypatch.setitem(COMMANDS, "toric-classify", COMMANDS["toric-classify"]._replace(handler=handler))
@@ -985,10 +1006,10 @@ class TestFuzz:
         argv = GOLDEN_RUNS[0] + ["--format", "machine"]
         assert fuzz_fault(argv) is None
 
-        def crash(args):
+        def crash(args, doc):
             raise KeyError("x")
 
-        def warn(args):
+        def warn(args, doc):
             sys.stderr.write("warning\n")
             return {}
 
