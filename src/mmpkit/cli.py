@@ -149,17 +149,15 @@ def _load_json(text, field):
 def load_document(args) -> dict | None:
     """The JSON object the call names by --input or --inline, or None if it names none."""
     _expect(args.input is None or args.inline is None, "input_conflict", "--inline", "--inline excludes --input")
-    if args.inline is not None:
-        text = args.inline
-        source = "--inline"
-    elif args.input is not None:
+    text, source = args.inline, "--inline"
+    if args.input is not None:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise InvalidInputError(str(exc), "unreadable_input", "--input") from exc
         source = args.input
-    else:
+    elif text is None:
         return None
     doc = _load_json(text, source)
     _expect(isinstance(doc, dict), "not_object", source, "top-level JSON value must be an object")
@@ -235,14 +233,13 @@ def cmd_graph_discrepancies(args, doc):
 
 def _parse_site(args) -> dualgraph.BlowupSite:
     from . import dualgraph
-    has_edge = args.edge is not None
-    has_vertex = args.vertex is not None
-    has_boundary = args.boundary is not None
-    if has_edge:
-        _expect(not has_vertex and not has_boundary, "site_conflict", "--edge", "--edge excludes --vertex/--boundary")
+    if args.edge is not None:
+        conflict = args.vertex is not None or args.boundary is not None
+        _expect(not conflict, "site_conflict", "--edge", "--edge excludes --vertex/--boundary")
         return dualgraph.EdgePoint(i=args.edge[0], j=args.edge[1])
+    has_vertex = args.vertex is not None
     _expect(has_vertex, "site_missing", "--vertex", "choose a site: --vertex I [--boundary K] or --edge I J")
-    if has_boundary:
+    if args.boundary is not None:
         return dualgraph.BoundaryPoint(vertex=args.vertex, component=args.boundary)
     return dualgraph.FreePoint(vertex=args.vertex)
 
@@ -313,12 +310,8 @@ def cmd_nef_check(args, doc):
 def cmd_rr(args, doc):
     curve_mode = args.deg is not None or args.genus is not None
     surface_mode = doc is not None or args.divisor is not None or args.chi0 is not None
-    _expect(
-        curve_mode != surface_mode,
-        "rr_mode",
-        "--deg",
-        "use --deg/--genus (curve) or --input/--divisor/--chi0 (surface)",
-    )
+    usage = "use --deg/--genus (curve) or --input/--divisor/--chi0 (surface)"
+    _expect(curve_mode != surface_mode, "rr_mode", "--deg", usage)
     if curve_mode:
         from . import kodaira
         _expect(args.deg is not None and args.genus is not None, "rr_mode", "--deg", "need both --deg and --genus")

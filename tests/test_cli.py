@@ -835,10 +835,11 @@ class TestErrorContract:
         assert err["kind"] == ("validation" if exit_code == 2 else "precondition")
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_both_inputs_are_a_conflict_in_every_command(self, command):
-        # each required flag gets a value, so that the call reaches main
+    def test_both_inputs_are_a_conflict_in_every_command(self, command, tmp_path):
+        # each required flag gets a value, so that the call reaches main; the
+        # conflict is refused before either document is read, so neither need be valid
         flags = [a for flag, kw in COMMANDS[command].flags.items() if kw.get("required") for a in (flag, "[1]")]
-        argv = [command, "--input", str(GOLDEN / "cone_a3.json"), "--inline", _doc(CONE), *flags]
+        argv = [command, "--input", str(tmp_path / "absent.json"), "--inline", "{not json", *flags]
         stderr = io.StringIO()
         with redirect_stderr(stderr):
             status, out = run_machine(argv)
@@ -923,7 +924,7 @@ class TestParserReuse:
         with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as info:
             main(["mmp-run", "--bound", "x"])
         assert info.value.code == 2
-        argv, exit_code, code, field = ERROR_CONTRACT[-1]
+        argv, exit_code, code, field = next(row for row in ERROR_CONTRACT if row[2] == "rank_one_contraction")
         status, out = run_machine(list(argv))
         err = json.loads(out)["error"]
         assert (status, err["code"], err.get("field")) == (exit_code, code, field)
