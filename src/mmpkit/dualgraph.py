@@ -213,13 +213,13 @@ def _classify(d, touching) -> SingularityClass:
 def discrepancies(graph: DualGraph, boundary: Boundary | None = None) -> DiscrepancyReport:
     """Solve for the discrepancy of every exceptional curve and classify.
 
-    Definiteness is tested once.  With no boundary detect_du_val tests it on
-    a connected graph of genus-0 (-2)-curves with simple edges, and names the
-    graph exactly when it passes; every other graph goes to check_contractible.
-    The right-hand side is the int vector of canonical degrees plus coeff * mult
-    at each vertex a boundary component meets, an integral coeff added as an int,
-    so with no fractional component meeting the graph the solve runs on ints
-    throughout.
+    The form is eliminated once, kept by linalg for the solve.  With no boundary
+    detect_du_val tests definiteness on a connected graph of genus-0 (-2)-curves
+    with simple edges, and names it exactly when it passes; every other graph
+    goes to check_contractible.  The right-hand side is the int vector of
+    canonical degrees plus coeff * mult at each vertex a boundary component
+    meets, an integral coeff added as an int, so with no fractional component
+    meeting the graph the solve runs on ints throughout.
     """
     boundary = boundary or EMPTY_BOUNDARY
     boundary.validate_against(graph)

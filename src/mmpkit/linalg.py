@@ -7,26 +7,28 @@ tuples of ints (or Fractions), matrices are tuples of row tuples.
 The routines cover what the geometric layers need.  One fraction-free
 (Bareiss) elimination, which leaves alone the rows a pivot does not
 reach, serves two pivot rules.  The echelon rule, the first column with
-a nonzero and its first such row, gives exact solving of square
-nonsingular systems, rank, determinants and the rows of
-``ellipsoid_points``, the Fincke-Pohst search for the integer points on a
-positive-definite ellipsoid (its oracle, ``naive_ellipsoid_points`` in
-the tests, scans a box proven to hold them all); the symmetric rule, a
-nonzero diagonal entry, gives the signature of a form and so decides its
-negative-definiteness.  One column Hermite form serves the coset boxes
-of ``toric`` and integer kernels in a canonical basis, in which a
-vector's coordinates are read one way: ``column_supports`` of the basis
-once, which carry the columns' length, then ``coordinates_in_supports``,
-which checks it.  Beside them sits the toolkit's
-one rule for integer input (``as_int``, ``as_vector``, ``as_rows``): an
-int that is not a bool, in a list or tuple, is kept as given, and
-anything else is ``wrong_type``.  A rational slot (``as_fraction``)
-takes such an int or a ``Fraction``.
+a nonzero and its first such row, gives rank, determinants and, kept for
+the last square matrix by its value, the factorization that exact
+solving replays on the right-hand side, whose pivots decide definiteness
+by Sylvester's criterion and whose rows drive ``ellipsoid_points``, the
+Fincke-Pohst search for the integer points on a positive-definite
+ellipsoid (its oracle, ``naive_ellipsoid_points`` in the tests, scans a
+box proven to hold them all); the symmetric rule, a nonzero diagonal
+entry, gives the signature of a form (``inertia``).  One column Hermite
+form serves the coset boxes of ``toric`` and integer kernels in a
+canonical basis, in which a vector's coordinates are read one way:
+``column_supports`` of the basis once, which carry the columns' length,
+then ``coordinates_in_supports``, which checks it.  Beside them sits the
+toolkit's one rule for integer input (``as_int``, ``as_vector``,
+``as_rows``): an int that is not a bool, in a list or tuple, is kept as
+given, and anything else is ``wrong_type``.  A rational slot
+(``as_fraction``) takes such an int or a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -100,7 +102,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _eliminate(a, symmetric=False):
+def _eliminate(a, symmetric=False, ops=None):
     """Fraction-free (Bareiss) elimination of a: (m, order, den).
 
     a is scaled by den, the lcm of its denominators, into the int rows m,
@@ -119,6 +121,8 @@ def _eliminate(a, symmetric=False):
     by at[i] instead of prev, exactly by Sylvester's identity, and a chain
     or a tree costs O(n^2), not O(n^3).  A pivot row is brought to scale
     and then kept; only its entries in the columns live then are read.
+    A list ops gets, per pivot, the scale its row had and the (row, entry
+    in the pivot column, divisor) of each row it reached.
     """
     if all(type(x) is int for row in a for x in row):
         den, m = 1, [list(row) for row in a]
@@ -146,15 +150,25 @@ def _eliminate(a, symmetric=False):
             m[p] = [x * prev // at[p] for x in m[p]]
         top, d = m[p], m[p][c]
         rows.remove(p)
-        for i in rows:
-            row, f = m[i], m[i][c]
-            if f:
-                q, at[i] = at[i], d
-                for j in cols:
-                    row[j] = (d * row[j] - f * top[j]) // q
+        reached = [(i, m[i][c], at[i]) for i in rows if m[i][c]]
+        for i, f, q in reached:
+            row, at[i] = m[i], d
+            for j in cols:
+                row[j] = (d * row[j] - f * top[j]) // q
+        if ops is not None:
+            ops.append((at[p], reached))
         order.append((p, c))
         prev = d
     return m, order, den
+
+
+@lru_cache(maxsize=1)
+def _factor(a):
+    """The echelon elimination of the square matrix a, a tuple of row
+    tuples, with its row operations: (m, order, den, ops).  The last is
+    kept, so the readers of one form, which change none of it, share it."""
+    ops = []
+    return *_eliminate(a, ops=ops), ops
 
 
 def solve_exact(a, b) -> RatVector:
@@ -169,18 +183,25 @@ def solve_exact(a, b) -> RatVector:
         raise ValueError("matrix is not square")
     if len(b) != n:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    m, order, _ = _eliminate([list(row) + [y] for row, y in zip(a, b)])
-    # A is singular when [A | b] has fewer than n pivots, or n with the last in the column of b
-    if len(order) < n or order and order[-1][1] == n:
+    m, order, den, ops = _factor(tuple(map(tuple, a)))
+    if len(order) < n:
         raise SingularMatrixError("matrix is singular")
-    # by Cramer's rule den * x is integral, den the last pivot (the minor
-    # on the pivot rows and columns), so back-substitution stays in ints
-    den = m[order[-1][0]][n - 1] if n else 1
+    # v = s b in ints is the last column of [den A | v] under the row operations, exactly
+    s = lcm(*(y.denominator for y in b))
+    v, prev = [y.numerator * (s // y.denominator) for y in b], 1
+    for (p, c), (at, reached) in zip(order, ops):
+        v[p] = v[p] * prev // at
+        prev = m[p][c]
+        for i, f, q in reached:
+            v[i] = (prev * v[i] - f * v[p]) // q
+    # by Cramer's rule det * y is integral for (den A) y = v, det the last pivot
+    # (the minor on the pivot rows and columns), so x = den y / s is found in ints
+    det = m[order[-1][0]][n - 1] if n else 1
     x = [0] * n
     for p, c in reversed(order):
         row = m[p]
-        x[c] = (den * row[n] - sum(map(mul, row[c + 1 : n], x[c + 1 :]))) // row[c]
-    return tuple(Fraction(v, den) for v in x)
+        x[c] = (det * v[p] - sum(map(mul, row[c + 1 :], x[c + 1 :]))) // row[c]
+    return tuple(Fraction(y * den, det * s) for y in x)
 
 
 def matrix_rank(a) -> int:
@@ -330,10 +351,14 @@ def inertia(a) -> tuple[int, int, int]:
 
 
 def is_negative_definite(a) -> bool:
-    """True when the symmetric matrix a has signature (0, n, 0)."""
+    """True when the leading minors D_k of the symmetric matrix a have the signs
+    (-1)^k (Sylvester): its echelon pivots run down the diagonal in order, as
+    den^k D_k, since a pivot off it means some D_k = 0."""
     if not is_symmetric(a):
         raise NotSymmetricError("negative-definiteness test needs a symmetric matrix")
-    return _signature(a) == (0, len(a), 0)
+    m, order, _, _ = _factor(tuple(map(tuple, a)))
+    alternating = (p == c == k and (m[p][c] > 0) == (k % 2 == 1) for k, (p, c) in enumerate(order))
+    return len(order) == len(a) and all(alternating)
 
 
 def ellipsoid_points(a, b, r) -> list[IntVector]:
@@ -349,7 +374,7 @@ def ellipsoid_points(a, b, r) -> list[IntVector]:
     d = len(a)
     if not is_symmetric(a):
         raise ValueError("matrix is not square and symmetric")
-    m = _eliminate(a)[0]
+    m = _factor(tuple(map(tuple, a)))[0]
     minors = [1] + [m[k][k] for k in range(d)]
     if min(minors) <= 0:
         raise ValueError("matrix is not positive definite")

@@ -124,13 +124,18 @@ MUTANTS = (
            "one right number lets a class through"),
     Mutant("surface.py", "if cc != -1 or kc != -1:", "if cc != -1:",
            "K.C is not checked"),
-    # linalg._signature and its uses
+    # linalg._signature, read by inertia
     Mutant("linalg.py", "pos += (m[p][p] > 0) == (prev > 0)", "pos += m[p][p] > 0",
            "the sign of a pivot is read without the one before it"),
     Mutant("linalg.py", "pos += (m[p][p] > 0) == (prev > 0)", "pos += (m[p][p] > 0) != (prev < 0)",
            "a pivot is never 0, so prev < 0 is not prev > 0", equivalent=True),
-    Mutant("linalg.py", "return _signature(a) == (0, len(a), 0)", "return _signature(a)[0] == 0",
-           "negative semi-definite passes as definite"),
+    # is_negative_definite by Sylvester, and solve_exact's replay, on the kept factorization
+    Mutant("linalg.py", "p == c == k and (m[p][c] > 0) == (k % 2 == 1)", "c == k and (m[p][c] > 0) == (k % 2 == 1)",
+           "a pivot in column k off the diagonal is read as a leading minor"),
+    Mutant("linalg.py", "p == c == k and (m[p][c] > 0) == (k % 2 == 1)", "p == c == k and m[p][c] < 0",
+           "the leading minors must all be negative, not alternate"),
+    Mutant("linalg.py", "        v[p] = v[p] * prev // at\n", "",
+           "the replay skips the rescale of a pivot row skipped and later reached"),
     Mutant("linalg.py", "if min(minors) <= 0:", "if min(minors) < 0:",
            "a singular form passes as positive definite"),
     # the rules rewritten once: parse_fraction, cone_rays_rank2, the gcd of a

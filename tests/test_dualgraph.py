@@ -1,6 +1,8 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from helpers import (
     walk_du_val,
 )
 from mmpkit import dualgraph, linalg
+from mmpkit.cli import parse_graph
 from mmpkit.dualgraph import (
     Boundary,
     BoundaryComponent,
@@ -165,6 +168,39 @@ class TestContractibility:
         with pytest.raises(NotContractibleError):
             discrepancies(cycle_graph(5), boundary)
         assert calls == [5]
+
+
+class TestOneEliminationPerForm:
+    """discrepancies eliminates its form once: the definiteness test and
+    the solve read one kept factorization."""
+
+    @pytest.mark.parametrize(
+        "graph, boundary, definite",
+        [
+            (dynkin_graph("A", 6), None, True),
+            (dynkin_graph("D", 6), None, True),
+            (chain_graph([-3] * 5), None, True),
+            (cycle_graph(4), None, False),
+            # a boundary coefficient of 1/2, so a Fraction right-hand side
+            (*parse_graph(json.loads((Path(__file__).parent / "golden" / "graph_boundary.json").read_text())), True),
+        ],
+        ids=["A6", "D6", "chain-3", "cycle", "graph_boundary"],
+    )
+    def test_one_elimination_per_discrepancies_call(self, monkeypatch, graph, boundary, definite):
+        calls = []
+
+        def counting(a, symmetric=False, ops=None, _eliminate=linalg._eliminate):
+            calls.append(a)
+            return _eliminate(a, symmetric, ops)
+
+        monkeypatch.setattr(linalg, "_eliminate", counting)
+        linalg._factor.cache_clear()
+        if definite:
+            discrepancies(graph, boundary)
+        else:
+            with pytest.raises(NotContractibleError):
+                discrepancies(graph, boundary)
+        assert calls == [graph.intersection_matrix()]
 
 
 class TestRationalCurveContractions:

@@ -21,6 +21,7 @@ from helpers import (
 from mmpkit.errors import NotSymmetricError, SingularMatrixError, ZeroVectorError
 from mmpkit.linalg import (
     _eliminate,
+    _factor,
     column_hermite_form,
     column_supports,
     coordinates_in_supports,
@@ -560,6 +561,132 @@ class TestEllipsoidPoints:
     def test_bad_input_is_a_value_error(self, a, b):
         with pytest.raises(ValueError):
             ellipsoid_points(a, b, 1)
+
+
+def random_form(rng, d):
+    """A d by d symmetric int matrix: negative definite, positive definite,
+    a tree in random vertex order, whose rows are skipped by a pivot and
+    reached by a later one, or a form with any small entries."""
+    kind = rng.choice(("negative", "positive", "tree", "any"))
+    if kind in ("negative", "positive"):
+        a = random_positive_definite(rng, d)
+        return a if kind == "positive" else [[-x for x in row] for row in a]
+    a = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            a[i][j] = a[j][i] = rng.randint(-3, 3) if kind == "any" else 0
+    if kind == "tree":
+        for i in range(d):
+            a[i][i] = rng.choice((-4, -3, -2, -2, -1, 0))
+        for i, j, _ in random_tree_edges(rng, d):
+            a[i][j] = a[j][i] = rng.choice((-1, 1, 1, 2))
+        order = rng.sample(range(d), d)
+        a = [[a[i][j] for j in order] for i in order]
+    return a
+
+
+def answer(call, *args):
+    """The value of call(*args), or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except (ValueError, SingularMatrixError) as e:
+        return type(e), str(e)
+
+
+class TestKeptFactorization:
+    """is_negative_definite, solve_exact and ellipsoid_points share the
+    echelon factorization of the last square matrix, kept by its value.
+    Interleaved on one form or on the next, each must answer as its oracle
+    does and as it does cold, after the kept factorization is dropped."""
+
+    def test_interleaved_readers_agree_with_the_oracles_and_cold(self):
+        rng = random.Random(33)
+        seen = Counter()
+        a = random_form(rng, 2)
+        for step in range(1500):
+            event = rng.choice(("same", "same", "new", "singular", "container", "fractions", "mutate"))
+            if event == "new":
+                a = random_form(rng, rng.randint(1, 5))
+            elif event == "singular" and leading_minor_negdef(a):
+                # the same shape, right after a definite form was factored
+                a = [list(row) for row in a]
+                a[-1] = list(a[0])
+                for row in a:
+                    row[-1] = row[0]
+                seen["singular after definite"] += 1
+            elif event == "container":
+                # equal entries in a tuple of tuples or a list of lists
+                a = tuple(map(tuple, a)) if isinstance(a, list) else [list(row) for row in a]
+                seen["list and tuple"] += 1
+            elif event == "fractions":
+                k = rng.choice((1, 1, 2, 3))
+                a = [[Fraction(x, k) for x in row] for row in a]
+            elif event == "mutate" and isinstance(a, list):
+                # a list changed in place after it was factored is factored anew
+                i, j = rng.randrange(len(a)), rng.randrange(len(a))
+                a[i][j] += 1
+                a[j][i] = a[i][j]
+                seen["mutated"] += 1
+            n, op = len(a), rng.choice(("definite", "solve", "ellipsoid"))
+            if op == "ellipsoid" and any(Fraction(x).denominator != 1 for row in a for x in row):
+                op = "solve"
+            hits = _factor.cache_info().hits
+            if op == "definite":
+                call, args = is_negative_definite, (a,)
+                want = leading_minor_negdef(a)
+            elif op == "solve":
+                b = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 3))) for _ in range(n)]
+                call, args = solve_exact, (a, [y.numerator if y.denominator == 1 else y for y in b])
+                want = (SingularMatrixError, "matrix is singular")
+                if len(gauss_jordan(a)[1]) == n:
+                    want = reference_solve(a, b)[0]
+                seen["fraction b"] += any(y.denominator != 1 for y in b)
+            else:
+                # as ints, so equal in value to a form of integral Fractions just factored
+                a = [[int(x) for x in row] for row in a]
+                b, r = [rng.randint(-4, 4) for _ in range(n)], rng.randint(-1, 2)
+                positive = leading_minor_negdef([[-x for x in row] for row in a])
+                if positive:
+                    # r through a lattice point next to the centre, or off it by 1 or 2
+                    p = [round(x) for x in reference_solve(a, b)[0]]
+                    r += sum(map(mul, p, mat_vec(a, p))) - 2 * sum(map(mul, b, p))
+                call, args = ellipsoid_points, (a, b, r)
+                want = (ValueError, "matrix is not positive definite")
+                if positive:
+                    # the box oracle grows with the rank; above 3 each point is checked instead
+                    want = sorted(naive_ellipsoid_points(a, b, r)) if n <= 3 else None
+            got = answer(call, *args)
+            if op == "ellipsoid" and positive:
+                if want is None:
+                    want = sorted({w for w in got if sum(map(mul, w, mat_vec(a, w))) - 2 * sum(map(mul, b, w)) == r})
+                seen["points"] += len(got)
+                assert len(got) == len(want) and sorted(got) == want, (step, op, args)
+            else:
+                assert got == want, (step, op, args)
+            seen[op, _factor.cache_info().hits > hits] += 1
+            _factor.cache_clear()
+            assert answer(call, *args) == got, (step, op, args)
+        for key in ("singular after definite", "list and tuple", "mutated", "fraction b", "points"):
+            assert seen[key] >= 20, seen
+        # every reader answers both from a kept factorization and from its own
+        assert all(seen[op, hit] >= 50 for op in ("definite", "solve", "ellipsoid") for hit in (True, False)), seen
+
+    def test_errors_keep_their_order_whatever_is_kept(self):
+        # not square, then the length of b, then singular, with the form kept or not
+        a, singular = [[-2, 1], [1, -2]], [[-2, 1], [-2, 1]]
+        for warm in (True, False):
+            _factor.cache_clear()
+            if warm:
+                assert is_negative_definite(a)
+            with pytest.raises(ValueError, match="^matrix is not square$"):
+                solve_exact([[-2, 1]], [1])
+            with pytest.raises(ValueError, match="^dimension mismatch"):
+                solve_exact(a, [1])
+            with pytest.raises(ValueError, match="^dimension mismatch"):
+                solve_exact(singular, [1, 2, 3])
+            with pytest.raises(SingularMatrixError):
+                solve_exact(singular, [1, 2])
+            assert solve_exact(a, [1, 0]) == (Fraction(-2, 3), Fraction(-1, 3))
 
 
 class TestSmallHelpers:

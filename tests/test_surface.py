@@ -1,9 +1,11 @@
+import json
 import random
 import time
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,7 @@ from mmpkit.surface import (
     run_classical_mmp,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 EXPECTED_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 
 
@@ -265,6 +268,26 @@ class TestMinusOneEnumeration:
         # signature (1, 0) is positive definite, so no class squares to -1
         s = SurfaceLattice(rank=1, gram=((1,),), K=(-1,))
         assert enumerate_minus_one_classes(s) == []
+
+
+class TestOneEliminationPerForm:
+    def test_the_ellipsoid_search_eliminates_each_form_once(self, monkeypatch):
+        # the Gram form once by the symmetric rule (inertia), and the
+        # ellipsoid's form once by the echelon rule, which its rows and its
+        # centre both read
+        s = SurfaceLattice(**json.loads((GOLDEN / "surface_disguised5.json").read_text()))
+        calls = Counter()
+        eliminate = linalg._eliminate
+
+        def counting(a, symmetric=False, ops=None):
+            calls[symmetric, tuple(map(tuple, a))] += 1
+            return eliminate(a, symmetric, ops)
+
+        monkeypatch.setattr(linalg, "_eliminate", counting)
+        linalg._factor.cache_clear()
+        assert len(enumerate_minus_one_classes(s)) == EXPECTED_COUNTS[5]
+        assert sorted(symmetric for symmetric, _ in calls) == [False, True], calls
+        assert set(calls.values()) == {1} and (True, s.gram) in calls, calls
 
 
 class TestCastelnuovoContract:
