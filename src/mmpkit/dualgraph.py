@@ -215,8 +215,9 @@ def discrepancies(graph: DualGraph, boundary: Boundary | None = None) -> Discrep
 
     The form is eliminated once, kept by linalg for the solve.  With no boundary
     detect_du_val tests definiteness on a connected graph of genus-0 (-2)-curves
-    with simple edges, and names it exactly when it passes; every other graph
-    goes to check_contractible.  The right-hand side is the int vector of
+    with simple edges, and names it exactly when it passes; every graph it does
+    not name goes to check_contractible, which finds the form already factored
+    when detect_du_val has tested it.  The right-hand side is the int vector of
     canonical degrees plus coeff * mult at each vertex a boundary component
     meets, an integral coeff added as an int, so with no fractional component
     meeting the graph the solve runs on ints throughout.
@@ -224,11 +225,8 @@ def discrepancies(graph: DualGraph, boundary: Boundary | None = None) -> Discrep
     boundary = boundary or EMPTY_BOUNDARY
     boundary.validate_against(graph)
     du_val = None if boundary.components else detect_du_val(graph)
-    if du_val is None:
-        # detect_du_val names every connected negative-definite graph of this shape
-        not_definite = not boundary.components and _minus_two_curves(graph) and graph.is_connected()
-        if not_definite or not check_contractible(graph):
-            raise NotContractibleError("intersection matrix is not negative definite")
+    if du_val is None and not check_contractible(graph):
+        raise NotContractibleError("intersection matrix is not negative definite")
     k_deg = graph.canonical_degrees()
     rhs = list(k_deg)  # validate_against has put every met vertex in range
     for comp in boundary.components:
@@ -252,7 +250,8 @@ def detect_du_val(graph: DualGraph) -> str | None:
     form has signature (0, n, 0) its degrees name it: with no fork it is
     A_n; a fork with two or three leaf neighbours is D_n, and with one E_n.
     """
-    if not _minus_two_curves(graph) or not graph.is_connected():
+    minus_two = all(v.genus == 0 and v.self_int == -2 for v in graph.vertices)
+    if not minus_two or any(mult != 1 for _, _, mult in graph.edges) or not graph.is_connected():
         return None
     if not linalg.is_negative_definite(graph.intersection_matrix()):
         return None
@@ -266,13 +265,6 @@ def detect_du_val(graph: DualGraph) -> str | None:
     fork = degrees.index(3)
     leaves = sum(degrees[j if i == fork else i] == 1 for i, j, _ in graph.edges if fork in (i, j))
     return f"{'E' if leaves == 1 else 'D'}{n}"
-
-
-def _minus_two_curves(graph: DualGraph) -> bool:
-    """All curves are genus-0 (-2)-curves, meeting with multiplicity 1."""
-    return all(v.genus == 0 and v.self_int == -2 for v in graph.vertices) and all(
-        mult == 1 for _, _, mult in graph.edges
-    )
 
 
 # -- blow-up bookkeeping -------------------------------------------------------

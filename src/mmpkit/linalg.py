@@ -105,10 +105,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _eliminate(a, symmetric=False, ops=None):
     """Fraction-free (Bareiss) elimination of a: (m, order, den).
 
-    a is scaled by den, the lcm of its denominators, into the int rows m,
-    which changes neither the rank nor the solution set; a matrix of
-    exact ints (no bool) has den = 1 and is only copied.  order is the
-    (row, column) of each pivot.  The echelon rule pivots on the first
+    a, each entry read as the Fraction it equals, is scaled by den, the lcm
+    of its denominators, into the int rows m, which changes neither the rank
+    nor the solution set; exact ints (no bool) give den = 1 and are only
+    copied.  order is the (row, column) of each pivot.  The echelon rule pivots on the first
     column with a nonzero in a live row, in its first such row.  The
     symmetric rule pivots on a nonzero diagonal entry; with none left, the
     congruence adding row and column j to row and column i makes
@@ -127,6 +127,7 @@ def _eliminate(a, symmetric=False, ops=None):
     if all(type(x) is int for row in a for x in row):
         den, m = 1, [list(row) for row in a]
     else:
+        a = [[Fraction(x) for x in row] for row in a]
         den = lcm(*(x.denominator for row in a for x in row))
         m = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     rows, at, order, prev = list(range(len(m))), [1] * len(m), [], 1
@@ -174,7 +175,8 @@ def _factor(a):
 def solve_exact(a, b) -> RatVector:
     """Solve A x = b exactly over the rationals.
 
-    A must be square and nonsingular; entries may be ints or Fractions.
+    A must be square and nonsingular; each entry, an int, Fraction, float
+    or Decimal, is read by value as the Fraction it equals.
     Raises ValueError when A is not square, then when b is not of its
     length, and SingularMatrixError when det(A) = 0.
     """
@@ -209,8 +211,8 @@ def matrix_rank(a) -> int:
 
 
 def det_bareiss(a) -> int | Fraction:
-    """Exact determinant of a square matrix of ints or Fractions, an int
-    when every entry is an int.
+    """Exact determinant of a square matrix, each entry read as the Fraction
+    it equals, an int when every entry is an int.
 
     The last pivot is the determinant of den * A with its rows in pivot
     order, so det A is that pivot over den^n, negated when the order is odd.

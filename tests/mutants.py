@@ -63,6 +63,19 @@ MUTANTS = (
            "klt admits a discrepancy of -1"),
     Mutant("dualgraph.py", "and all(c <= 1 for c in touching):", "and all(c < 1 for c in touching):",
            "lc refuses a boundary coefficient of 1"),
+    # dualgraph.discrepancies: the contractibility gate, the Du Val names, minimality
+    Mutant("dualgraph.py", "if du_val is None and not check_contractible(graph):",
+           "if du_val is None and boundary.components and not check_contractible(graph):",
+           "a graph with no boundary skips the contractibility gate"),
+    Mutant("dualgraph.py", "    if not linalg.is_negative_definite(graph.intersection_matrix()):\n        return None\n", "",
+           "a (-2)-graph is named Du Val without its definiteness test"),
+    Mutant("dualgraph.py", "{'E' if leaves == 1 else 'D'}", "{'E' if leaves <= 2 else 'D'}",
+           "a fork with two leaf neighbours is named E, not D"),
+    Mutant("dualgraph.py", "minimal_resolution=all(k >= 0 for k in k_deg)", "minimal_resolution=all(k > 0 for k in k_deg)",
+           "a (-2)-curve makes the resolution not minimal"),
+    Mutant("dualgraph.py",
+           '    if not graph.is_connected():\n        raise DisconnectedError("exceptional locus of one point must be connected")\n',
+           "", "a disconnected exceptional locus is not refused"),
     # toric.classify_cone
     Mutant("toric.py", "if q_factorial and abs(linalg.det_bareiss(cone.rays)) == 1:",
            "if q_factorial and linalg.det_bareiss(cone.rays) == 1:",

@@ -811,6 +811,8 @@ ERROR_CONTRACT = [
     ),
     (["delpezzo-lines", "--r", "2", "--input", str(GOLDEN / "surface_bl2.json")], 2, "input_conflict", "--r"),
     (["rr", "--deg", "1", "--genus", "0", "--input", str(GOLDEN / "surface_bl2.json")], 2, "rr_mode", "--deg"),
+    # a cycle of (-2)-curves: detect_du_val names no diagram, and check_contractible refuses it
+    (_graph(vertices=[VERTEX] * 4, edges=[[0, 1, 1], [1, 2, 1], [2, 3, 1], [0, 3, 1]]), 3, "not_contractible", None),
 ]
 
 

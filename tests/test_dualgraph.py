@@ -137,15 +137,15 @@ class TestContractibility:
                 discrepancies(graph)
 
     def test_definiteness_is_tested_once(self, monkeypatch):
-        # a connected (-2)-graph that detect_du_val leaves unnamed has failed its
-        # definiteness test, which check_contractible does not repeat
+        # a connected (-2)-graph that detect_du_val leaves unnamed has had its form
+        # eliminated, and check_contractible reads that elimination back
         calls = []
 
-        def counted(a, _test=linalg.is_negative_definite):
+        def counted(a, symmetric=False, ops=None, _eliminate=linalg._eliminate):
             calls.append(len(a))
-            return _test(a)
+            return _eliminate(a, symmetric, ops)
 
-        monkeypatch.setattr(dualgraph.linalg, "is_negative_definite", counted)
+        monkeypatch.setattr(linalg, "_eliminate", counted)
         cases = [
             (cycle_graph(5), NotContractibleError, [5]),
             (tree_graph(2, 3, 7), NotContractibleError, [10]),
@@ -156,14 +156,16 @@ class TestContractibility:
         ]
         for graph, error, expected in cases:
             calls.clear()
+            linalg._factor.cache_clear()
             if error is None:
                 discrepancies(graph)
             else:
                 with pytest.raises(error):
                     discrepancies(graph)
             assert calls == expected, graph
-        # with a boundary detect_du_val is not asked, and check_contractible tests once
+        # with a boundary detect_du_val is not asked, and check_contractible eliminates once
         calls.clear()
+        linalg._factor.cache_clear()
         boundary = Boundary(components=(BoundaryComponent(Fraction(1, 2), ((0, 1),)),))
         with pytest.raises(NotContractibleError):
             discrepancies(cycle_graph(5), boundary)

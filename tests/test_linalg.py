@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from operator import mul
 
@@ -670,6 +671,29 @@ class TestKeptFactorization:
             assert seen[key] >= 20, seen
         # every reader answers both from a kept factorization and from its own
         assert all(seen[op, hit] >= 50 for op in ("definite", "solve", "ellipsoid") for hit in (True, False)), seen
+
+    def test_entries_are_read_by_value_whatever_their_type(self):
+        # equal forms share the kept factorization, so a float or Decimal form
+        # read back from a Fraction form's answers as it does cold, in either order
+        # (dyadic entries, so each float and Decimal is exact)
+        kinds = (Fraction, float, lambda x: Decimal(float(x)), int)
+        for a, b in (
+            ([[-2, 1], [1, -2]], [1, 0]),
+            ([[Fraction(1, 2)]], [1]),
+            ([[Fraction(-5, 2), Fraction(1, 4)], [Fraction(1, 4), Fraction(-3, 2)]], [1, -2]),
+        ):
+            want, definite = reference_solve(a, b)[0], leading_minor_negdef(a)
+            integral = all(Fraction(x).denominator == 1 for row in a for x in row)
+            forms = [[[kind(x) for x in row] for row in a] for kind in kinds[: 4 if integral else 3]]
+            for order in (forms, forms[::-1]):
+                for cold in (False, True):
+                    _factor.cache_clear()
+                    for form in order:
+                        if cold:
+                            _factor.cache_clear()
+                        got = solve_exact(form, b)
+                        assert got == want and all(type(x) is Fraction for x in got), (form, cold)
+                        assert is_negative_definite(form) is definite, (form, cold)
 
     def test_errors_keep_their_order_whatever_is_kept(self):
         # not square, then the length of b, then singular, with the form kept or not
