@@ -1,10 +1,11 @@
 """mmpkit: exact-arithmetic toolkit for surface singularities, toric
 cones, and the classical surface minimal model program.
 
-``import mmpkit`` loads no layer.  Each public name is looked up in its
-home module when it is first read (PEP 562 module ``__getattr__``), which
-imports that module alone; nothing is cached here, so the home module's
-binding is the only one and patching it patches ``mmpkit.<name>`` too.
+``import mmpkit`` loads no layer.  The one hook here (PEP 562 module
+``__getattr__``) loads a layer when it is first named: ``mmpkit.toric``
+imports that layer and what it uses, and the import binds it here; a
+public name loads its home layer the same way and is read from it, never
+cached, so patching the home module's binding patches ``mmpkit.<name>``.
 """
 
 import importlib
@@ -69,9 +70,11 @@ __all__ = list(_HOMES)
 
 
 def __getattr__(name):
-    if name not in _HOMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    if name in _HOMES:
+        return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    if name in _HOMES.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():

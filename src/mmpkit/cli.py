@@ -16,9 +16,10 @@ body of library values as they are (Fractions, Enums, tuples, records);
 "rule", and ``emit`` renders the report by the one rule of ``serialize``:
 canonical JSON for --format machine (identical inputs give byte-identical
 reports), or one "key: value" line per top-level field, in order, for
---format text.  A parser or handler imports the library layer it calls in
-its own body, so a process imports only the layer of the subcommand it
-runs (of the mode, for ``rr``), and ``--help`` imports none.
+--format text.  A parser or handler names the library layer it calls as
+``mmpkit.<layer>``, which the package's one lazy hook loads when first
+named, so a process imports only the layer of the subcommand it runs (of
+the mode, for ``rr``), and ``--help`` imports none.
 
 The parsers here only pick the fields out of the document, walk its
 lists of objects (``vertices``, ``boundary``) and read its rationals
@@ -46,7 +47,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .errors import InvalidInputError, ToolkitError
+import mmpkit
+
+from .errors import CoefficientOutOfRangeError, InvalidInputError, ToolkitError
 from .serialize import canonical_json, parse_fraction, plain
 
 def _expect(condition: bool, code: str, field: str, message: str):
@@ -93,29 +96,26 @@ def _as_fraction(value, field) -> Fraction:
 # -- schema parsers: pick the fields; the library checks types and the rest ------
 
 
-def parse_cone(doc) -> toric.Cone:
-    from . import toric
-    return toric.Cone(rank=_get(_document(doc), "rank"), rays=_get(doc, "rays"))
+def parse_cone(doc) -> mmpkit.toric.Cone:
+    return mmpkit.toric.Cone(rank=_get(_document(doc), "rank"), rays=_get(doc, "rays"))
 
 
-def parse_graph(doc) -> tuple[dualgraph.DualGraph, dualgraph.Boundary]:
-    from . import dualgraph
+def parse_graph(doc) -> tuple[mmpkit.dualgraph.DualGraph, mmpkit.dualgraph.Boundary]:
     vertices = []
     for k, v in enumerate(_as_list(_get(_document(doc), "vertices"), "vertices")):
         with _inside(f"vertices[{k}]."):
-            vertices.append(dualgraph.Vertex(genus=_get(v, "genus"), self_int=_get(v, "self_int")))
-    graph = dualgraph.DualGraph(vertices=tuple(vertices), edges=doc.get("edges", []))
+            vertices.append(mmpkit.dualgraph.Vertex(genus=_get(v, "genus"), self_int=_get(v, "self_int")))
+    graph = mmpkit.dualgraph.DualGraph(vertices=tuple(vertices), edges=doc.get("edges", []))
     comps = []
     for k, b in enumerate(_as_list(doc.get("boundary", []), "boundary")):
         with _inside(f"boundary[{k}]."):
             coeff = _as_fraction(_get(b, "coeff"), "coeff")
-            comps.append(dualgraph.BoundaryComponent(coeff=coeff, meets=b.get("meets", [])))
-    return graph, dualgraph.Boundary(tuple(comps))
+            comps.append(mmpkit.dualgraph.BoundaryComponent(coeff=coeff, meets=b.get("meets", [])))
+    return graph, mmpkit.dualgraph.Boundary(tuple(comps))
 
 
-def parse_surface(doc) -> surface.SurfaceLattice:
-    from . import surface
-    return surface.SurfaceLattice(
+def parse_surface(doc) -> mmpkit.surface.SurfaceLattice:
+    return mmpkit.surface.SurfaceLattice(
         rank=_get(_document(doc), "rank"),
         gram=_get(doc, "gram"),
         K=_get(doc, "K"),
@@ -199,8 +199,7 @@ def emit_error(kind: str, code: str, message: str, fmt: str, field: str | None =
 
 
 def cmd_toric_classify(args, doc):
-    from . import toric
-    result = toric.classify_cone(parse_cone(doc))
+    result = mmpkit.toric.classify_cone(parse_cone(doc))
     return {
         "class": result.kind,
         "q_factorial": result.q_factorial,
@@ -211,17 +210,15 @@ def cmd_toric_classify(args, doc):
 
 
 def cmd_toric_discrepancy(args, doc):
-    from . import toric
     cone = parse_cone(doc)
     point = _load_json(args.point, "--point")
     with _inside("--"):
-        value = toric.toric_discrepancy(cone, point)
+        value = mmpkit.toric.toric_discrepancy(cone, point)
     return {"point": point, "discrepancy": value}
 
 
 def cmd_graph_discrepancies(args, doc):
-    from . import dualgraph
-    result = dualgraph.discrepancies(*parse_graph(doc))
+    result = mmpkit.dualgraph.discrepancies(*parse_graph(doc))
     return {
         "contractible": True,
         "discrepancies": result.discrepancies,
@@ -231,24 +228,22 @@ def cmd_graph_discrepancies(args, doc):
     }
 
 
-def _parse_site(args) -> dualgraph.BlowupSite:
-    from . import dualgraph
+def _parse_site(args) -> mmpkit.dualgraph.BlowupSite:
     if args.edge is not None:
         conflict = args.vertex is not None or args.boundary is not None
         _expect(not conflict, "site_conflict", "--edge", "--edge excludes --vertex/--boundary")
-        return dualgraph.EdgePoint(i=args.edge[0], j=args.edge[1])
+        return mmpkit.dualgraph.EdgePoint(i=args.edge[0], j=args.edge[1])
     has_vertex = args.vertex is not None
     _expect(has_vertex, "site_missing", "--vertex", "choose a site: --vertex I [--boundary K] or --edge I J")
     if args.boundary is not None:
-        return dualgraph.BoundaryPoint(vertex=args.vertex, component=args.boundary)
-    return dualgraph.FreePoint(vertex=args.vertex)
+        return mmpkit.dualgraph.BoundaryPoint(vertex=args.vertex, component=args.boundary)
+    return mmpkit.dualgraph.FreePoint(vertex=args.vertex)
 
 
 def cmd_graph_blowup(args, doc):
-    from . import dualgraph
     graph, boundary = parse_graph(doc)
     site = _parse_site(args)
-    new_graph, new_boundary = dualgraph.blowup_vertex(graph, boundary, site)
+    new_graph, new_boundary = mmpkit.dualgraph.blowup_vertex(graph, boundary, site)
     flags = {"edge": args.edge, "vertex": args.vertex, "boundary": args.boundary}
     return {
         "site": {k: v for k, v in flags.items() if v is not None},
@@ -257,10 +252,9 @@ def cmd_graph_blowup(args, doc):
 
 
 def cmd_mmp_run(args, doc):
-    from . import surface
     s = parse_surface(doc)
     with _inside("--"):
-        trace = surface.run_classical_mmp(s, bound=args.bound)
+        trace = mmpkit.surface.run_classical_mmp(s, bound=args.bound)
     return {
         "steps": trace.steps,
         "outcome": {"kind": trace.outcome, "fibre": trace.fibre},
@@ -270,16 +264,15 @@ def cmd_mmp_run(args, doc):
 
 
 def cmd_delpezzo_lines(args, doc):
-    from . import surface
     if args.r is None:
         _expect(doc is not None, "missing_input", "--r", "supply --r or a surface via --input/--inline")
         s = parse_surface(doc)
     else:
         _expect(doc is None, "input_conflict", "--r", "--r excludes --input/--inline")
         with _inside("--"):
-            s = surface.make_blowup_p2(args.r)
+            s = mmpkit.surface.make_blowup_p2(args.r)
     with _inside("--"):
-        classes = surface.enumerate_minus_one_classes(s, bound=args.bound)
+        classes = mmpkit.surface.enumerate_minus_one_classes(s, bound=args.bound)
     report = {"count": len(classes), "classes": classes}
     if args.r is not None:
         report["r"] = args.r
@@ -287,17 +280,15 @@ def cmd_delpezzo_lines(args, doc):
 
 
 def cmd_cone_rays(args, doc):
-    from . import surface
-    return {"rays": surface.cone_rays_rank2(parse_surface(doc))}
+    return {"rays": mmpkit.surface.cone_rays_rank2(parse_surface(doc))}
 
 
 def cmd_nef_check(args, doc):
-    from . import surface
     s = parse_surface(doc)
     divisor = _load_json(args.divisor, "--divisor")
     with _inside("--"):
-        nef = surface.is_nef(s, divisor)
-        ample = surface.is_ample_kleiman(s, divisor)
+        nef = mmpkit.surface.is_nef(s, divisor)
+        ample = mmpkit.surface.is_ample_kleiman(s, divisor)
     return {
         "divisor": divisor,
         "nef": nef,
@@ -313,35 +304,34 @@ def cmd_rr(args, doc):
     usage = "use --deg/--genus (curve) or --input/--divisor/--chi0 (surface)"
     _expect(curve_mode != surface_mode, "rr_mode", "--deg", usage)
     if curve_mode:
-        from . import kodaira
         _expect(args.deg is not None and args.genus is not None, "rr_mode", "--deg", "need both --deg and --genus")
         with _inside("--"):
-            chi = kodaira.riemann_roch_curve(args.deg, args.genus)
+            chi = mmpkit.kodaira.riemann_roch_curve(args.deg, args.genus)
         report = {"mode": "curve", "deg": args.deg, "genus": args.genus}
     else:
-        from . import surface
         _expect(args.divisor is not None and args.chi0 is not None, "rr_mode", "--divisor", "need --divisor and --chi0")
         s = parse_surface(doc)
         divisor = _load_json(args.divisor, "--divisor")
         with _inside("--"):
-            chi = surface.riemann_roch_surface(s, divisor, args.chi0)
+            chi = mmpkit.surface.riemann_roch_surface(s, divisor, args.chi0)
         report = {"mode": "surface", "divisor": divisor, "chi0": args.chi0}
     # chi is a "p/q" string in both modes, integral or not
     return {**report, "chi": Fraction(chi), "integral": isinstance(chi, int)}
 
 
 def cmd_kappa_estimate(args, doc):
-    from . import kodaira
     samples, max_dim = parse_samples(doc)
-    estimate = kodaira.estimate_kappa(samples, max_dim=max_dim)
+    estimate = mmpkit.kodaira.estimate_kappa(samples, max_dim=max_dim)
     return {"kappa": "-inf" if estimate.is_minus_infinity else estimate.value, "note": estimate.note}
 
 
 def cmd_pair_classify(args, doc):
-    from . import kodaira
     coeffs = parse_coeffs(doc)
-    cls = kodaira.classify_pair_on_curve(coeffs)
-    fano = kodaira.fano_pair_on_p1_check(coeffs) if all(0 <= c <= 1 for c in coeffs) else None
+    cls = mmpkit.kodaira.classify_pair_on_curve(coeffs)
+    try:
+        fano = mmpkit.kodaira.fano_pair_on_p1_check(coeffs)
+    except CoefficientOutOfRangeError:
+        fano = None
     return {"coeffs": coeffs, "class": cls, "fano_on_p1": fano}
 
 

@@ -175,8 +175,8 @@ def _factor(a):
 def solve_exact(a, b) -> RatVector:
     """Solve A x = b exactly over the rationals.
 
-    A must be square and nonsingular; each entry, an int, Fraction, float
-    or Decimal, is read by value as the Fraction it equals.
+    A must be square and nonsingular; each entry of A and of b, an int,
+    Fraction, float or Decimal, is read by value as the Fraction it equals.
     Raises ValueError when A is not square, then when b is not of its
     length, and SingularMatrixError when det(A) = 0.
     """
@@ -188,6 +188,7 @@ def solve_exact(a, b) -> RatVector:
     m, order, den, ops = _factor(tuple(map(tuple, a)))
     if len(order) < n:
         raise SingularMatrixError("matrix is singular")
+    b = [y if isinstance(y, (int, Fraction)) else Fraction(y) for y in b]
     # v = s b in ints is the last column of [den A | v] under the row operations, exactly
     s = lcm(*(y.denominator for y in b))
     v, prev = [y.numerator * (s // y.denominator) for y in b], 1

@@ -339,6 +339,12 @@ class TestSubcommandResults:
         doc = json.loads(out)
         assert doc["class"] == "Klt"
         assert doc["fano_on_p1"] is True
+        # the Fano check is for coefficients in [0, 1]; out of it the report holds null
+        for coeffs, cls, fano in ((["3/2"], "NotLc", None), (["1", "1"], "Lc", False)):
+            code, out = run_machine(["pair-classify", "--inline", json.dumps({"coeffs": coeffs})])
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["class"], doc["fano_on_p1"]) == (cls, fano), coeffs
 
 
 class TestValidationErrors:
@@ -573,6 +579,23 @@ def fresh_main(argv):
     return result["code"], result["out"], set(result["loaded"]) & LAYERS
 
 
+# a golden run of each command, rr in both modes, and the one layer it calls
+LAYER_RUNS = [
+    (GOLDEN_RUNS[0], "toric"),
+    (GOLDEN_RUNS[5], "toric"),
+    (GOLDEN_RUNS[7], "dualgraph"),
+    (GOLDEN_RUNS[11], "dualgraph"),
+    (GOLDEN_RUNS[13], "surface"),
+    (GOLDEN_RUNS[15], "surface"),
+    (GOLDEN_RUNS[17], "surface"),
+    (GOLDEN_RUNS[19], "surface"),
+    (GOLDEN_RUNS[21], "kodaira"),
+    (GOLDEN_RUNS[22], "surface"),
+    (GOLDEN_RUNS[23], "kodaira"),
+    (GOLDEN_RUNS[25], "kodaira"),
+]
+
+
 class TestLazyImports:
     """A subcommand in a fresh process imports its own layer and what that
     layer uses, and no other."""
@@ -583,10 +606,15 @@ class TestLazyImports:
         assert (code, out) == (0, (GOLDEN / "machine" / "00-toric-classify.out").read_text("utf-8"))
         assert layers == {"toric", "linalg"}
 
-    def test_graph_discrepancies_loads_dualgraph_not_surface(self):
-        code, _, layers = fresh_main(GOLDEN_RUNS[7])
-        assert code == 0
-        assert layers == {"dualgraph", "linalg"}
+    @pytest.mark.parametrize(("argv", "layer"), LAYER_RUNS, ids=[" ".join(argv[:2]) for argv, _ in LAYER_RUNS])
+    def test_each_command_loads_its_layer_and_linalg(self, argv, layer):
+        code, out, layers = fresh_main(argv)
+        assert (code, out) == run_cli(argv)
+        assert layers == {layer, "linalg"}
+
+    def test_every_command_is_pinned(self):
+        assert {argv[0] for argv, _ in LAYER_RUNS} == set(COMMANDS)
+        assert [argv[1] for argv, _ in LAYER_RUNS if argv[0] == "rr"] == ["--deg", "--input"]
 
     def test_help_loads_no_layer_and_lists_every_command(self):
         code, out, layers = fresh_main(["--help"])

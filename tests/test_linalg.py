@@ -695,6 +695,25 @@ class TestKeptFactorization:
                         assert got == want and all(type(x) is Fraction for x in got), (form, cold)
                         assert is_negative_definite(form) is definite, (form, cold)
 
+    def test_the_right_hand_side_is_read_by_value_whatever_its_type(self):
+        # a float, Decimal or bool entry of b is the Fraction it equals, on the
+        # kept form or cold after it is dropped (dyadic, so each float is exact)
+        a = [[-2, 1], [1, -2]]
+        for b, others in (
+            ([Fraction(1, 2), Fraction(-3, 4)], ([0.5, -0.75], [Decimal("0.5"), Decimal("-0.75")], [0.5, Fraction(-3, 4)])),
+            ([1, 0], ([True, False], [1.0, 0.0], [Decimal(1), 0], [1, False])),
+        ):
+            want = reference_solve(a, b)[0]
+            for cold in (False, True):
+                _factor.cache_clear()
+                for rhs in (b, *others):
+                    if cold:
+                        _factor.cache_clear()
+                    got = solve_exact(a, rhs)
+                    assert got == want and all(type(x) is Fraction for x in got), (rhs, cold)
+        assert solve_exact([[2]], [0.5]) == solve_exact([[2]], [Decimal("0.5")]) == (Fraction(1, 4),)
+        assert solve_exact([[2]], [True]) == (Fraction(1, 2),)
+
     def test_errors_keep_their_order_whatever_is_kept(self):
         # not square, then the length of b, then singular, with the form kept or not
         a, singular = [[-2, 1], [1, -2]], [[-2, 1], [-2, 1]]

@@ -1,6 +1,10 @@
-"""The package namespace: every public name resolves to its defining module."""
+"""The package namespace: every public name resolves to its defining module,
+and every layer to its module, loaded when first named."""
 
+import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +46,37 @@ def test_the_home_module_holds_the_only_binding(monkeypatch):
 
     monkeypatch.setattr(toric, "classify_cone", replacement)
     assert mmpkit.classify_cone is replacement
+
+
+# reads one layer through the package in a fresh interpreter, then prints the
+# mmpkit modules that were loaded and the names the package then holds
+FRESH_LAYER_READ = """
+import json, sys
+import mmpkit
+layer = mmpkit.toric
+try:
+    mmpkit.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+loaded = sorted(n for n in sys.modules if n.startswith("mmpkit"))
+held = sorted(set(vars(mmpkit)) & {"toric", *mmpkit.__all__})
+print(json.dumps({"same": layer is sys.modules["mmpkit.toric"], "loaded": loaded, "held": held, "missing": missing}))
+"""
+
+
+def test_a_layer_read_loads_that_layer_alone_and_binds_it():
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_LAYER_READ],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["same"] is True
+    # errors and linalg come in as toric's own imports, not through the package
+    assert result["loaded"] == ["mmpkit", "mmpkit.errors", "mmpkit.linalg", "mmpkit.toric"]
+    # the layer is bound on the package, so later reads skip the hook; no public name is
+    assert result["held"] == ["toric"]
+    assert "no_such_name" in result["missing"]
