@@ -86,7 +86,7 @@ def primitive(v) -> IntVector:
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -124,19 +124,24 @@ def _eliminate(a, symmetric=False, ops=None):
     A list ops gets, per pivot, the scale its row had and the (row, entry
     in the pivot column, divisor) of each row it reached.
     """
-    if all(type(x) is int for row in a for x in row):
-        den, m = 1, [list(row) for row in a]
-    else:
-        a = [[Fraction(x) for x in row] for row in a]
+    m, den = [list(row) for row in a], 1
+    if not all([type(x) is int for row in m for x in row]):
+        a = [[Fraction(x) for x in row] for row in m]
         den = lcm(*(x.denominator for row in a for x in row))
         m = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     rows, at, order, prev = list(range(len(m))), [1] * len(m), [], 1
     cols = rows if symmetric else range(len(m[0]) if m else 0)
     while rows:
         if not symmetric:
-            p, c = next(((i, j) for j in cols for i in rows if m[i][j]), (None, None))
-            if p is None:
+            for c in cols:
+                for p in rows:
+                    if m[p][c]:
+                        break
+                else:
+                    continue
                 break
+            else:
+                break  # no nonzero in a live row
             cols = range(c + 1, cols.stop)
         elif (p := next((i for i in rows if m[i][i]), None)) is None:
             p, j = next(((i, j) for i in rows for j in rows if m[i][j]), (None, None))

@@ -23,10 +23,10 @@ that span less than the space leave m not unique, and get none.  The walk
 takes its proof of validity from it and needs no facets: rays with an m span,
 and as m is 1 on every ray no positive combination of rays is 0.  Facets run
 only to name an error, or for membership, which toric_discrepancy reads off
-their normals.  In facets one kernel and one normals pass decide both checks
-on a cone: completed by a basis of the orthogonal complement of its span,
-which adds no line, a cone has no line exactly when its facet normals span
-the space (its dual cone is then full-dimensional).
+their normals.  In facets one normals pass decides both checks.  Rays that span
+less than the space, as matrix_rank tells, are completed by a basis of the
+orthogonal complement of their span, which adds no line; a cone has no line
+exactly when its facet normals span the space (its dual is full-dimensional).
 
 Smoothness means the generators extend to a basis of the lattice, i.e. the
 cone is simplicial and its ray matrix has determinant +-1.
@@ -128,10 +128,10 @@ def _normals(rays, d) -> set[IntVector]:
 
 def facets(cone: Cone) -> tuple[IntVector, ...]:
     """Inward primitive facet normals h_j with cone = { x : h_j(x) >= 0 }.  Raises for a
-    cone with a line, then for one that is not full-dimensional.  The rays and a basis of
-    the orthogonal complement of their span generate this cone plus a simplicial one: it is
-    full-dimensional, and has a line exactly when this has, i.e. when its normals have rank < d."""
-    kernel = tuple(linalg.integer_kernel(cone.rays))
+    cone with a line, then for one that is not full-dimensional.  Rays that span less than the
+    space, as matrix_rank tells, are completed by a basis of the orthogonal complement of their
+    span to a full-dimensional cone with a line exactly when this has, i.e. normals of rank < d."""
+    kernel = tuple(linalg.integer_kernel(cone.rays)) if linalg.matrix_rank(cone.rays) < cone.rank else ()
     normals = _normals(cone.rays + kernel, cone.rank)
     if linalg.matrix_rank(list(normals)) != cone.rank:
         raise NotStronglyConvexError("cone contains a line")
@@ -165,7 +165,13 @@ def q_gorenstein_functional(cone: Cone) -> RatVector | None:
 
 
 def gorenstein_index(m: RatVector) -> int:
-    return lcm(*(Fraction(x).denominator for x in m)) if m else 1
+    return lcm(*[x.denominator for x in m])
+
+
+def _integral(m: RatVector) -> tuple[int, list[int]]:
+    """(r, rm): r the Gorenstein index of m and rm = r m, read off its numerators."""
+    r = gorenstein_index(m)
+    return r, [x.numerator * (r // x.denominator) for x in m]
 
 
 def lattice_points_at_or_below_one(cone: Cone) -> list[IntVector]:
@@ -223,8 +229,7 @@ def classify_cone(cone: Cone) -> ToricClassification:
         kind, r, points = ConeClass.NOT_Q_GORENSTEIN, None, ()
     else:
         points = tuple(lattice_points_at_or_below_one(cone))
-        r = gorenstein_index(m)
-        rm = [int(x * r) for x in m]  # rm(P) == r is m(P) == 1 in integers
+        r, rm = _integral(m)  # rm(P) == r is m(P) == 1 in integers
         # the points call has checked the rays span: a square ray matrix is invertible here
         if q_factorial and abs(linalg.det_bareiss(cone.rays)) == 1:
             kind = ConeClass.SMOOTH
@@ -246,8 +251,7 @@ def classify_cone(cone: Cone) -> ToricClassification:
 def _discrepancies(m: RatVector, points) -> tuple[Fraction, ...]:
     """m(P) - 1 = (rm(P) - r) / r at each point P, for r the Gorenstein index of m and
     rm = r m an integer functional: one Fraction per point."""
-    r = gorenstein_index(m)
-    rm = [int(x * r) for x in m]
+    r, rm = _integral(m)
     return tuple(Fraction(sum(map(mul, rm, p)) - r, r) for p in points)
 
 

@@ -173,6 +173,17 @@ MUTANTS = (
            "a cone with a line is named not Q-Gorenstein"),
     Mutant("toric.py", "if q_gorenstein_functional(cone) is None:", "if q_gorenstein_functional(cone) is not None:",
            "the walk refuses every valid cone and walks the rest"),
+    # toric.facets builds the complement only for rays that span less than the space,
+    # and r m is read off the numerators of m
+    Mutant("toric.py", "if linalg.matrix_rank(cone.rays) < cone.rank else ()",
+           "if linalg.matrix_rank(cone.rays) > cone.rank else ()",
+           "rays that span less than the space get no complement"),
+    Mutant("toric.py", "return r, [x.numerator * (r // x.denominator) for x in m]",
+           "return r, [x.denominator * (r // x.denominator) for x in m]",
+           "r m is read off the denominators of m"),
+    Mutant("toric.py", "return r, [x.numerator * (r // x.denominator) for x in m]",
+           "return r, [x.numerator * r for x in m]",
+           "r m is r times the numerators of m, unscaled by their denominators"),
     # toric_discrepancy's membership test and the walk's skip of a simplex
     Mutant("toric.py", "if any(linalg.dot(h, v) < 0 for h in facets(cone)):",
            "if any(linalg.dot(h, v) <= 0 for h in facets(cone)):",

@@ -767,6 +767,19 @@ ERROR_CONTRACT = [
     (_cone(rays=[[1, 0], [-1, 0]]), 3, "not_strongly_convex", None),
     (_cone(rays=[[1, 0]]), 3, "not_full_dimensional", None),
     (["toric-discrepancy", "--inline", _doc(CONE), "--point", "[0,-1]"], 3, "not_in_cone", None),
+    # rays that span less than the space: the one facets call that builds the complement
+    (
+        ["toric-discrepancy", "--inline", _doc(rank=3, rays=[[1, 0, 0], [0, 1, 0]]), "--point", "[1,1,0]"],
+        3,
+        "not_full_dimensional",
+        None,
+    ),
+    (
+        ["toric-discrepancy", "--inline", _doc(rank=3, rays=[[1, 0, 0], [-1, 0, 0], [0, 1, 0]]), "--point", "[0,1,0]"],
+        3,
+        "not_strongly_convex",
+        None,
+    ),
     (["toric-discrepancy", "--inline", _doc(CONE), "--point", "[2,0]"], 3, "not_primitive", None),
     (["toric-discrepancy", "--inline", _doc(CONE), "--point", "[0,0]"], 3, "not_primitive", None),
     (

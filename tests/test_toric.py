@@ -633,9 +633,12 @@ class TestStrongConvexity:
             seen["rank 1"] += cone.rank == 1
         assert min(seen.values()) >= 60, seen
 
-    def test_one_kernel_and_one_normals_pass(self, monkeypatch):
-        # on a valid cone with n rays the kernel is empty, so facets crosses
-        # each (d-1)-subset of the rays once and takes one rank
+    def test_one_normals_pass_and_a_complement_only_for_rays_that_span_less(self, monkeypatch):
+        # on a valid cone with n rays the rank of the rays says the complement
+        # is empty, so facets builds none, crosses each (d-1)-subset of the rays
+        # once and takes the rank of the normals; rays of rank r < d build the
+        # complement once, and facets crosses the (d-1)-subsets of the rays and
+        # its d - r vectors before it raises
         calls = Counter()
         for name in ("integer_kernel", "cross_normal", "matrix_rank"):
 
@@ -651,7 +654,18 @@ class TestStrongConvexity:
             calls.clear()
             facets(cone)
             n = len(cone.rays)
-            assert calls == Counter(integer_kernel=1, cross_normal=comb(n, d - 1), matrix_rank=1), cone.rays
+            assert calls == Counter(cross_normal=comb(n, d - 1), matrix_rank=2), cone.rays
+        seen = Counter()
+        for k in range(120):
+            cone = random_cone(rng, 2 + k % 3)
+            d, rank, n = cone.rank, matrix_rank(cone.rays), len(cone.rays)
+            if rank == d:
+                continue
+            calls.clear()
+            assert facets_error(cone) is not None, cone.rays
+            assert calls == Counter(integer_kernel=1, cross_normal=comb(n + d - rank, d - 1), matrix_rank=2), cone.rays
+            seen[d] += 1
+        assert min(seen[d] for d in (2, 3, 4)) >= 10, seen
 
     def test_not_full_dimensional_message(self):
         # seeded strongly convex cones whose rays span a space of dimension
